@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,6 +175,19 @@ func TestPprofFlag(t *testing.T) {
 	}
 }
 
+// lockedWriter serialises writers that share one log stream: the logger
+// and the console reporter write from different goroutines.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // TestReportFlags drives the periodic reporters: console summaries land
 // in the log stream and the JSON snapshot file appears.
 func TestReportFlags(t *testing.T) {
@@ -184,7 +198,7 @@ func TestReportFlags(t *testing.T) {
 	var logs strings.Builder
 	go func() {
 		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1",
-			"-report-every", "10ms", "-report-file", reportFile}, &logs, announced, stop)
+			"-report-every", "10ms", "-report-file", reportFile}, &lockedWriter{w: &logs}, announced, stop)
 	}()
 	addr := <-announced
 	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))

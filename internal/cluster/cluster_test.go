@@ -23,7 +23,6 @@ import (
 	"ftbar/internal/service"
 	"ftbar/internal/spec"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // testCluster is a master plus n in-process workers on real loopback TCP.
@@ -384,9 +383,9 @@ func TestVersionedJobRejected(t *testing.T) {
 	tc := startCluster(t, 1, MasterConfig{})
 	client := NewClient(tc.workers[0].Addr())
 	defer client.Close()
-	pj, _ := json.Marshal(&wire.ScheduleRequest{Problem: paperex.Problem()})
-	payload := (&pb.ScheduleJob{WireVersion: wire.Version + 41, Request: pj, Wait: true}).Marshal()
-	_, err := client.Call(context.Background(), pb.MethodWorkerSchedule, payload)
+	payload, _ := json.Marshal(scheduleJob{Version: wire.Version + 41, Wait: true,
+		Request: wire.ScheduleRequest{Problem: paperex.Problem()}})
+	_, err := client.Call(context.Background(), methodSchedule, payload)
 	if !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Errorf("future-versioned job: %v, want VERSION_MISMATCH", err)
 	}
@@ -413,8 +412,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}()
 	client := NewClient(ln.Addr().String())
 	defer client.Close()
-	_, err = client.Call(context.Background(), pb.MethodWorkerHealth,
-		(&pb.HealthRequest{WireVersion: wire.Version}).Marshal())
+	payload, _ := json.Marshal(probe{Version: wire.Version})
+	_, err = client.Call(context.Background(), methodHealth, payload)
 	if !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Errorf("mismatched handshake: %v, want VERSION_MISMATCH", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"ftbar/internal/obsv"
 	"ftbar/internal/service"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // MasterConfig sizes the master.
@@ -185,16 +184,10 @@ func (m *Master) do(ctx context.Context, req *wire.ScheduleRequest, wait bool) (
 // rerouted key lands exactly where the ring says it lives once the dead
 // worker is gone — the cache entry it creates there stays useful.
 func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleRequest, wait bool) (*wire.ScheduleReply, error) {
-	body, err := json.Marshal(req)
+	payload, err := json.Marshal(scheduleJob{Version: wire.Version, Wait: wait, Request: *req})
 	if err != nil {
 		return nil, wire.Wrap(wire.CodeBadRequest, err)
 	}
-	payload := (&pb.ScheduleJob{
-		WireVersion: wire.Version,
-		ContentKey:  key,
-		Request:     body,
-		Wait:        wait,
-	}).Marshal()
 
 	candidates := m.registry.Ring().Successors(key, m.registry.Ring().Len())
 	first := true
@@ -207,17 +200,9 @@ func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleReques
 		if client == nil {
 			continue
 		}
-		raw, err := client.Call(ctx, pb.MethodWorkerSchedule, payload)
+		raw, err := client.Call(ctx, methodSchedule, payload)
 		if err == nil {
-			res := new(pb.ScheduleResult)
-			if err := res.Unmarshal(raw); err != nil {
-				return nil, wire.Wrap(wire.CodeInternal, err)
-			}
-			resp := new(wire.ScheduleResponse)
-			if err := json.Unmarshal(res.Response, resp); err != nil {
-				return nil, wire.Wrap(wire.CodeInternal, err)
-			}
-			return &wire.ScheduleReply{ScheduleResponse: resp, Cached: res.Cached}, nil
+			return decodeScheduleReply(raw)
 		}
 		var we *wire.Error
 		if errors.As(err, &we) {
@@ -252,7 +237,7 @@ func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleReques
 // finishes its in-flight tail, and (with handoff) its cache shard and
 // warm-start records install on the ring successor so the moved keys
 // stay warm. Returns the number of cache entries moved.
-func (m *Master) Drain(ctx context.Context, id string, handoff bool) (int, error) {
+func (m *Master) Drain(ctx context.Context, id string, withHandoff bool) (int, error) {
 	client := m.registry.Client(id)
 	if client == nil {
 		return 0, wire.ErrWorkerUnavailable.WithField("worker", id)
@@ -260,16 +245,20 @@ func (m *Master) Drain(ctx context.Context, id string, handoff bool) (int, error
 	// Off the ring first: new keys route to successors immediately, and
 	// in-flight coalescing holds duplicates while the tail finishes.
 	m.registry.MarkDraining(id)
-	raw, err := client.Call(ctx, pb.MethodWorkerDrain, (&pb.DrainRequest{Handoff: handoff}).Marshal())
+	req, err := json.Marshal(handoff{Handoff: withHandoff})
+	if err != nil {
+		return 0, wire.Wrap(wire.CodeInternal, err)
+	}
+	raw, err := client.Call(ctx, methodDrain, req)
 	if err != nil {
 		return 0, err
 	}
-	reply := new(pb.DrainReply)
-	if err := reply.Unmarshal(raw); err != nil {
-		return 0, wire.Wrap(wire.CodeInternal, err)
+	var reply handoff
+	if err := decodeReply(raw, &reply); err != nil {
+		return 0, err
 	}
 	moved := 0
-	if handoff && len(reply.Snapshot) > 0 {
+	if withHandoff && len(reply.Snapshot) > 0 {
 		// The drained worker's vnode intervals collapse onto their ring
 		// successors; installing at the successor of the worker's own ID
 		// position puts the shard where most of its keys now route. The
@@ -278,16 +267,15 @@ func (m *Master) Drain(ctx context.Context, id string, handoff bool) (int, error
 		target := m.registry.Ring().Owner(id)
 		if target != "" && target != id {
 			if tc := m.registry.Client(target); tc != nil {
-				iraw, err := tc.Call(ctx, pb.MethodWorkerInstall,
-					(&pb.InstallRequest{Snapshot: reply.Snapshot}).Marshal())
+				iraw, err := tc.Call(ctx, methodInstall, reply.Snapshot)
 				if err != nil {
 					return 0, err
 				}
-				ir := new(pb.InstallReply)
-				if err := ir.Unmarshal(iraw); err != nil {
-					return 0, wire.Wrap(wire.CodeInternal, err)
+				var installed handoff
+				if err := decodeReply(iraw, &installed); err != nil {
+					return 0, err
 				}
-				moved = int(ir.Entries)
+				moved = installed.Entries
 				m.handoffMoved.Add(uint64(moved))
 			}
 		}
@@ -309,17 +297,13 @@ func (m *Master) Stats() service.Stats {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.StatsTimeout)
-		raw, err := client.Call(ctx, pb.MethodWorkerStats, (&pb.StatsRequest{}).Marshal())
+		raw, err := client.Call(ctx, methodStats, nil)
 		cancel()
 		if err != nil {
 			continue
 		}
-		sr := new(pb.StatsReply)
-		if err := sr.Unmarshal(raw); err != nil {
-			continue
-		}
 		var ws service.Stats
-		if err := json.Unmarshal(sr.Stats, &ws); err != nil {
+		if err := json.Unmarshal(raw, &ws); err != nil {
 			continue
 		}
 		out.QueueDepth += ws.QueueDepth

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"sort"
 	"sync"
 	"time"
 
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // MemberState is a worker's health as the master sees it.
@@ -299,11 +299,11 @@ func (g *Registry) probeAll() {
 func (g *Registry) probe(m *member) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	payload := (&pb.HealthRequest{WireVersion: wire.Version}).Marshal()
-	reply, err := m.client.Call(ctx, pb.MethodWorkerHealth, payload)
+	payload, _ := json.Marshal(probe{Version: wire.Version}) // a lone integer always encodes
+	reply, err := m.client.Call(ctx, methodHealth, payload)
 	if err == nil {
-		hr := new(pb.HealthReply)
-		if uerr := hr.Unmarshal(reply); uerr == nil && hr.Status == "draining" {
+		var hr probe
+		if uerr := json.Unmarshal(reply, &hr); uerr == nil && hr.Status == "draining" {
 			g.transition(m.id, StateDraining)
 			return
 		}

@@ -3,8 +3,8 @@
 // every request's content address (the same SHA-256 the cache keys on)
 // hashes onto a consistent ring of workers, so one worker owns each
 // problem's cache entry and warm-start arena. Workers are plain
-// standalone services behind a versioned RPC (internal/wire/pb) on a
-// framed TCP transport. The HTTP edge is byte-identical to the
+// standalone services behind a versioned RPC of JSON documents (rpc.go)
+// on a framed TCP transport. The HTTP edge is byte-identical to the
 // standalone service: service.NewHandler serves either engine.
 package cluster
 

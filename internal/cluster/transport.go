@@ -2,33 +2,32 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
-	"context"
-
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
-// The internal RPC runs protobuf-encoded messages (internal/wire/pb)
-// over a minimal length-prefixed TCP framing. The message layer is the
-// contract — the framing is deliberately small enough that swapping it
-// for gRPC's HTTP/2 transport would change only this file:
+// The internal RPC carries JSON documents (rpc.go) over a minimal
+// length-prefixed TCP framing:
 //
 //	handshake  both sides send magic "FTBW" + uvarint wire version
 //	request    uvarint method | uvarint len | payload
 //	response   uvarint status | uvarint len | payload
 //
-// status 0 carries the method's reply message; status 1 carries a
-// pb.Error, decoded back into a typed *wire.Error on the caller — so
-// errors.Is classification crosses the boundary. Anything else the
-// caller sees is a transport error, the master's signal to reroute.
+// status 0 carries the method's reply document; status 1 carries a
+// wire.Error as JSON, decoded back into a typed *wire.Error on the
+// caller — so errors.Is classification crosses the boundary. Anything
+// else the caller sees is a transport error, the master's signal to
+// reroute.
 
 // transportMagic leads the handshake in both directions.
 const transportMagic = "FTBW"
@@ -36,6 +35,10 @@ const transportMagic = "FTBW"
 // maxFrameBytes bounds a frame payload; a cache-shard handoff snapshot
 // is the largest legitimate message.
 const maxFrameBytes = 256 << 20
+
+// payloadChunk is the first allocation for a frame payload; larger
+// payloads grow by doubling as their bytes arrive.
+const payloadChunk = 64 << 10
 
 const (
 	statusOK   = 0
@@ -97,11 +100,30 @@ func readFrame(r *bufio.Reader) (uint64, []byte, error) {
 	if size > maxFrameBytes {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(size))
+	if err != nil {
 		return 0, nil, err
 	}
 	return head, payload, nil
+}
+
+// readPayload reads exactly size bytes. The buffer grows with the bytes
+// actually received, never with the peer's claim: a header announcing a
+// 200 MB frame followed by EOF costs one payloadChunk, not 200 MB.
+func readPayload(r io.Reader, size int) ([]byte, error) {
+	payload := make([]byte, 0, min(size, payloadChunk))
+	for len(payload) < size {
+		n := min(size-len(payload), max(len(payload), payloadChunk))
+		start := len(payload)
+		payload = slices.Grow(payload, n)[:start+n]
+		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return payload, nil
 }
 
 // HandlerFunc serves one RPC: the raw request payload of method in, the
@@ -198,7 +220,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		reply, appErr := s.handler(method, payload)
 		if appErr != nil {
-			if err := writeFrame(bw, statusErr, appErr.PB().Marshal()); err != nil {
+			data, err := json.Marshal(appErr)
+			if err != nil {
+				return
+			}
+			if err := writeFrame(bw, statusErr, data); err != nil {
 				return
 			}
 			continue
@@ -310,12 +336,11 @@ func (c *Client) Call(ctx context.Context, method uint64, payload []byte) ([]byt
 		return reply, nil
 	case statusErr:
 		c.put(cc)
-		perr := new(pb.Error)
-		if err := perr.Unmarshal(reply); err != nil {
-			return nil, fmt.Errorf("cluster: undecodable error reply for %s: %w",
-				pb.WorkerMethodName(method), err)
+		werr, err := decodeError(reply)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: undecodable error reply for method %d: %w", method, err)
 		}
-		return nil, wire.ErrorFromPB(perr)
+		return nil, werr
 	default:
 		cc.conn.Close()
 		return nil, fmt.Errorf("cluster: unknown response status %d", status)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,7 +10,6 @@ import (
 
 	"ftbar/internal/service"
 	"ftbar/internal/wire"
-	"ftbar/internal/wire/pb"
 )
 
 // typed coerces an error into the RPC's structured form: an error that
@@ -73,19 +71,19 @@ func (w *Worker) Close() {
 	}
 }
 
-// handle dispatches one RPC (see internal/wire/pb/ftbar.proto for the
-// service definition).
+// handle dispatches one RPC (rpc.go lists the methods and their
+// documents).
 func (w *Worker) handle(method uint64, payload []byte) ([]byte, *wire.Error) {
 	switch method {
-	case pb.MethodWorkerSchedule:
+	case methodSchedule:
 		return w.handleSchedule(payload)
-	case pb.MethodWorkerHealth:
+	case methodHealth:
 		return w.handleHealth(payload)
-	case pb.MethodWorkerStats:
-		return w.handleStats()
-	case pb.MethodWorkerDrain:
+	case methodStats:
+		return encodeReply(w.svc.Stats())
+	case methodDrain:
 		return w.handleDrain(payload)
-	case pb.MethodWorkerInstall:
+	case methodInstall:
 		return w.handleInstall(payload)
 	default:
 		return nil, &wire.Error{Code: wire.CodeBadRequest,
@@ -94,68 +92,44 @@ func (w *Worker) handle(method uint64, payload []byte) ([]byte, *wire.Error) {
 }
 
 func (w *Worker) handleSchedule(payload []byte) ([]byte, *wire.Error) {
-	job := new(pb.ScheduleJob)
-	if err := job.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
+	var job scheduleJob
+	if err := decodeRequest(payload, &job); err != nil {
+		return nil, err
 	}
-	if job.WireVersion != wire.Version {
-		return nil, wire.ErrVersionMismatch.WithField("job_version", fmt.Sprint(job.WireVersion))
+	if job.Version != wire.Version {
+		return nil, wire.ErrVersionMismatch.WithField("job_version", fmt.Sprint(job.Version))
 	}
 	if w.draining.Load() {
 		return nil, wire.ErrDraining.WithField("worker", w.id)
-	}
-	var req wire.ScheduleRequest
-	if err := json.Unmarshal(job.Request, &req); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
 	}
 	w.inFlight.Add(1)
 	defer w.inFlight.Add(-1)
 	var reply *wire.ScheduleReply
 	var err error
 	if job.Wait {
-		reply, err = w.svc.Schedule(context.Background(), &req)
+		reply, err = w.svc.Schedule(context.Background(), &job.Request)
 	} else {
-		reply, err = w.svc.TrySchedule(context.Background(), &req)
+		reply, err = w.svc.TrySchedule(context.Background(), &job.Request)
 	}
 	if err != nil {
 		return nil, typed(wire.CodeOf(err), err)
 	}
-	data, err := json.Marshal(reply.ScheduleResponse)
-	if err != nil {
-		return nil, typed(wire.CodeInternal, err)
-	}
-	return (&pb.ScheduleResult{Response: data, Cached: reply.Cached}).Marshal(), nil
+	return encodeReply(reply)
 }
 
 func (w *Worker) handleHealth(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.HealthRequest)
-	if err := req.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
+	var req probe
+	if err := decodeRequest(payload, &req); err != nil {
+		return nil, err
 	}
-	if req.WireVersion != wire.Version {
-		return nil, wire.ErrVersionMismatch.WithField("probe_version", fmt.Sprint(req.WireVersion))
+	if req.Version != wire.Version {
+		return nil, wire.ErrVersionMismatch.WithField("probe_version", fmt.Sprint(req.Version))
 	}
 	status := "up"
 	if w.draining.Load() {
 		status = "draining"
 	}
-	st := w.svc.Stats()
-	return (&pb.HealthReply{
-		WorkerId:      w.id,
-		Status:        status,
-		WireVersion:   wire.Version,
-		InFlight:      uint64(w.inFlight.Load()),
-		CacheEntries:  uint64(st.CacheEntries),
-		SchedulerRuns: st.SchedulerRuns,
-	}).Marshal(), nil
-}
-
-func (w *Worker) handleStats() ([]byte, *wire.Error) {
-	data, err := json.Marshal(w.svc.Stats())
-	if err != nil {
-		return nil, typed(wire.CodeInternal, err)
-	}
-	return (&pb.StatsReply{Stats: data}).Marshal(), nil
+	return encodeReply(probe{Status: status})
 }
 
 // drainSettle bounds how long a drain waits for in-flight schedules to
@@ -164,9 +138,9 @@ func (w *Worker) handleStats() ([]byte, *wire.Error) {
 const drainSettle = 10 * time.Second
 
 func (w *Worker) handleDrain(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.DrainRequest)
-	if err := req.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
+	var req handoff
+	if err := decodeRequest(payload, &req); err != nil {
+		return nil, err
 	}
 	// Flip to draining first: new Schedule RPCs bounce with DRAINING and
 	// the master reroutes them, then wait out the in-flight tail.
@@ -175,7 +149,7 @@ func (w *Worker) handleDrain(payload []byte) ([]byte, *wire.Error) {
 	for w.inFlight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	reply := &pb.DrainReply{Entries: uint64(w.svc.Stats().CacheEntries)}
+	reply := handoff{Entries: w.svc.Stats().CacheEntries}
 	if req.Handoff {
 		snap, err := w.svc.SnapshotBytes()
 		if err != nil {
@@ -183,17 +157,13 @@ func (w *Worker) handleDrain(payload []byte) ([]byte, *wire.Error) {
 		}
 		reply.Snapshot = snap
 	}
-	return reply.Marshal(), nil
+	return encodeReply(reply)
 }
 
 func (w *Worker) handleInstall(payload []byte) ([]byte, *wire.Error) {
-	req := new(pb.InstallRequest)
-	if err := req.Unmarshal(payload); err != nil {
-		return nil, typed(wire.CodeBadRequest, err)
-	}
-	n, err := w.svc.RestoreBytes(req.Snapshot)
+	n, err := w.svc.RestoreBytes(payload)
 	if err != nil {
 		return nil, typed(wire.CodeBadRequest, err)
 	}
-	return (&pb.InstallReply{Entries: uint64(n)}).Marshal(), nil
+	return encodeReply(handoff{Entries: n})
 }

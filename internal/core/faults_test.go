@@ -149,10 +149,10 @@ func TestCacheAwareSelectionSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSteps(t, ref.Steps, inc.Steps)
-	if ref.SkippedCandidates != 0 {
-		t.Errorf("reference engine reports %d skips", ref.SkippedCandidates)
+	if ref.Planner.PreviewsScreened != 0 {
+		t.Errorf("reference engine reports %d skips", ref.Planner.PreviewsScreened)
 	}
-	if inc.SkippedCandidates == 0 {
+	if inc.Planner.PreviewsScreened == 0 {
 		t.Errorf("cache-aware selection never skipped a candidate")
 	}
 }

@@ -113,17 +113,6 @@ type Result struct {
 	// ExtraReplicas counts replicas beyond the mandatory Npf+1, i.e. the
 	// predecessor duplications Minimize-start-time kept.
 	ExtraReplicas int
-	// SkippedCandidates counts candidate evaluations the incremental
-	// engine's cache-aware screen proved could not win and therefore
-	// never previewed (0 for the reference engine). Skips never change
-	// the decision log; they only avoid work.
-	SkippedCandidates int
-	// BatchedCommits counts the rounds the incremental engine settled
-	// from the previous selection's records without a prepare/select
-	// pass (batch.go; 0 for the reference engine). Batched rounds are
-	// provably identical to sequential ones, so they never change the
-	// decision log either.
-	BatchedCommits int
 	// Planner is the run's planner-work breakdown for the observability
 	// layer (internal/obsv): how many σ previews were actually computed
 	// versus screened away, how often the σ cache answered without a
@@ -146,15 +135,18 @@ type PlannerStats struct {
 	PreviewsComputed int `json:"previews_computed"`
 	// PreviewsScreened counts the candidate evaluations the cache-aware
 	// screen and lazy pricing proved irrelevant, whose previews were
-	// never paid for (== Result.SkippedCandidates).
+	// never paid for (0 for the reference engine). Skips never change
+	// the decision log; they only avoid work.
 	PreviewsScreened int `json:"previews_screened"`
 	// SigmaReuses counts σ-cache entries revalidated against the live
 	// schedule and reused without recomputation.
 	SigmaReuses int `json:"sigma_reuses"`
-	// BatchedCommits counts decisions settled by batch commits
-	// (== Result.BatchedCommits); BatchFallbacks counts the batch scans
-	// that could not prove the next winner and fell back to a full
-	// prepare/select round.
+	// BatchedCommits counts decisions the incremental engine settled from
+	// the previous selection's records without a prepare/select pass
+	// (batch.go; 0 for the reference engine) — provably identical to
+	// sequential rounds. BatchFallbacks counts the batch scans that could
+	// not prove the next winner and fell back to a full prepare/select
+	// round.
 	BatchedCommits int `json:"batched_commits"`
 	BatchFallbacks int `json:"batch_fallbacks"`
 	// The remaining counters are the cross-run reuse profile (arena.go,
@@ -245,8 +237,6 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		ExtraReplicas: sch.extraReplicas(),
 	}
 	if sch.cache != nil {
-		res.SkippedCandidates = int(sch.cache.skipped)
-		res.BatchedCommits = sch.batched
 		res.Planner.PreviewsComputed = int(sch.cache.computed.Load())
 		res.Planner.PreviewsScreened = int(sch.cache.skipped)
 		res.Planner.SigmaReuses = int(sch.cache.reused)

@@ -9,10 +9,6 @@ package exec
 // the property the service benchmarks need: tail latency under a *shaped*
 // offered rate, with backpressure visible as queue depth and 429s rather
 // than as a quietly slower generator.
-//
-// The runner supports two live controls: Pause freezes the profile clock
-// (no arrivals, stage time does not advance) and SetScale multiplies the
-// profile's rate by a factor, both safe from other goroutines.
 
 import (
 	"context"
@@ -31,12 +27,8 @@ var (
 	ErrInvalidRate = errors.New("exec: invalid rate: must be positive")
 	// ErrInvalidDuration is returned for a zero or negative stage duration.
 	ErrInvalidDuration = errors.New("exec: invalid stage duration: must be positive")
-	// ErrInvalidScale is returned for a zero or negative scale factor.
-	ErrInvalidScale = errors.New("exec: invalid scale factor: must be positive")
 	// ErrAlreadyRunning is returned when Run is called on a running runner.
 	ErrAlreadyRunning = errors.New("exec: staged runner is already running")
-	// ErrNotRunning is returned when controlling a runner that is not running.
-	ErrNotRunning = errors.New("exec: staged runner is not running")
 )
 
 // Stage is one segment of an arrival profile.
@@ -125,15 +117,12 @@ func (c StageConfig) rateAt(t time.Duration) (rate float64, stage int, ok bool) 
 type IterationFunc func(stage, iter int)
 
 // StagedRunner drives an IterationFunc through a StageConfig profile.
-// A runner is single-use per Run call; Pause, Resume and SetScale may be
-// called concurrently while Run is in flight.
+// A runner runs one profile at a time.
 type StagedRunner struct {
 	cfg StageConfig
 
 	mu      sync.Mutex
 	running bool
-	resume  chan struct{} // non-nil while paused; closed by Resume
-	scale   float64
 }
 
 // NewStagedRunner validates the profile and returns a runner for it.
@@ -141,55 +130,7 @@ func NewStagedRunner(cfg StageConfig) (*StagedRunner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &StagedRunner{cfg: cfg, scale: 1}, nil
-}
-
-// SetScale multiplies every rate in the profile by f from the next
-// arrival on. Scaling is allowed while idle (it applies to the next Run).
-func (r *StagedRunner) SetScale(f float64) error {
-	if f <= 0 {
-		return ErrInvalidScale
-	}
-	r.mu.Lock()
-	r.scale = f
-	r.mu.Unlock()
-	return nil
-}
-
-// Scale returns the current rate multiplier.
-func (r *StagedRunner) Scale() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.scale
-}
-
-// Pause freezes the profile clock before the next arrival: no iterations
-// start and stage time does not advance until Resume. Pausing an already
-// paused runner is a no-op.
-func (r *StagedRunner) Pause() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.running {
-		return ErrNotRunning
-	}
-	if r.resume == nil {
-		r.resume = make(chan struct{})
-	}
-	return nil
-}
-
-// Resume unfreezes a paused runner; resuming a running runner is a no-op.
-func (r *StagedRunner) Resume() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.running {
-		return ErrNotRunning
-	}
-	if r.resume != nil {
-		close(r.resume)
-		r.resume = nil
-	}
-	return nil
+	return &StagedRunner{cfg: cfg}, nil
 }
 
 // Run walks the profile, invoking fn once per arrival in its own
@@ -212,10 +153,6 @@ func (r *StagedRunner) Run(ctx context.Context, fn IterationFunc) ([]int, error)
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		if r.resume != nil { // do not strand a pause across runs
-			close(r.resume)
-			r.resume = nil
-		}
 		r.running = false
 		r.mu.Unlock()
 	}()
@@ -230,17 +167,15 @@ func (r *StagedRunner) Run(ctx context.Context, fn IterationFunc) ([]int, error)
 
 	start := time.Now()
 	var profile time.Duration // virtual stage clock
-	var paused time.Duration  // wall time spent frozen
 	var runErr error
 	for iter := 0; ; iter++ {
 		rate, stage, ok := r.cfg.rateAt(profile)
 		if !ok {
 			break
 		}
-		// Pace against the wall clock, offset by accumulated pause time,
-		// so scheduling jitter does not compound across arrivals.
-		target := start.Add(profile + paused)
-		if wait := time.Until(target); wait > 0 {
+		// Pace against the wall clock so scheduling jitter does not
+		// compound across arrivals.
+		if wait := time.Until(start.Add(profile)); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
 			case <-t.C:
@@ -248,11 +183,6 @@ func (r *StagedRunner) Run(ctx context.Context, fn IterationFunc) ([]int, error)
 				t.Stop()
 				runErr = ctx.Err()
 			}
-		}
-		if runErr == nil {
-			var d time.Duration
-			d, runErr = r.pauseGate(ctx)
-			paused += d
 		}
 		if runErr != nil {
 			break
@@ -277,26 +207,8 @@ func (r *StagedRunner) Run(ctx context.Context, fn IterationFunc) ([]int, error)
 			fn(stage, iter)
 		}(stage, iter)
 		// Advance the profile clock by the interarrival gap at the
-		// current instantaneous (scaled) rate.
-		profile += time.Duration(float64(time.Second) / (rate * r.Scale()))
+		// current instantaneous rate.
+		profile += time.Duration(float64(time.Second) / rate)
 	}
 	return launched, runErr
-}
-
-// pauseGate blocks while the runner is paused and returns how long the
-// profile clock was frozen.
-func (r *StagedRunner) pauseGate(ctx context.Context) (time.Duration, error) {
-	r.mu.Lock()
-	ch := r.resume
-	r.mu.Unlock()
-	if ch == nil {
-		return 0, nil
-	}
-	t0 := time.Now()
-	select {
-	case <-ch:
-		return time.Since(t0), nil
-	case <-ctx.Done():
-		return time.Since(t0), ctx.Err()
-	}
 }

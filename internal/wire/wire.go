@@ -16,14 +16,14 @@
 //     statuses at the edge (HTTPStatus) and travel unchanged through
 //     the internal RPC, so a worker's backpressure rejection surfaces
 //     at the edge as the same 429 a standalone service produces.
-//   - Framing. The pb subpackage holds the proto definitions and the
-//     checked-in generated marshalling code of the internal RPC
-//     envelopes; Version gates the master/worker handshake.
+//   - Version. The internal RPC (internal/cluster) frames these same
+//     documents as JSON; Version gates the master/worker handshake.
 package wire
 
 // Version is the internal wire-protocol version. Masters and workers
-// exchange it during the transport handshake and in health probes; a
-// mismatch refuses the connection with CodeVersionMismatch rather than
-// mis-decoding frames. Bump on any incompatible change to the pb
-// envelopes or the framing.
-const Version = 1
+// exchange it during the transport handshake, in health probes and on
+// every schedule job; a mismatch refuses the connection with
+// CodeVersionMismatch rather than mis-decoding frames. Bump on any
+// incompatible change to the RPC envelopes or the framing. Version 2
+// replaced the protobuf envelopes of version 1 with JSON documents.
+const Version = 2
