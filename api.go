@@ -84,22 +84,11 @@ type (
 	GanttOptions = sched.GanttOptions
 	// Options tunes the FTBAR heuristic.
 	Options = core.Options
-	// Engine selects the scheduling engine implementation.
-	Engine = core.Engine
 	// Result is a scheduling outcome: the schedule, the Rtc verdict and
 	// the decision log.
 	Result = core.Result
 	// HBPResult is the baseline scheduler's outcome.
 	HBPResult = hbp.Result
-)
-
-// Scheduling engines. Both produce bit-identical schedules; the
-// incremental engine (the default) caches pressures between steps and
-// previews cold pairs in parallel, the reference engine redoes every step
-// from scratch.
-const (
-	EngineIncremental = core.EngineIncremental
-	EngineReference   = core.EngineReference
 )
 
 // Simulation (paper Sections 4.3 and 5).

@@ -38,21 +38,16 @@
 //	res, err := ftbar.Run(p, ftbar.Options{})
 //	// res.Schedule masks any single processor crash.
 //
-// # Scheduling engines
+// # Scheduling engine
 //
-// Run schedules with one of two engines selected by Options.Engine. The
-// default EngineIncremental maintains an indegree ready queue, caches
-// schedule pressures per (task, processor) under revision-stamp
-// invalidation, previews cold pairs on a bounded worker pool, and undoes
-// speculative duplications with in-place checkpoints; EngineReference is
-// the straightforward implementation that redoes every step from
-// scratch. Both produce bit-identical schedules — a property enforced by
-// differential tests — so the choice is purely a performance one:
-//
-//	res, _ := ftbar.Run(p, ftbar.Options{})                          // fast engine
-//	ref, _ := ftbar.Run(p, ftbar.Options{Engine: ftbar.EngineReference})
-//
-// The engine-vs-engine scaling grid runs with
+// Run schedules with the incremental engine: it maintains an indegree
+// ready queue, caches schedule pressures per (task, processor) under
+// revision-stamp invalidation, previews cold pairs on a bounded worker
+// pool, and undoes speculative duplications with in-place checkpoints.
+// A straightforward reference implementation that redoes every step
+// from scratch stays inside the module as the oracle of the differential
+// tests, which enforce bit-identical decision logs between the two; the
+// engine-vs-engine scaling grid runs with
 // `ftbench -experiment scaling [-json]`.
 //
 // # Unified fault model: processor and link failures
@@ -95,8 +90,7 @@
 // instant — with worker-invariant reports; the trajectory runs with
 // `ftbench -experiment combined [-json]` (BENCH_combined.json), whose
 // headline is the ring cell at {Npf=1, Nmf=1} masking the entire grid.
-// Options.LegacyPlanner reproduces the relay-blind planner as the
-// priced baseline; with Nmf = 0 the joint planner changes nothing.
+// With Nmf = 0 neither extension is consulted.
 //
 // Reliability — the second extension the paper's conclusion announces —
 // is evaluated over the joint (processor, medium) crash lattice:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"ftbar/internal/core"
 	"ftbar/internal/gen"
@@ -23,12 +22,13 @@ import (
 // things: how many schedules carry the joint-survivability certificate
 // (sched.ValidateJoint), the masked fraction of the full combined sweep
 // (processor subsets up to Npf × every medium × every decisive crash
-// instant), the exact joint reliability at a uniform per-unit failure
-// probability, and what the joint planner costs against the PR 4
-// baseline (wall clock and makespan, via core.Options.LegacyPlanner).
-// BENCH_combined.json records the trajectory; the headline is the ring
-// cell at Npf=1, Nmf=1, whose combined-masked fraction the relay-aware
-// placement lifts from ~0.66 to 1.0.
+// instant), and the exact joint reliability at a uniform per-unit
+// failure probability. BENCH_combined.json records the trajectory; the
+// headline is the ring cell at Npf=1, Nmf=1, whose combined-masked
+// fraction the relay-aware placement lifted from ~0.66 to 1.0. The
+// committed file's planner_overhead and makespan_overhead columns priced
+// the joint planner against a relay-blind baseline planner that no longer
+// exists, so they are frozen values this experiment does not emit.
 
 // CombinedConfig parameterises the combined experiment.
 type CombinedConfig struct {
@@ -91,12 +91,6 @@ type CombinedCell struct {
 	// schedules with every processor and medium failing with
 	// probability Q per iteration.
 	Reliability float64 `json:"reliability"`
-	// PlannerOverhead is the scheduling wall-clock ratio joint planner /
-	// PR 4 baseline (core.Options.LegacyPlanner), and MakespanOverhead
-	// the mean fault-free makespan ratio — what the crash-separated
-	// placement pays in schedule length for the masking it buys.
-	PlannerOverhead  float64 `json:"planner_overhead"`
-	MakespanOverhead float64 `json:"makespan_overhead"`
 }
 
 // CombinedReport is the machine-readable outcome, a BENCH_*.json
@@ -134,8 +128,6 @@ func combinedCell(cfg CombinedConfig, topo gen.Topology, budget spec.FaultModel)
 	cell := CombinedCell{Topology: topo.String(), Npf: budget.Npf, Nmf: budget.Nmf}
 	scen, masked := 0, 0
 	relSum, relN := 0.0, 0
-	var jointClock, legacyClock time.Duration
-	makespanSum, makespanN := 0.0, 0
 	for g := 0; g < cfg.Graphs; g++ {
 		seed := cfg.Seed*1_000_099 + int64(topo)*100_003 +
 			int64(budget.Npf)*10_007 + int64(budget.Nmf)*1009 + int64(g+1)
@@ -147,9 +139,7 @@ func combinedCell(cfg CombinedConfig, topo gen.Topology, budget spec.FaultModel)
 			return cell, err
 		}
 		cell.Graphs++
-		start := time.Now()
 		res, err := core.Run(problem, core.Options{})
-		jointElapsed := time.Since(start)
 		if err != nil {
 			if errors.Is(err, spec.ErrMediaDiversity) || errors.Is(err, spec.ErrTooFewprocs) {
 				cell.SpecRejected++
@@ -164,17 +154,6 @@ func combinedCell(cfg CombinedConfig, topo gen.Topology, budget spec.FaultModel)
 				continue
 			}
 			return cell, fmt.Errorf("combined %s %s seed %d: %w", topo, budget, seed, err)
-		}
-		start = time.Now()
-		legacy, legacyErr := core.Run(problem, core.Options{LegacyPlanner: true})
-		// Both clocks accumulate over exactly the graphs both planners
-		// scheduled, so the ratio compares like with like (spec-rejected
-		// graphs never reach the legacy run and count in neither).
-		jointClock += jointElapsed
-		legacyClock += time.Since(start)
-		if legacyErr == nil {
-			makespanSum += res.Schedule.Length() / legacy.Schedule.Length()
-			makespanN++
 		}
 		if err := res.Schedule.Validate(); err != nil {
 			cell.SchedRejected++
@@ -214,28 +193,22 @@ func combinedCell(cfg CombinedConfig, topo gen.Topology, budget spec.FaultModel)
 	if relN > 0 {
 		cell.Reliability = relSum / float64(relN)
 	}
-	if legacyClock > 0 {
-		cell.PlannerOverhead = float64(jointClock) / float64(legacyClock)
-	}
-	if makespanN > 0 {
-		cell.MakespanOverhead = makespanSum / float64(makespanN)
-	}
 	return cell, nil
 }
 
 // RenderCombined writes the report as a fixed-width text table.
 func RenderCombined(w io.Writer, rep *CombinedReport) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%8s | %3s %3s | %6s %5s %5s | %6s %6s | %9s %6s | %11s | %8s %8s\n",
+	fmt.Fprintf(&b, "%8s | %3s %3s | %6s %5s %5s | %6s %6s | %9s %6s | %11s\n",
 		"topology", "Npf", "Nmf", "graphs", "valid", "joint", "v.rate", "j.rate",
-		"scenarios", "comb", "reliab", "plan ovh", "mksp ovh")
-	b.WriteString(strings.Repeat("-", 112) + "\n")
+		"scenarios", "comb", "reliab")
+	b.WriteString(strings.Repeat("-", 92) + "\n")
 	for _, c := range rep.Cells {
-		fmt.Fprintf(&b, "%8s | %3d %3d | %6d %5d %5d | %5.0f%% %5.0f%% | %9d %5.0f%% | %11.6f | %7.2fx %7.2fx\n",
+		fmt.Fprintf(&b, "%8s | %3d %3d | %6d %5d %5d | %5.0f%% %5.0f%% | %9d %5.0f%% | %11.6f\n",
 			c.Topology, c.Npf, c.Nmf, c.Graphs, c.Validated, c.JointValidated,
 			c.ValidatedRate*100, c.JointRate*100,
 			c.CombinedScenarios, c.CombinedMasked*100,
-			c.Reliability, c.PlannerOverhead, c.MakespanOverhead)
+			c.Reliability)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

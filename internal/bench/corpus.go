@@ -116,10 +116,7 @@ func corpusTiming(s *harness.Spec) (coldMs, warmMs float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	opts, err := s.CoreOptions()
-	if err != nil {
-		return 0, 0, err
-	}
+	opts := s.CoreOptions()
 	problem, err := gen.Generate(params)
 	if err != nil {
 		return 0, 0, err

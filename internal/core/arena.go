@@ -284,9 +284,6 @@ func (a *RunArena) replay(rec *RunRecord, p *spec.Problem, k int, key, okey stri
 		// same way.
 		return nil, err
 	}
-	if opts.LegacyPlanner {
-		s.SetRelayAware(false)
-	}
 	nPlace := int(rec.StepPlaces[k-1])
 	for i := 0; i < nPlace; i++ {
 		pr := &rec.Places[i]

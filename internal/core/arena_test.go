@@ -383,3 +383,23 @@ func BenchmarkRunWarmVsCold(b *testing.B) {
 		}
 	})
 }
+
+// TestOptionsKeyFormatPinned pins the record-store key byte for byte.
+// Persisted v3 arena snapshots and drain handoffs key their records on
+// these exact bytes (the retained "legacy=false" literal included), so a
+// format change must fail here rather than silently cold-start every
+// restored record.
+func TestOptionsKeyFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "nodup=false|tails=false|legacy=false"},
+		{Options{NoDuplication: true, TailsWithComms: true}, "nodup=true|tails=true|legacy=false"},
+		{Options{Engine: EngineReference, PreviewWorkers: 3}, "nodup=false|tails=false|legacy=false"},
+	} {
+		if got := optionsKey(tc.opts); got != tc.want {
+			t.Errorf("optionsKey(%+v) = %q, want %q", tc.opts, got, tc.want)
+		}
+	}
+}

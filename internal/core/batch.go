@@ -80,12 +80,13 @@ const (
 )
 
 // batchEnabled reports whether follow-on rounds may be batch-committed:
-// incremental engine, not opted out, and no crash-separated placement
-// bias (the survivable pick drops processors from the (sigma, proc)
-// order, so the recorded procs[0] is not the argmin the proofs need;
-// combined budgets are rare enough that batching sits this out).
+// the per-candidate records exist, i.e. the incremental engine without
+// the crash-separated placement bias (the survivable pick drops
+// processors from the (sigma, proc) order, so the recorded procs[0] is
+// not the argmin the proofs need; combined budgets are rare enough that
+// batching sits this out).
 func (sch *scheduler) batchEnabled() bool {
-	return sch.batchOK && sch.cache != nil
+	return sch.evals != nil
 }
 
 // batchCommits keeps committing provably-identical round winners after

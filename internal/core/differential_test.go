@@ -143,6 +143,48 @@ func TestDifferentialRandomProblems(t *testing.T) {
 	}
 }
 
+// TestDifferentialStructuredFamilies extends the sweep to the corpus's
+// structured families on its sparse topologies: chain, fork-join and
+// blocked-matmul graphs on mesh, torus, hypercube and random-geometric
+// architectures, under Npf 1..2 and the combined budget {1,1}, where
+// relay-aware routing and crash-separated placement are active.
+func TestDifferentialStructuredFamilies(t *testing.T) {
+	families := []struct {
+		fam   gen.Family
+		n     int
+		width int
+	}{{gen.FamChain, 16, 4}, {gen.FamForkJoin, 18, 3}, {gen.FamMatmul, 30, 3}}
+	topos := []struct {
+		topo  gen.Topology
+		procs int
+	}{{gen.TopoMesh, 6}, {gen.TopoTorus, 9}, {gen.TopoHypercube, 8}, {gen.TopoGeom, 8}}
+	budgets := []spec.FaultModel{{Npf: 1}, {Npf: 2}, {Npf: 1, Nmf: 1}}
+	scheduled := 0
+	for _, f := range families {
+		for _, tp := range topos {
+			for bi, b := range budgets {
+				p, err := gen.Generate(gen.Params{
+					N: f.n, CCR: 1, Procs: tp.procs, Topology: tp.topo,
+					Family: f.fam, Width: f.width, Npf: b.Npf, Nmf: b.Nmf,
+					Seed: 3100 + 100*int64(f.fam) + 10*int64(tp.topo) + int64(bi),
+				})
+				if err != nil {
+					t.Fatalf("generate %s/%s %s: %v", f.fam, tp.topo, b, err)
+				}
+				t.Run(f.fam.String()+"/"+tp.topo.String()+"/"+b.String(), func(t *testing.T) {
+					assertEnginesAgree(t, p, Options{})
+				})
+				if _, err := Run(p, Options{}); err == nil {
+					scheduled++
+				}
+			}
+		}
+	}
+	if total := len(families) * len(topos) * len(budgets); scheduled < total*3/4 {
+		t.Errorf("only %d of %d structured problems scheduled; the sweep would mostly compare refusals", scheduled, total)
+	}
+}
+
 // TestDifferentialWorkerCounts pins the determinism claim: the worker
 // count must not change the incremental engine's decisions.
 func TestDifferentialWorkerCounts(t *testing.T) {

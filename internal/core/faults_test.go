@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"ftbar/internal/arch"
@@ -68,8 +69,7 @@ func TestPaperExampleWithLinkBudget(t *testing.T) {
 // decision logs, validates, and masks every single-link crash. Under the
 // joint planner (PR 5) the crash-separated placement puts replica pairs
 // on non-adjacent processors, every delivery chain is relay-free, and the
-// schedule carries the joint-survivability certificate; the relay-chain
-// route of PR 4 remains pinned below under Options.LegacyPlanner.
+// schedule carries the joint-survivability certificate.
 func TestPaperExampleOnRingWithLinkBudget(t *testing.T) {
 	p := paperex.ProblemOn(arch.Ring(4))
 	p.SetFaults(spec.FaultModel{Npf: 1, Nmf: 1})
@@ -88,44 +88,6 @@ func TestPaperExampleOnRingWithLinkBudget(t *testing.T) {
 	for _, r := range reports {
 		if !r.Masked {
 			t.Errorf("ring link %d not masked", r.Medium)
-		}
-	}
-}
-
-// TestPaperExampleOnRingLegacyPlanner pins PR 4's relay-chain behaviour
-// behind Options.LegacyPlanner: the relay-blind fan threads store-and-
-// forward chains through third-party processors, the schedule still
-// validates and masks every link, but the joint certificate is out of
-// reach — exactly the gap the relay-aware planner closes.
-func TestPaperExampleOnRingLegacyPlanner(t *testing.T) {
-	p := paperex.ProblemOn(arch.Ring(4))
-	p.SetFaults(spec.FaultModel{Npf: 1, Nmf: 1})
-	assertEnginesAgree(t, p, Options{LegacyPlanner: true})
-	res, err := Run(p, Options{LegacyPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Validate(); err != nil {
-		t.Fatalf("legacy ring schedule invalid: %v", err)
-	}
-	relays := 0
-	for m := 0; m < p.Arc.NumMedia(); m++ {
-		for _, c := range res.Schedule.MediumSeq(arch.MediumID(m)) {
-			if c.Hop > 0 {
-				relays++
-			}
-		}
-	}
-	if relays == 0 {
-		t.Error("legacy ring schedule placed no relay hops")
-	}
-	reports, err := sim.SingleLinkFailureSweep(res.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		if !r.Masked {
-			t.Errorf("legacy ring link %d not masked", r.Medium)
 		}
 	}
 }
@@ -223,36 +185,6 @@ func TestSigmaCacheMediumRevInvalidation(t *testing.T) {
 	}
 }
 
-// TestJointPlannerVoidAtNmfZero pins the acceptance contract of the PR 5
-// joint planner: with Nmf = 0 neither the relay-aware fan costs nor the
-// crash-separated placement is consulted, so the default planner and the
-// LegacyPlanner baseline produce bit-identical decision logs on both
-// engines — Nmf = 0 schedules are the PR 4 schedules, bit for bit.
-func TestJointPlannerVoidAtNmfZero(t *testing.T) {
-	for _, topo := range []gen.Topology{gen.TopoFull, gen.TopoDualBus, gen.TopoRing, gen.TopoBus} {
-		for seed := int64(1); seed <= 3; seed++ {
-			p, err := gen.Generate(gen.Params{
-				N: 18, CCR: 1.2, Procs: 4, Topology: topo, Npf: 1, Seed: 900*int64(topo) + seed,
-			})
-			if err != nil {
-				t.Fatalf("generate %s seed %d: %v", topo, seed, err)
-			}
-			joint, jointErr := Run(p, Options{})
-			legacy, legacyErr := Run(p, Options{LegacyPlanner: true})
-			if (jointErr == nil) != (legacyErr == nil) {
-				t.Fatalf("%s seed %d: joint err=%v, legacy err=%v", topo, seed, jointErr, legacyErr)
-			}
-			if jointErr != nil {
-				continue
-			}
-			assertSameSteps(t, joint.Steps, legacy.Steps)
-			if got, want := joint.Schedule.Length(), legacy.Schedule.Length(); got != want {
-				t.Errorf("%s seed %d: joint length %g != legacy %g", topo, seed, got, want)
-			}
-		}
-	}
-}
-
 // TestCrashSeparatedPlacementOnRing pins the placement half of the joint
 // planner: under {Npf=1, Nmf=1} on a 4-ring every task's replica pair
 // lands on non-adjacent processors (no PairCutVulnerable pair), which is
@@ -293,5 +225,38 @@ func TestCrashSeparatedPlacementOnRing(t *testing.T) {
 	}
 	if err := res.Schedule.ValidateJoint(); err != nil {
 		t.Errorf("ring schedule missing the joint certificate: %v", err)
+	}
+}
+
+// TestDiversityRefusalIsTyped pins the refusal a medium-failure
+// reschedule on a sparse ring runs into: with medium 0 forbidden, a
+// chain delivery to P4 can no longer reach two media-disjoint routes, and
+// the diversity gate fires inside Minimize-start-time's placement of the
+// round winner. On both engines the refusal must match both
+// ErrNoProcessorChoice (the planner's typed refusal) and the underlying
+// sched.ErrNoDisjointDelivery, while the duplication-free heuristic still
+// schedules the same problem.
+func TestDiversityRefusalIsTyped(t *testing.T) {
+	p, err := gen.Generate(gen.Params{
+		N: 18, CCR: 1, Procs: 8, Topology: gen.TopoRing, Family: gen.FamChain,
+		Npf: 1, Nmf: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, _, ok, err := sim.ScenarioProblem(p, sim.Scenario{
+		MediumFailures: []sim.MediumFailure{sim.PermanentLink(0, 0)},
+	})
+	if err != nil || !ok {
+		t.Fatalf("forbid medium 0: ok=%t err=%v", ok, err)
+	}
+	for _, engine := range []Engine{EngineIncremental, EngineReference} {
+		_, err := Run(child, Options{Engine: engine})
+		if !errors.Is(err, ErrNoProcessorChoice) || !errors.Is(err, sched.ErrNoDisjointDelivery) {
+			t.Errorf("engine %d: err = %v, want ErrNoProcessorChoice wrapping sched.ErrNoDisjointDelivery", engine, err)
+		}
+	}
+	if _, err := Run(child, Options{NoDuplication: true}); err != nil {
+		t.Errorf("no-duplication run failed: %v", err)
 	}
 }

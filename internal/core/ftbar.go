@@ -64,27 +64,14 @@ type Options struct {
 	// knob exists for the ablation benchmarks.
 	TailsWithComms bool
 	// Engine selects the scheduling engine; the incremental engine is the
-	// default and produces identical results to the reference engine.
+	// default and produces identical results to the reference engine,
+	// which only the differential tests and the scaling experiment pick.
 	Engine Engine
 	// PreviewWorkers bounds the worker pool the incremental engine uses
 	// for cold pressure previews. 0 picks GOMAXPROCS capped at 8; 1
 	// disables parallelism. Ignored by the reference engine. The result
 	// does not depend on the worker count.
 	PreviewWorkers int
-	// NoBatchCommits disables batch commits (DESIGN.md Section 13): the
-	// incremental engine's follow-on rounds settled from the previous
-	// selection's records instead of a fresh prepare/select pass. Batch
-	// commits never change the decision log — they only fire when the
-	// round is provably identical — so this knob exists for debugging
-	// and the engine benchmarks.
-	NoBatchCommits bool
-	// LegacyPlanner disables the joint fault model's planner extensions
-	// (DESIGN.md Section 12) — the relay-processor-aware fan costs and
-	// the crash-separated replica placement — and reproduces the
-	// relay-blind behaviour of Section 11. The combined benchmark uses
-	// it as the baseline it prices the joint planner against; with
-	// Nmf = 0 it changes nothing (neither extension is consulted).
-	LegacyPlanner bool
 }
 
 // Step records one scheduling decision for inspection, tests and the
@@ -185,9 +172,6 @@ func Run(p *spec.Problem, opts Options) (*Result, error) {
 // engine (the reference engine's clone-and-swap speculation escapes the
 // media-touch mask, see sched.MediaTouched).
 func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec *RunRecord) (*Result, error) {
-	if opts.LegacyPlanner {
-		s.SetRelayAware(false)
-	}
 	tg := s.Tasks()
 	sch := &scheduler{
 		s:     s,
@@ -198,7 +182,7 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		tails: Tails(p, tg, opts.TailsWithComms),
 		done:  make([]bool, tg.NumTasks()),
 	}
-	if sch.fm.Nmf > 0 && !opts.LegacyPlanner {
+	if sch.fm.Nmf > 0 {
 		// Crash-separated replica placement (DESIGN.md Section 12): under
 		// a combined budget, prefer replica sets no single in-budget
 		// (processor, medium) crash can wipe out or strand.
@@ -209,7 +193,6 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		sch.cache = newSigmaCache(sch, opts.PreviewWorkers)
 		if sch.vuln == nil {
 			sch.evals = make([]candEval, tg.NumTasks())
-			sch.batchOK = !opts.NoBatchCommits
 		}
 	}
 	if len(prefix) > 0 {
@@ -350,19 +333,17 @@ type scheduler struct {
 	rq    *readyQueue
 	cache *sigmaCache
 	// vuln is the PairCutMatrix of the architecture when the
-	// crash-separated placement bias is active (Nmf >= 1 and not
-	// LegacyPlanner), nil otherwise.
+	// crash-separated placement bias is active (Nmf >= 1), nil otherwise.
 	vuln [][]bool
 	// evals records, per task id, how the last round priced the
 	// candidate (batch.go); nil under the crash-separated bias, whose
-	// processor picks the records cannot reconstruct. batchOK allows
-	// follow-on rounds to be batch-committed; batched counts the rounds
-	// settled that way. roundStart is the σ-cache epoch of the current
-	// outer round's prepare; staleBuf and deferBuf are lazyKey's
+	// processor picks the records cannot reconstruct. Follow-on rounds
+	// are batch-committed whenever the records exist; batched counts the
+	// rounds settled that way. roundStart is the σ-cache epoch of the
+	// current outer round's prepare; staleBuf and deferBuf are lazyKey's
 	// scratch, phaseBuf the candidate-ordering scratch of the two-phase
 	// scans.
 	evals   []candEval
-	batchOK bool
 	batched int
 	// rounds and batchFallbacks feed Result.Planner: outer
 	// prepare/select rounds, and batch scans that failed their proof.
@@ -458,6 +439,13 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 			_, err = sch.s.PlaceReplica(best, proc)
 		} else {
 			err = sch.placeMinimized(best, proc)
+		}
+		if errors.Is(err, sched.ErrNoDisjointDelivery) {
+			// The diversity gate refused a placement the round's pressures
+			// did not rule out. Surface it as the planner's typed refusal,
+			// keeping the gate's cause matchable.
+			return false, false, fmt.Errorf("%w: task %q on %q: %w", ErrNoProcessorChoice,
+				sch.tg.Task(best).Name, sch.p.Arc.Proc(proc).Name, err)
 		}
 		if err != nil {
 			return false, false, err

@@ -52,13 +52,15 @@ type PlaceRec struct {
 	End   float64      `json:"end"`
 }
 
-// optionsKey fingerprints the options that influence decisions. Engine,
-// PreviewWorkers and NoBatchCommits are excluded on purpose: the repo's
-// standing invariant (enforced by the differential suite) is that they
-// never change the decision log, only the work profile.
+// optionsKey fingerprints the options that influence decisions. Engine
+// and PreviewWorkers are excluded on purpose: the repo's standing
+// invariant (enforced by the differential suite) is that they never
+// change the decision log, only the work profile.
 func optionsKey(opts Options) string {
-	return fmt.Sprintf("nodup=%t|tails=%t|legacy=%t",
-		opts.NoDuplication, opts.TailsWithComms, opts.LegacyPlanner)
+	// The literal "legacy=false" stays: persisted v3 arena snapshots and
+	// drain handoffs key their records on these exact bytes.
+	return fmt.Sprintf("nodup=%t|tails=%t|legacy=false",
+		opts.NoDuplication, opts.TailsWithComms)
 }
 
 // recordable reports whether runs under opts may be recorded and warm

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ftbar/internal/core"
 )
 
 // legacySpec is an npf-only document: nmf, family, topology, options and
@@ -84,8 +86,7 @@ func TestLegacySpecAccepted(t *testing.T) {
 		t.Errorf("legacy params = %s/%s, want full/layered",
 			params.Topology, params.Family)
 	}
-	opts, err := s.CoreOptions()
-	if err != nil || opts.LegacyPlanner || opts.NoDuplication {
-		t.Errorf("legacy options = %+v, %v", opts, err)
+	if opts := s.CoreOptions(); opts != (core.Options{}) {
+		t.Errorf("legacy options = %+v, want the zero value", opts)
 	}
 }

@@ -38,10 +38,7 @@ type Outcome struct {
 // and scheduler rejections are counted, not fatal; generator misuse and
 // sweep failures are errors.
 func Run(s *Spec) (*Outcome, error) {
-	opts, err := s.CoreOptions()
-	if err != nil {
-		return nil, err
-	}
+	opts := s.CoreOptions()
 	out := &Outcome{Name: s.Name}
 	linkScen, linkMasked := 0, 0
 	procScen, procMasked := 0, 0

@@ -1,7 +1,7 @@
 // Package harness runs the declarative scenario corpus (DESIGN.md
 // Section 17): JSON specs — one file per scenario under
 // testdata/scenarios/ — naming a generated problem population (topology,
-// task-graph family, fault budget), the engine options to schedule it
+// task-graph family, fault budget), the planner options to schedule it
 // under, and the guarantee floors the population must clear. The runner
 // executes every scenario through core.Run and the sim sweeps and checks
 // the measured rates against the floors; the corpus benchmark
@@ -48,7 +48,7 @@ type Spec struct {
 	Gen GenSpec `json:"gen"`
 	// Graphs is the population size: seeds Gen.Seed+i for i < Graphs.
 	Graphs int `json:"graphs"`
-	// Options selects the engine configuration to schedule under.
+	// Options selects the planner configuration to schedule under.
 	Options OptSpec `json:"options,omitempty"`
 	// Floors are the minimum rates the population must reach.
 	Floors Floors `json:"floors"`
@@ -75,10 +75,6 @@ type GenSpec struct {
 
 // OptSpec selects the core.Options of a scenario.
 type OptSpec struct {
-	// Engine is "incremental" (the default) or "reference".
-	Engine string `json:"engine,omitempty"`
-	// LegacyPlanner disables the joint fault model's planner extensions.
-	LegacyPlanner bool `json:"legacy_planner,omitempty"`
 	// NoDuplication disables Minimize-start-time duplication.
 	NoDuplication bool `json:"no_duplication,omitempty"`
 }
@@ -123,20 +119,8 @@ func (s *Spec) Params(i int) (gen.Params, error) {
 }
 
 // CoreOptions converts the options block to core.Options.
-func (s *Spec) CoreOptions() (core.Options, error) {
-	opts := core.Options{
-		LegacyPlanner: s.Options.LegacyPlanner,
-		NoDuplication: s.Options.NoDuplication,
-	}
-	switch s.Options.Engine {
-	case "", "incremental":
-		opts.Engine = core.EngineIncremental
-	case "reference":
-		opts.Engine = core.EngineReference
-	default:
-		return opts, fmt.Errorf("%w: engine %q", ErrBadSpec, s.Options.Engine)
-	}
-	return opts, nil
+func (s *Spec) CoreOptions() core.Options {
+	return core.Options{NoDuplication: s.Options.NoDuplication}
 }
 
 // Validate checks the schema's semantic rules: version, name, a
@@ -157,9 +141,6 @@ func (s *Spec) Validate() error {
 	if s.Gen.N > 1000 || s.Gen.Procs > 64 || s.Gen.Width > 32 {
 		return fmt.Errorf("%w: %s: population too large (n=%d procs=%d width=%d)",
 			ErrBadSpec, s.Name, s.Gen.N, s.Gen.Procs, s.Gen.Width)
-	}
-	if _, err := s.CoreOptions(); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
 	}
 	params, err := s.Params(0)
 	if err != nil {

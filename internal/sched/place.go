@@ -296,12 +296,9 @@ func (s *Schedule) planEdge(eid model.TaskEdgeID, edge model.TaskEdge, t model.T
 		for _, sender := range sc.senders {
 			sc.fanProcs = append(sc.fanProcs, arch.ProcID(sl.repProc[sender]))
 		}
-		var avoid uint64
-		if !s.relayBlind {
-			avoid = s.replicaProcMask(edge.Src) | s.replicaProcMask(t)
-			if p < 64 {
-				avoid |= 1 << uint(p)
-			}
+		avoid := s.replicaProcMask(edge.Src) | s.replicaProcMask(t)
+		if p < 64 {
+			avoid |= 1 << uint(p)
 		}
 		fan = s.fanFor(edge.Orig, sc.fanProcs, p, avoid)
 		// Feasibility gate: the fan maximises the number of served sources

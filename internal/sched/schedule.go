@@ -197,11 +197,6 @@ type Schedule struct {
 	routes  *routeStore
 	fans    *fanStore
 	faults  spec.FaultModel
-	// relayBlind disables the relay-processor-aware fan costs (DESIGN.md
-	// Section 12) and reproduces the relay-blind route choice of the plain
-	// disjoint fan. The combined benchmark flips it to price the
-	// relay-aware packing; the zero value (relay-aware) is the default.
-	relayBlind bool
 
 	// directMedia[p*nProcs+q] lists the media directly connecting p and q,
 	// precomputed so the planning hot path never allocates. Immutable and
@@ -334,16 +329,6 @@ func (s *Schedule) fanFor(edge model.EdgeID, srcs []arch.ProcID, dst arch.ProcID
 	}
 	return s.fans.fill(key, srcs, s.problem)
 }
-
-// SetRelayAware toggles the relay-processor-aware fan costs of Section 12
-// (on by default). Disabling reproduces the relay-blind disjoint fan of
-// Section 11 bit for bit; the combined benchmark uses it as the planner
-// baseline. Toggle before placing replicas — flipping mid-build mixes the
-// two route policies.
-func (s *Schedule) SetRelayAware(on bool) { s.relayBlind = !on }
-
-// RelayAware reports whether relay-processor-aware fan costs are active.
-func (s *Schedule) RelayAware() bool { return !s.relayBlind }
 
 // replicaProcMask returns the bitmask of processors hosting a replica of
 // t (processors beyond 63 are not representable and left out; the fan
@@ -518,7 +503,6 @@ func (s *Schedule) Clone() *Schedule {
 		routes:       s.routes,
 		fans:         s.fans,
 		faults:       s.faults,
-		relayBlind:   s.relayBlind,
 		directMedia:  s.directMedia,
 		scratch:      s.scratch,
 		procEnd:      append([]float64(nil), s.procEnd...),

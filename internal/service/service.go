@@ -220,10 +220,6 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 	if s.computeHook != nil {
 		s.computeHook()
 	}
-	opts, err := req.Options.CoreOptions()
-	if err != nil {
-		return nil, err
-	}
 	// Classify the failure's side before running: a spec-invalid problem
 	// is the caller's fault (INVALID_PROBLEM), whatever the scheduler
 	// rejects beyond that failed on a well-formed problem
@@ -240,7 +236,7 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 	// arena's donor pool at the end: the response carries only marshalled
 	// copies, never the live schedule.
 	arena := s.arenas.get(req.Problem)
-	res, err := arena.Run(req.Problem, opts)
+	res, err := arena.Run(req.Problem, req.Options.CoreOptions())
 	if err != nil {
 		return nil, wire.Wrap(wire.CodeValidationFailed, err)
 	}

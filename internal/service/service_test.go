@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ftbar/internal/gen"
-	"ftbar/internal/paperex"
 	"ftbar/internal/spec"
 )
 
@@ -41,7 +40,6 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 	for name, req := range map[string]*ScheduleRequest{
 		"problem": {Problem: genProblem(t, 6)},
 		"options": {Problem: genProblem(t, 5), Options: RequestOptions{NoDuplication: true}},
-		"engine":  {Problem: genProblem(t, 5), Options: RequestOptions{Engine: "reference"}},
 		"include": {Problem: genProblem(t, 5), Include: Include{Stats: true}},
 	} {
 		k, err := req.CacheKey()
@@ -57,11 +55,6 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 	c := &ScheduleRequest{Problem: genProblem(t, 5), Options: RequestOptions{PreviewWorkers: 3}}
 	if k, _ := c.CacheKey(); k != ka {
 		t.Error("preview_workers split the cache key")
-	}
-	// Neither does spelling the default engine out.
-	d := &ScheduleRequest{Problem: genProblem(t, 5), Options: RequestOptions{Engine: "incremental"}}
-	if k, _ := d.CacheKey(); k != ka {
-		t.Error(`engine "incremental" split the cache key from the default`)
 	}
 	if _, err := (&ScheduleRequest{}).CacheKey(); !errors.Is(err, ErrBadRequest) {
 		t.Error("missing problem accepted")
@@ -292,17 +285,6 @@ func TestBatch(t *testing.T) {
 	}
 	if st := s.Stats(); st.SchedulerRuns != 3 {
 		t.Errorf("scheduler ran %d times for 3 distinct problems", st.SchedulerRuns)
-	}
-}
-
-func TestBadEngineRejected(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	_, err := s.Schedule(context.Background(), &ScheduleRequest{
-		Problem: paperex.Problem(), Options: RequestOptions{Engine: "warp"},
-	})
-	if !errors.Is(err, ErrBadRequest) {
-		t.Errorf("unknown engine got %v, want ErrBadRequest", err)
 	}
 }
 

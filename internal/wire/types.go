@@ -19,31 +19,19 @@ type RequestOptions struct {
 	NoDuplication bool `json:"no_duplication,omitempty"`
 	// TailsWithComms adds mean communication times to the S̄ tails.
 	TailsWithComms bool `json:"tails_with_comms,omitempty"`
-	// Engine selects the scheduling engine: "" or "incremental" for the
-	// default, "reference" for the seed oracle.
-	Engine string `json:"engine,omitempty"`
-	// PreviewWorkers bounds the incremental engine's preview pool; 0 lets
-	// the engine pick. The schedule does not depend on it, so it is
+	// PreviewWorkers bounds the planner's preview pool; 0 lets the
+	// planner pick. The schedule does not depend on it, so it is
 	// excluded from the cache key.
 	PreviewWorkers int `json:"preview_workers,omitempty"`
 }
 
-// CoreOptions translates the wire options, rejecting unknown engines.
-func (o RequestOptions) CoreOptions() (core.Options, error) {
-	opts := core.Options{
+// CoreOptions translates the wire options.
+func (o RequestOptions) CoreOptions() core.Options {
+	return core.Options{
 		NoDuplication:  o.NoDuplication,
 		TailsWithComms: o.TailsWithComms,
 		PreviewWorkers: o.PreviewWorkers,
 	}
-	switch o.Engine {
-	case "", "incremental":
-		opts.Engine = core.EngineIncremental
-	case "reference":
-		opts.Engine = core.EngineReference
-	default:
-		return opts, fmt.Errorf("%w: unknown engine %q", ErrBadRequest, o.Engine)
-	}
-	return opts, nil
 }
 
 // Include selects the optional derived artefacts of a response. Each flag
@@ -79,15 +67,12 @@ func (r *ScheduleRequest) CacheKey() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	// Spellings that select the same engine must share a key.
-	engine := r.Options.Engine
-	if engine == "" {
-		engine = "incremental"
-	}
 	h := sha256.New()
 	h.Write(pb)
-	fmt.Fprintf(h, "|nodup=%t|tails=%t|engine=%s|gantt=%t|stats=%t|sweep=%t",
-		r.Options.NoDuplication, r.Options.TailsWithComms, engine,
+	// The literal "engine=incremental" stays: persisted v2/v3 cache
+	// snapshots and drain handoffs are keyed on these exact bytes.
+	fmt.Fprintf(h, "|nodup=%t|tails=%t|engine=incremental|gantt=%t|stats=%t|sweep=%t",
+		r.Options.NoDuplication, r.Options.TailsWithComms,
 		r.Include.Gantt, r.Include.Stats, r.Include.Sweep)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -58,9 +58,9 @@ func TestGoldenRoundTrips(t *testing.T) {
 
 // TestCacheKeyStability pins the content-address semantics the cluster
 // routes on: equal problems share a key whatever the decoded object
-// identity, engine spellings normalise, include flags alter the key (a
-// response is cached with exactly its artefacts), and a missing problem
-// fails as BAD_REQUEST.
+// identity, preview workers do not split it, include flags alter the key
+// (a response is cached with exactly its artefacts), and a missing
+// problem fails as BAD_REQUEST.
 func TestCacheKeyStability(t *testing.T) {
 	if _, err := (&ScheduleRequest{}).CacheKey(); CodeOf(err) != CodeBadRequest {
 		t.Errorf("missing problem: CodeOf = %s, want BAD_REQUEST", CodeOf(err))
@@ -78,12 +78,37 @@ func TestCacheKeyStability(t *testing.T) {
 	if ka != kb {
 		t.Error("identical problems in distinct objects got different keys")
 	}
-	b.Options.Engine = "incremental"
+	b.Options.PreviewWorkers = 3
 	if kb2, _ := b.CacheKey(); kb2 != ka {
-		t.Error("engine spelling changed the key")
+		t.Error("preview workers changed the key")
 	}
 	b.Include.Gantt = true
 	if kb3, _ := b.CacheKey(); kb3 == ka {
 		t.Error("include flags did not change the key")
+	}
+}
+
+// TestCacheKeyFormatPinned pins the paper example's content address
+// byte for byte. Persisted cache snapshots and drain handoffs key their
+// entries on these exact bytes, so a change to the hashed format (the
+// retained "engine=incremental" literal included) must fail here rather
+// than silently orphan every saved entry.
+func TestCacheKeyFormatPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts RequestOptions
+		want string
+	}{
+		{"default", RequestOptions{}, "d7de9ad43fae314d924de8de365e47775e67d932c51dcd19875d4bc1284a2291"},
+		{"no_duplication", RequestOptions{NoDuplication: true}, "ccc2475a417bc1d7c4bf4193fb89e3d511cb7721db542ceddc59ee4b690f7096"},
+	} {
+		r := ScheduleRequest{Problem: paperex.Problem(), Options: tc.opts}
+		got, err := r.CacheKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: CacheKey = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
