@@ -181,14 +181,6 @@ func (a *Architecture) Medium(id MediumID) Medium {
 	return m
 }
 
-// Connected reports whether medium id directly binds both p and q,
-// without copying the medium (the hot-path alternative to
-// Medium(id).Connects).
-func (a *Architecture) Connected(id MediumID, p, q ProcID) bool {
-	m := a.media[id]
-	return m.Connects(p) && m.Connects(q)
-}
-
 // ProcByName returns the processor named name.
 func (a *Architecture) ProcByName(name string) (Processor, bool) {
 	id, ok := a.byName[name]
@@ -243,6 +235,19 @@ func (a *Architecture) MediaBetween(p, q ProcID) []MediumID {
 		}
 	}
 	return out
+}
+
+// DirectMedia returns MediaBetween(p, q) for every ordered processor pair,
+// at index p*NumProcs()+q.
+func (a *Architecture) DirectMedia() [][]MediumID {
+	n := len(a.procs)
+	direct := make([][]MediumID, n*n)
+	for p := 0; p < n; p++ {
+		for q := 0; q < n; q++ {
+			direct[p*n+q] = a.MediaBetween(ProcID(p), ProcID(q))
+		}
+	}
+	return direct
 }
 
 // Validate checks that the architecture has at least one processor and that

@@ -94,13 +94,7 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 		s.directMedia = donor.directMedia
 		s.scratch = donor.scratch
 	} else {
-		direct := make([][]arch.MediumID, nProcs*nProcs)
-		for a := 0; a < nProcs; a++ {
-			for b := 0; b < nProcs; b++ {
-				direct[a*nProcs+b] = p.Arc.MediaBetween(arch.ProcID(a), arch.ProcID(b))
-			}
-		}
-		s.directMedia = direct
+		s.directMedia = p.Arc.DirectMedia()
 		s.scratch = newScratchPool(nMedia)
 	}
 	if donor.problem.Arc == p.Arc && donor.problem.Comm == p.Comm {

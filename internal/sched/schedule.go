@@ -250,19 +250,13 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 		return nil, err
 	}
 	nProcs, nMedia := p.Arc.NumProcs(), p.Arc.NumMedia()
-	direct := make([][]arch.MediumID, nProcs*nProcs)
-	for a := 0; a < nProcs; a++ {
-		for b := 0; b < nProcs; b++ {
-			direct[a*nProcs+b] = p.Arc.MediaBetween(arch.ProcID(a), arch.ProcID(b))
-		}
-	}
 	s := &Schedule{
 		problem:      p,
 		tasks:        tasks,
 		routes:       new(routeStore),
 		fans:         newFanStore(),
 		faults:       p.FaultModel(),
-		directMedia:  direct,
+		directMedia:  p.Arc.DirectMedia(),
 		scratch:      newScratchPool(nMedia),
 		procEnd:      make([]float64, nProcs),
 		mediumEnd:    make([]float64, nMedia),

@@ -224,9 +224,9 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 	// is the caller's fault (INVALID_PROBLEM), whatever the scheduler
 	// rejects beyond that failed on a well-formed problem
 	// (VALIDATION_FAILED). Wrap keeps the message text — and with it the
-	// edge's 422 body — unchanged; Compile memoises, so the scheduler
-	// does not re-validate.
-	if err := req.Problem.Validate(); err != nil {
+	// edge's 422 body — unchanged. Compile validates and memoises the
+	// task graph, so the scheduler's own Compile does not re-validate.
+	if _, err := req.Problem.Compile(); err != nil {
 		return nil, wire.Wrap(wire.CodeInvalidProblem, err)
 	}
 	s.schedulerRuns.Inc()

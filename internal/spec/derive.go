@@ -214,7 +214,7 @@ func (p *Problem) ContentKey() (string, error) {
 	if p.ckey != "" {
 		return p.ckey, nil
 	}
-	b, err := json.Marshal(p)
+	b, err := p.MarshalJSON() // equals json.Marshal(p), minus a compaction pass
 	if err != nil {
 		return "", err
 	}

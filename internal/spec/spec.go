@@ -359,8 +359,8 @@ func (p *Problem) Compile() (*model.TaskGraph, error) {
 //     whose media all allow the dependency;
 //   - Rtc deadlines are positive and reference known operations.
 func (p *Problem) Validate() error {
-	if p.Alg == nil || p.Arc == nil || p.Exec == nil || p.Comm == nil {
-		return fmt.Errorf("%w: nil component", ErrShape)
+	if err := p.checkComponents(); err != nil {
+		return err
 	}
 	if err := p.Alg.Validate(); err != nil {
 		return err
@@ -368,13 +368,8 @@ func (p *Problem) Validate() error {
 	if err := p.Arc.Validate(); err != nil {
 		return err
 	}
-	if p.Exec.nOps != p.Alg.NumOps() || p.Exec.nProcs != p.Arc.NumProcs() {
-		return fmt.Errorf("%w: exec table is %dx%d, graph/arch are %d/%d",
-			ErrShape, p.Exec.nOps, p.Exec.nProcs, p.Alg.NumOps(), p.Arc.NumProcs())
-	}
-	if p.Comm.nEdges != p.Alg.NumEdges() || p.Comm.nMedia != p.Arc.NumMedia() {
-		return fmt.Errorf("%w: comm table is %dx%d, graph/arch are %d/%d",
-			ErrShape, p.Comm.nEdges, p.Comm.nMedia, p.Alg.NumEdges(), p.Arc.NumMedia())
+	if err := p.checkShape(); err != nil {
+		return err
 	}
 	fm := p.FaultModel()
 	if err := fm.Validate(); err != nil {
@@ -399,6 +394,32 @@ func (p *Problem) Validate() error {
 	return p.Rtc.Validate(p.Alg)
 }
 
+// checkComponents reports a nil graph, architecture or table.
+func (p *Problem) checkComponents() error {
+	if p.Alg == nil || p.Arc == nil || p.Exec == nil || p.Comm == nil {
+		return fmt.Errorf("%w: nil component", ErrShape)
+	}
+	return nil
+}
+
+// checkShape reports a nil component, or a table whose shape disagrees
+// with the graph or architecture (a processor, medium, operation or
+// dependency added after the tables were built).
+func (p *Problem) checkShape() error {
+	if err := p.checkComponents(); err != nil {
+		return err
+	}
+	if p.Exec.nOps != p.Alg.NumOps() || p.Exec.nProcs != p.Arc.NumProcs() {
+		return fmt.Errorf("%w: exec table is %dx%d, graph/arch are %d/%d",
+			ErrShape, p.Exec.nOps, p.Exec.nProcs, p.Alg.NumOps(), p.Arc.NumProcs())
+	}
+	if p.Comm.nEdges != p.Alg.NumEdges() || p.Comm.nMedia != p.Arc.NumMedia() {
+		return fmt.Errorf("%w: comm table is %dx%d, graph/arch are %d/%d",
+			ErrShape, p.Comm.nEdges, p.Comm.nMedia, p.Alg.NumEdges(), p.Arc.NumMedia())
+	}
+	return nil
+}
+
 // validateEdgeReachability checks each dependency can be implemented for
 // every allowed (src proc, dst proc) pair: either a direct medium allows
 // it, or a multi-hop route exists over media that all allow it (routing is
@@ -406,8 +427,12 @@ func (p *Problem) Validate() error {
 // forbidden link does not cut processors apart when a detour exists).
 // Pairs with a direct allowed medium skip the routing table entirely, so
 // fully connected architectures — the paper's setting, and the service's
-// common case — validate without a single Dijkstra run.
+// common case — validate without a single Dijkstra run. The direct media
+// of each pair come from one table, so a pair costs the media joining it,
+// not a scan of every medium.
 func (p *Problem) validateEdgeReachability() error {
+	nProcs := p.Arc.NumProcs()
+	direct := p.Arc.DirectMedia()
 	allowed := make([][]arch.ProcID, p.Alg.NumOps())
 	procsOf := func(op model.OpID) []arch.ProcID {
 		if allowed[op] == nil {
@@ -419,7 +444,7 @@ func (p *Problem) validateEdgeReachability() error {
 		var rt *arch.RouteTable // built on the first pair with no direct medium
 		for _, sp := range procsOf(e.Src) {
 			for _, dp := range procsOf(e.Dst) {
-				if sp == dp || p.edgeDirect(e.ID, sp, dp) {
+				if sp == dp || p.anyAllowed(e.ID, direct[int(sp)*nProcs+int(dp)]) {
 					continue
 				}
 				if rt == nil {
@@ -439,12 +464,10 @@ func (p *Problem) validateEdgeReachability() error {
 	return nil
 }
 
-// edgeDirect reports whether some medium directly connecting sp and dp
-// allows the dependency.
-func (p *Problem) edgeDirect(e model.EdgeID, sp, dp arch.ProcID) bool {
-	for m := 0; m < p.Arc.NumMedia(); m++ {
-		mid := arch.MediumID(m)
-		if p.Comm.Allowed(e, mid) && p.Arc.Connected(mid, sp, dp) {
+// anyAllowed reports whether one of the media allows the dependency.
+func (p *Problem) anyAllowed(e model.EdgeID, media []arch.MediumID) bool {
+	for _, m := range media {
+		if p.Comm.Allowed(e, m) {
 			return true
 		}
 	}

@@ -63,7 +63,9 @@ func (r *ScheduleRequest) CacheKey() (string, error) {
 	if r.Problem == nil {
 		return "", fmt.Errorf("%w: missing problem", ErrBadRequest)
 	}
-	pb, err := json.Marshal(r.Problem)
+	// MarshalJSON's output is already compact and HTML-escaped: the same
+	// bytes json.Marshal would produce, without its compaction pass.
+	pb, err := r.Problem.MarshalJSON()
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"ftbar/internal/paperex"
+	"ftbar/internal/spec"
 
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +87,22 @@ func TestCacheKeyStability(t *testing.T) {
 	b.Include.Gantt = true
 	if kb3, _ := b.CacheKey(); kb3 == ka {
 		t.Error("include flags did not change the key")
+	}
+}
+
+// TestCacheKeyMalformedProblem pins that an in-process problem whose
+// encoding is refused — a nil table, or tables built before a processor
+// was added — fails as BAD_REQUEST instead of panicking.
+func TestCacheKeyMalformedProblem(t *testing.T) {
+	nilComm := paperex.Problem()
+	nilComm.Comm = nil
+	grown := paperex.Problem()
+	grown.Arc.MustAddProcessor("late")
+	for name, p := range map[string]*spec.Problem{"nil comm": nilComm, "late processor": grown} {
+		_, err := (&ScheduleRequest{Problem: p}).CacheKey()
+		if CodeOf(err) != CodeBadRequest || !strings.Contains(err.Error(), spec.ErrShape.Error()) {
+			t.Errorf("%s: CacheKey error %v (code %s), want BAD_REQUEST naming the shape error", name, err, CodeOf(err))
+		}
 	}
 }
 
