@@ -211,7 +211,7 @@ type (
 	// ClusterMaster is the admission and routing layer; it implements
 	// Scheduler, so NewServiceHandler(master) serves the standalone edge.
 	ClusterMaster = cluster.Master
-	// ClusterMasterConfig sizes the master's fan-out and health probing.
+	// ClusterMasterConfig tunes the master's worker health probing.
 	ClusterMasterConfig = cluster.MasterConfig
 	// ClusterWorker exposes one Service as a cluster member over the
 	// versioned RPC.

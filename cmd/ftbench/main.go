@@ -8,15 +8,17 @@
 //	ftbench -experiment fig9 -topology bus   # the sweep on a shared bus
 //	ftbench -experiment npf              # overhead vs Npf (Sect. 7)
 //	ftbench -experiment scaling          # engine-vs-engine wall clock
-//	ftbench -experiment service          # scheduling-service load test
-//	ftbench -experiment service -stages  # + staged arrival-rate profile
-//	ftbench -experiment cluster          # master/worker sharding ladder
+//	ftbench -experiment sweepreuse       # warm (RunArena) vs cold solves
 //	ftbench -experiment faults           # Npf+Nmf masking across topologies
 //	ftbench -experiment combined         # joint proc+link masking, reliability
 //	ftbench -experiment corpus           # scenario corpus floors + warm timing
-//	ftbench -experiment service -json    # machine-readable (BENCH_*.json)
+//	ftbench -experiment scaling -json    # machine-readable (BENCH_*.json)
 //	ftbench -experiment fig9 -graphs 60  # the paper's full 60-graph runs
 //	ftbench -experiment fig10 -csv       # CSV series for plotting
+//
+// -json and -csv are refused by the experiments that do not emit them.
+// The service and cluster load measurements live in benchmark/
+// (workloads serve-mixed and cluster-hits).
 package main
 
 import (
@@ -26,6 +28,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"ftbar/internal/bench"
 	"ftbar/internal/gen"
@@ -38,21 +42,35 @@ func main() {
 	}
 }
 
+// jsonExperiments and csvExperiments are the experiments that honour
+// -json and -csv.
+var (
+	jsonExperiments = []string{"scaling", "sweepreuse", "faults", "combined", "corpus"}
+	csvExperiments  = []string{"fig9", "fig10"}
+)
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | scaling | sweepreuse | service | cluster | faults | combined | corpus")
+	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | scaling | sweepreuse | faults | combined | corpus")
 	scenarios := fs.String("scenarios", "testdata/scenarios", "corpus experiment: scenario directory")
 	nmf := fs.Int("nmf", -1, "override the faults/combined experiments' Nmf budgets (-1 keeps the default grid)")
 	graphs := fs.Int("graphs", 0, "random graphs per point (0 = the paper's default)")
 	seed := fs.Int64("seed", 2003, "base seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of a table")
-	jsonOut := fs.Bool("json", false, "emit JSON instead of a table (scaling, service, faults, combined)")
-	stages := fs.Bool("stages", false, "service experiment: add the staged arrival-rate profile (per-stage p50/p99/hit-rate)")
+	csv := fs.Bool("csv", false, "emit CSV instead of a table ("+strings.Join(csvExperiments, ", ")+")")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of a table ("+strings.Join(jsonExperiments, ", ")+")")
 	topology := fs.String("topology", "full", "architecture shape for fig9/fig10: full | bus | ring | star | dualbus")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *jsonOut && !slices.Contains(jsonExperiments, *experiment) {
+		return fmt.Errorf("-json is not supported by experiment %q (only %s)",
+			*experiment, strings.Join(jsonExperiments, ", "))
+	}
+	if *csv && !slices.Contains(csvExperiments, *experiment) {
+		return fmt.Errorf("-csv is not supported by experiment %q (only %s)",
+			*experiment, strings.Join(csvExperiments, ", "))
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -136,48 +154,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "Sweep reuse: warm (RunArena) vs cold solves over derived-problem families (N=%d, P=%d, Npf=%d, %d graphs/cell)\n",
 			cfg.Tasks, cfg.Procs, cfg.Npf, cfg.Graphs)
 		return bench.RenderSweepReuse(out, rep)
-	case "service":
-		cfg := bench.DefaultService()
-		cfg.Seed = *seed
-		rep, err := bench.Service(cfg)
-		if err != nil {
-			return err
-		}
-		if *stages {
-			scfg := bench.DefaultStaged()
-			scfg.Seed = *seed
-			rep.Staged, err = bench.StagedService(scfg)
-			if err != nil {
-				return err
-			}
-		}
-		if *jsonOut {
-			return bench.RenderServiceJSON(out, rep)
-		}
-		fmt.Fprintf(out, "Service: %d clients, %d requests/cell, %d distinct problems in the repeated workload\n",
-			cfg.Clients, cfg.Requests, cfg.Distinct)
-		if err := bench.RenderService(out, rep); err != nil {
-			return err
-		}
-		if rep.Staged != nil {
-			fmt.Fprintf(out, "\nStaged: %d workers, open-loop arrival profile, fresh problem every %d requests\n",
-				rep.Staged.Config.Workers, rep.Staged.Config.UniqueEvery)
-			return bench.RenderStaged(out, rep.Staged)
-		}
-		return nil
-	case "cluster":
-		cfg := bench.DefaultCluster()
-		cfg.Seed = *seed
-		rep, err := bench.Cluster(cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return bench.RenderClusterJSON(out, rep)
-		}
-		fmt.Fprintf(out, "Cluster: master/worker sharding over %v workers (%d clients, %d requests/cell, working set %d vs %d cache entries/worker)\n",
-			cfg.Workers, cfg.Clients, cfg.Requests, cfg.Distinct, cfg.CachePerWorker)
-		return bench.RenderCluster(out, rep)
 	case "faults":
 		cfg := bench.DefaultFaults()
 		cfg.Seed = *seed

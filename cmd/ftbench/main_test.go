@@ -87,8 +87,14 @@ func TestRunScalingJSON(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-experiment", "fig42"}, &out); err == nil {
-		t.Error("unknown experiment accepted")
+	// service and cluster were load experiments; benchmark/ measures load.
+	for _, name := range []string{"fig42", "service", "cluster"} {
+		if err := run([]string{"-experiment", name}, &out); err == nil {
+			t.Errorf("unknown experiment %q accepted", name)
+		}
+	}
+	if err := run([]string{"-experiment", "example", "-stages"}, &out); err == nil {
+		t.Error("unknown flag -stages accepted")
 	}
 	if err := run([]string{"-experiment", "fig9", "-topology", "moebius"}, &out); err == nil {
 		t.Error("unknown topology accepted")
@@ -105,64 +111,30 @@ func TestRunFig9Topology(t *testing.T) {
 	}
 }
 
-// TestRunServiceJSON pins the acceptance criterion: the service
-// experiment emits the BENCH_service.json trajectory with worker scaling
-// cells and a >90% hit rate on the repeated workload, whose
-// scheduler-runs counter proves cached responses bypassed the engine.
-func TestRunServiceJSON(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-experiment", "service", "-json"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep struct {
-		Experiment string `json:"experiment"`
-		Config     struct {
-			Requests int `json:"requests"`
-			Distinct int `json:"distinct"`
-		} `json:"config"`
-		Cells []struct {
-			Workers       int     `json:"workers"`
-			Workload      string  `json:"workload"`
-			Throughput    float64 `json:"throughput_rps"`
-			HitRate       float64 `json:"hit_rate"`
-			SchedulerRuns uint64  `json:"scheduler_runs"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Experiment != "service" || len(rep.Cells) == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	workers := map[int]bool{}
-	for _, c := range rep.Cells {
-		workers[c.Workers] = true
-		if c.Throughput <= 0 {
-			t.Errorf("cell %+v has no throughput", c)
+// TestRunRefusesUnsupportedOutputFlags: an experiment that cannot emit
+// JSON or CSV must fail with an error naming the experiments that can,
+// instead of printing a table that a downstream parser chokes on.
+func TestRunRefusesUnsupportedOutputFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "example", "-json"}, "-json is not supported by experiment \"example\" (only scaling, sweepreuse, faults, combined, corpus)"},
+		{[]string{"-experiment", "fig9", "-json"}, "-json is not supported by experiment \"fig9\""},
+		{[]string{"-experiment", "fig10", "-json"}, "-json is not supported by experiment \"fig10\""},
+		{[]string{"-experiment", "npf", "-json"}, "-json is not supported by experiment \"npf\""},
+		{[]string{"-experiment", "example", "-csv"}, "-csv is not supported by experiment \"example\" (only fig9, fig10)"},
+		{[]string{"-experiment", "npf", "-csv"}, "-csv is not supported by experiment \"npf\""},
+		{[]string{"-experiment", "scaling", "-csv"}, "-csv is not supported by experiment \"scaling\""},
+		{[]string{"-experiment", "corpus", "-csv"}, "-csv is not supported by experiment \"corpus\""},
+	} {
+		var out strings.Builder
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %v: error %v, want %q", tc.args, err, tc.want)
 		}
-		if c.Workload == "repeated" {
-			if c.HitRate <= 0.9 {
-				t.Errorf("repeated workload hit rate %g, want > 0.9", c.HitRate)
-			}
-			if c.SchedulerRuns != uint64(rep.Config.Distinct) {
-				t.Errorf("repeated workload ran the scheduler %d times for %d distinct problems",
-					c.SchedulerRuns, rep.Config.Distinct)
-			}
-		}
-	}
-	if len(workers) < 2 {
-		t.Errorf("report does not vary the worker count: %+v", rep.Cells)
-	}
-}
-
-func TestRunServiceTable(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-experiment", "service"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, want := range []string{"Service:", "hit rate", "repeated", "unique"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q", want)
+		if out.Len() != 0 {
+			t.Errorf("run %v printed %q before refusing", tc.args, out.String())
 		}
 	}
 }

@@ -122,9 +122,9 @@
 //	reply, _ := svc.Schedule(ctx, &ftbar.ScheduleRequest{Problem: p})
 //	// reply.Cached reports whether the scheduler actually ran.
 //
-// The service load experiment runs with `ftbench -experiment service
-// [-json]` (the BENCH_service.json trajectory); the architecture is
-// DESIGN.md Section 9.
+// Load against the service is measured by the end-to-end benchmark in
+// benchmark/ (workloads serve-mixed and cluster-hits); the architecture
+// is DESIGN.md Section 9.
 //
 // The packages under internal implement the substrates: the algorithm and
 // architecture models, the time tables, the schedule structure, the FTBAR

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,11 +32,17 @@ type testCluster struct {
 	workers []*Worker
 }
 
-func startCluster(t *testing.T, n int, cfg MasterConfig) *testCluster {
+// oneWorker is the per-worker service most tests run: one scheduling
+// goroutine and the default cache.
+var oneWorker = service.Config{Workers: 1}
+
+// startCluster boots a master and n workers, each over its own service
+// built from wcfg.
+func startCluster(t *testing.T, n int, cfg MasterConfig, wcfg service.Config) *testCluster {
 	t.Helper()
 	tc := &testCluster{master: NewMaster(cfg)}
 	for i := 0; i < n; i++ {
-		svc := service.New(service.Config{Workers: 1})
+		svc := service.New(wcfg)
 		w := NewWorker(fmt.Sprintf("worker-%d", i), svc)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -80,7 +87,7 @@ func schedulerRunsTotal(tc *testCluster) uint64 {
 // byte-identical body the standalone service is pinned to by its golden
 // files.
 func TestMasterEdgeByteIdentical(t *testing.T) {
-	tc := startCluster(t, 2, MasterConfig{})
+	tc := startCluster(t, 2, MasterConfig{}, oneWorker)
 	srv := httptest.NewServer(service.NewHandler(tc.master))
 	defer srv.Close()
 
@@ -111,7 +118,7 @@ func TestMasterEdgeByteIdentical(t *testing.T) {
 // master twice: the first pass runs each exactly once cluster-wide, the
 // second pass is all cache hits on whichever worker owns the key.
 func TestRoutingIsShardedAndCached(t *testing.T) {
-	tc := startCluster(t, 3, MasterConfig{})
+	tc := startCluster(t, 3, MasterConfig{}, oneWorker)
 	const d = 9
 	ctx := context.Background()
 	for pass := 0; pass < 2; pass++ {
@@ -149,8 +156,8 @@ func TestRoutingIsShardedAndCached(t *testing.T) {
 // cluster-wide — coalescing holds across the reroute.
 func TestWorkerKillReroutes(t *testing.T) {
 	tc := startCluster(t, 3, MasterConfig{
-		Registry: RegistryConfig{ProbeEvery: 50 * time.Millisecond, DownAfter: 2},
-	})
+		Registry: RegistryConfig{ProbeEvery: 50 * time.Millisecond},
+	}, oneWorker)
 	ctx := context.Background()
 
 	// Warm every worker so each owns part of the keyspace.
@@ -210,11 +217,110 @@ func TestWorkerKillReroutes(t *testing.T) {
 	}
 }
 
+// TestShardingAddsCacheCapacity: sharding multiplies cache capacity,
+// not only scheduler throughput. Sixteen problems cycle through workers
+// whose caches hold 12 entries each. One worker cannot hold the set, and
+// cyclic access defeats LRU, so every pass recomputes; two workers split
+// the keys below 12 per shard, so each problem runs exactly once.
+func TestShardingAddsCacheCapacity(t *testing.T) {
+	const problems, passes = 16, 3
+	small := service.Config{Workers: 1, CacheSize: 12}
+	runs := map[int]uint64{}
+	for _, n := range []int{1, 2} {
+		tc := startCluster(t, n, MasterConfig{}, small)
+		for pass := 0; pass < passes; pass++ {
+			for seed := int64(1); seed <= problems; seed++ {
+				if _, err := tc.master.Schedule(context.Background(),
+					&wire.ScheduleRequest{Problem: testProblem(t, seed)}); err != nil {
+					t.Fatalf("%d workers, pass %d, seed %d: %v", n, pass, seed, err)
+				}
+			}
+		}
+		runs[n] = schedulerRunsTotal(tc)
+	}
+	t.Logf("scheduler runs over %d passes: 1 worker %d, 2 workers %d", passes, runs[1], runs[2])
+	if runs[2] != problems {
+		t.Errorf("2 workers ran the scheduler %d times for %d problems, want exactly %d",
+			runs[2], problems, problems)
+	}
+	if runs[1] <= runs[2] {
+		t.Errorf("1 worker ran the scheduler %d times, 2 workers %d: sharding added no cache capacity",
+			runs[1], runs[2])
+	}
+}
+
+// TestWorkerKillUnderConcurrentLoad kills a worker while concurrent
+// clients are mid-pass, so requests are in flight on the severed
+// connections. The master must reroute them: the client-visible error
+// rate stays under 5% and the death is counted.
+func TestWorkerKillUnderConcurrentLoad(t *testing.T) {
+	const clients, problems, passes = 4, 16, 3
+	tc := startCluster(t, 3, MasterConfig{}, oneWorker)
+	ctx := context.Background()
+	probs := make([]*spec.Problem, problems)
+	for i := range probs {
+		probs[i] = testProblem(t, int64(i+1))
+	}
+
+	const quota = problems * passes // requests per client
+	const total = clients * quota
+	var progress [clients]atomic.Int64
+	var completed, failures atomic.Int64
+	quarter := make(chan struct{}) // closed when a quarter of all requests completed
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < quota; i++ {
+				// Offset starts so the clients are on different keys.
+				p := probs[(i+c*problems/clients)%problems]
+				if _, err := tc.master.Schedule(ctx, &wire.ScheduleRequest{Problem: p}); err != nil {
+					failures.Add(1)
+				}
+				progress[c].Add(1)
+				if completed.Add(1) == total/4 {
+					close(quarter)
+				}
+			}
+		}(c)
+	}
+
+	// Kill the first worker once a quarter of all requests completed.
+	<-quarter
+	midPass := 0
+	for c := range progress {
+		if n := progress[c].Load(); n > 0 && n < quota {
+			midPass++
+		}
+	}
+	tc.workers[0].Close()
+	wg.Wait()
+	reroutes := counterValue(tc.master.Metrics(), "ftbar_cluster_reroutes_total")
+	t.Logf("%d failed of %d, %d reroutes", failures.Load(), total, reroutes)
+
+	if midPass < clients {
+		t.Fatalf("only %d of %d clients were mid-pass at the kill; the test did not load the cluster", midPass, clients)
+	}
+	if rate := float64(failures.Load()) / total; rate >= 0.05 {
+		t.Errorf("%d of %d requests failed across the kill (%.1f%%), want < 5%%",
+			failures.Load(), total, rate*100)
+	}
+	if got := counterValue(tc.master.Metrics(), "ftbar_cluster_worker_down_total"); got < 1 {
+		t.Errorf("ftbar_cluster_worker_down_total = %d, want >= 1", got)
+	}
+	// No prober runs here, so only a routed request can find the dead
+	// worker: at least one must have been rerouted to a successor.
+	if reroutes < 1 {
+		t.Errorf("ftbar_cluster_reroutes_total = %d, want >= 1", reroutes)
+	}
+}
+
 // TestDrainHandoff pins the graceful-drain protocol: the drained
 // worker's cache shard installs on the ring successor, so the moved keys
 // answer as cache hits without a single new scheduler run.
 func TestDrainHandoff(t *testing.T) {
-	tc := startCluster(t, 2, MasterConfig{})
+	tc := startCluster(t, 2, MasterConfig{}, oneWorker)
 	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
 		if _, err := tc.master.Schedule(ctx, &wire.ScheduleRequest{Problem: testProblem(t, seed)}); err != nil {
@@ -278,7 +384,7 @@ func counterValue(reg *obsv.Registry, name string) uint64 {
 // must compute — and asserts a floor on the replay hit rate of those
 // computes on the receiving shard.
 func TestDrainHandoffWarmStartsAtScale(t *testing.T) {
-	tc := startCluster(t, 2, MasterConfig{})
+	tc := startCluster(t, 2, MasterConfig{}, oneWorker)
 	ctx := context.Background()
 	const problems = 24
 	for seed := int64(1); seed <= problems; seed++ {
@@ -342,7 +448,7 @@ func TestDrainHandoffWarmStartsAtScale(t *testing.T) {
 // TestDrainingWorkerBouncesNewWork: a worker mid-drain rejects Schedule
 // RPCs with DRAINING and the master walks on.
 func TestDrainingWorkerBouncesNewWork(t *testing.T) {
-	tc := startCluster(t, 1, MasterConfig{})
+	tc := startCluster(t, 1, MasterConfig{}, oneWorker)
 	tc.workers[0].draining.Store(true)
 	_, err := tc.master.Schedule(context.Background(),
 		&wire.ScheduleRequest{Problem: testProblem(t, 3)})
@@ -380,7 +486,7 @@ func TestNoWorkers(t *testing.T) {
 // TestVersionedJobRejected: a job stamped with a future wire version is
 // rejected as VERSION_MISMATCH by the worker, not misinterpreted.
 func TestVersionedJobRejected(t *testing.T) {
-	tc := startCluster(t, 1, MasterConfig{})
+	tc := startCluster(t, 1, MasterConfig{}, oneWorker)
 	client := NewClient(tc.workers[0].Addr())
 	defer client.Close()
 	payload, _ := json.Marshal(scheduleJob{Version: wire.Version + 41, Wait: true,
@@ -421,7 +527,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 
 // TestMasterStatsAggregate: the cluster /v1/stats sums the shards.
 func TestMasterStatsAggregate(t *testing.T) {
-	tc := startCluster(t, 2, MasterConfig{})
+	tc := startCluster(t, 2, MasterConfig{}, oneWorker)
 	ctx := context.Background()
 	for seed := int64(1); seed <= 4; seed++ {
 		if _, err := tc.master.Schedule(ctx, &wire.ScheduleRequest{Problem: testProblem(t, seed)}); err != nil {
@@ -444,8 +550,8 @@ func TestMasterStatsAggregate(t *testing.T) {
 // comes back once health probes succeed again.
 func TestProberRevivesWorker(t *testing.T) {
 	tc := startCluster(t, 2, MasterConfig{
-		Registry: RegistryConfig{ProbeEvery: 20 * time.Millisecond, DownAfter: 2},
-	})
+		Registry: RegistryConfig{ProbeEvery: 20 * time.Millisecond},
+	}, oneWorker)
 	tc.master.Start()
 	id := tc.workers[0].ID()
 	tc.master.Registry().MarkDown(id)

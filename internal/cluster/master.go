@@ -12,26 +12,19 @@ import (
 	"ftbar/internal/wire"
 )
 
-// MasterConfig sizes the master.
+// MasterConfig tunes the master.
 type MasterConfig struct {
-	// FanWidth bounds batch/sweep fan-out at the edge; 0 picks 16.
-	FanWidth int
 	// Registry tunes worker health probing.
 	Registry RegistryConfig
-	// StatsTimeout bounds the per-worker stats RPC when aggregating
-	// GET /v1/stats; 0 picks 2s.
-	StatsTimeout time.Duration
 }
 
-func (c MasterConfig) withDefaults() MasterConfig {
-	if c.FanWidth <= 0 {
-		c.FanWidth = 16
-	}
-	if c.StatsTimeout <= 0 {
-		c.StatsTimeout = 2 * time.Second
-	}
-	return c
-}
+const (
+	// fanWidth bounds batch/sweep fan-out at the edge.
+	fanWidth = 16
+	// statsTimeout bounds the per-worker stats RPC when aggregating
+	// GET /v1/stats.
+	statsTimeout = 2 * time.Second
+)
 
 // call is one in-flight content address at the master; later requests
 // for the same key wait on ready instead of dispatching a duplicate RPC.
@@ -49,7 +42,6 @@ type call struct {
 // (and mark the worker down); application errors are the worker's
 // verdict and return to the caller typed.
 type Master struct {
-	cfg      MasterConfig
 	registry *Registry
 	metrics  *obsv.Registry
 
@@ -72,10 +64,8 @@ type Master struct {
 // NewMaster builds a master with no workers; register them with
 // AddWorker. Call Start to begin health probing and Close to stop.
 func NewMaster(cfg MasterConfig) *Master {
-	cfg = cfg.withDefaults()
 	reg := obsv.NewRegistry()
 	m := &Master{
-		cfg:      cfg,
 		registry: NewRegistry(cfg.Registry),
 		metrics:  reg,
 		inflight: make(map[string]*call),
@@ -120,7 +110,7 @@ func (m *Master) Close() { m.registry.Stop() }
 func (m *Master) Metrics() *obsv.Registry { return m.metrics }
 
 // FanWidth bounds batch/sweep fan-out at the edge.
-func (m *Master) FanWidth() int { return m.cfg.FanWidth }
+func (m *Master) FanWidth() int { return fanWidth }
 
 // Schedule routes one request to its shard owner and waits, queueing at
 // the worker while its backlog is full (the batch/sweep path).
@@ -224,7 +214,7 @@ func (m *Master) route(ctx context.Context, key string, req *wire.ScheduleReques
 			return nil, ctx.Err()
 		}
 		// Transport failure: the worker is unreachable. Mark it down now
-		// (the prober would need DownAfter periods to notice) and walk to
+		// (the prober would need downAfter periods to notice) and walk to
 		// the ring successor.
 		m.routeErrors.Inc()
 		m.registry.MarkDown(id)
@@ -296,7 +286,7 @@ func (m *Master) Stats() service.Stats {
 		if client == nil {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.StatsTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
 		raw, err := client.Call(ctx, methodStats, nil)
 		cancel()
 		if err != nil {

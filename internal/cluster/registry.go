@@ -16,7 +16,7 @@ type MemberState int
 const (
 	// StateUp routes: the worker answered its last probe (or call).
 	StateUp MemberState = iota
-	// StateDown skips: DownAfter consecutive failures; the member leaves
+	// StateDown skips: downAfter consecutive failures; the member leaves
 	// the ring and its keys reroute to ring successors.
 	StateDown
 	// StateDraining skips for new work: the worker is finishing its
@@ -40,34 +40,22 @@ func (s MemberState) String() string {
 
 // RegistryConfig tunes health probing.
 type RegistryConfig struct {
-	// ProbeEvery is the health-probe period; 0 picks 500ms.
+	// ProbeEvery is the health-probe period; 0 picks 500ms. One probe RPC
+	// may take at most ProbeEvery, and down members are probed on an
+	// exponentially growing period capped at 16×ProbeEvery, so a dead
+	// worker costs near-zero steady-state probing but a restarted one is
+	// noticed within the cap.
 	ProbeEvery time.Duration
-	// DownAfter is the consecutive probe failures that mark a member
-	// down; 0 picks 2. A direct transport failure during routing marks
-	// the member down immediately — the master has better evidence than
-	// the prober.
-	DownAfter int
-	// ProbeTimeout bounds one probe RPC; 0 picks ProbeEvery.
-	ProbeTimeout time.Duration
-	// MaxBackoff caps the probe backoff for down members; 0 picks
-	// 16×ProbeEvery. Down members are probed on an exponentially growing
-	// period so a dead worker costs near-zero steady-state probing but a
-	// restarted one is noticed within the cap.
-	MaxBackoff time.Duration
 }
+
+// downAfter is the consecutive probe failures that mark a member down.
+// A direct transport failure during routing marks the member down
+// immediately — the master has better evidence than the prober.
+const downAfter = 2
 
 func (c RegistryConfig) withDefaults() RegistryConfig {
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 500 * time.Millisecond
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeEvery
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 16 * c.ProbeEvery
 	}
 	return c
 }
@@ -211,7 +199,7 @@ func (g *Registry) transition(id string, to MemberState) {
 	from := m.state
 	m.state = to
 	if to == StateDown {
-		m.fails = g.cfg.DownAfter
+		m.fails = downAfter
 		m.nextProbe = time.Now().Add(g.cfg.ProbeEvery)
 	} else {
 		m.fails = 0
@@ -294,10 +282,10 @@ func (g *Registry) probeAll() {
 }
 
 // probe health-checks one member and applies the state machine: Up after
-// one success, Down after DownAfter consecutive failures, exponential
+// one success, Down after downAfter consecutive failures, exponential
 // probe backoff while Down.
 func (g *Registry) probe(m *member) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeEvery)
 	defer cancel()
 	payload, _ := json.Marshal(probe{Version: wire.Version}) // a lone integer always encodes
 	reply, err := m.client.Call(ctx, methodHealth, payload)
@@ -317,18 +305,15 @@ func (g *Registry) probe(m *member) {
 	m.fails++
 	fails, state := m.fails, m.state
 	if state == StateDown {
-		// Exponential backoff: 1, 2, 4, ... probe periods, capped.
+		// Exponential backoff: 1, 2, 4, 8, 16 probe periods, then 16.
 		backoff := g.cfg.ProbeEvery
-		for i := g.cfg.DownAfter; i < fails && backoff < g.cfg.MaxBackoff; i++ {
+		for i := downAfter; i < fails && backoff < 16*g.cfg.ProbeEvery; i++ {
 			backoff *= 2
-		}
-		if backoff > g.cfg.MaxBackoff {
-			backoff = g.cfg.MaxBackoff
 		}
 		m.nextProbe = time.Now().Add(backoff)
 	}
 	g.mu.Unlock()
-	if state != StateDown && fails >= g.cfg.DownAfter {
+	if state != StateDown && fails >= downAfter {
 		g.transition(m.id, StateDown)
 	}
 }

@@ -84,7 +84,7 @@ func fakeWorker(t *testing.T, status uint64, reply []byte) string {
 // the caller's fault (BAD_REQUEST), and the connection that carried it
 // goes back to the pool and serves the next call.
 func TestGarbledScheduleKeepsConnection(t *testing.T) {
-	tc := startCluster(t, 1, MasterConfig{})
+	tc := startCluster(t, 1, MasterConfig{}, oneWorker)
 	client := NewClient(tc.workers[0].Addr())
 	defer client.Close()
 	ctx := context.Background()
@@ -111,7 +111,7 @@ func TestGarbledScheduleKeepsConnection(t *testing.T) {
 // TestUnknownMethodBadRequest: a method number outside 1-5 is refused
 // typed, not dropped.
 func TestUnknownMethodBadRequest(t *testing.T) {
-	tc := startCluster(t, 1, MasterConfig{})
+	tc := startCluster(t, 1, MasterConfig{}, oneWorker)
 	client := NewClient(tc.workers[0].Addr())
 	defer client.Close()
 	_, err := client.Call(context.Background(), 99, nil)
