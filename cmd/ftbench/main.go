@@ -9,8 +9,6 @@
 //	ftbench -experiment npf              # overhead vs Npf (Sect. 7)
 //	ftbench -experiment scaling          # engine-vs-engine wall clock
 //	ftbench -experiment sweepreuse       # warm (RunArena) vs cold solves
-//	ftbench -experiment faults           # Npf+Nmf masking across topologies
-//	ftbench -experiment combined         # joint proc+link masking, reliability
 //	ftbench -experiment corpus           # scenario corpus floors + warm timing
 //	ftbench -experiment scaling -json    # machine-readable (BENCH_*.json)
 //	ftbench -experiment fig9 -graphs 60  # the paper's full 60-graph runs
@@ -18,7 +16,8 @@
 //
 // -json and -csv are refused by the experiments that do not emit them.
 // The service and cluster load measurements live in benchmark/
-// (workloads serve-mixed and cluster-hits).
+// (workloads serve-mixed and cluster-hits); fault masking across
+// topologies is measured by the scenario corpus (testdata/scenarios).
 package main
 
 import (
@@ -45,15 +44,14 @@ func main() {
 // jsonExperiments and csvExperiments are the experiments that honour
 // -json and -csv.
 var (
-	jsonExperiments = []string{"scaling", "sweepreuse", "faults", "combined", "corpus"}
+	jsonExperiments = []string{"scaling", "sweepreuse", "corpus"}
 	csvExperiments  = []string{"fig9", "fig10"}
 )
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | scaling | sweepreuse | faults | combined | corpus")
+	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | scaling | sweepreuse | corpus")
 	scenarios := fs.String("scenarios", "testdata/scenarios", "corpus experiment: scenario directory")
-	nmf := fs.Int("nmf", -1, "override the faults/combined experiments' Nmf budgets (-1 keeps the default grid)")
 	graphs := fs.Int("graphs", 0, "random graphs per point (0 = the paper's default)")
 	seed := fs.Int64("seed", 2003, "base seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of a table ("+strings.Join(csvExperiments, ", ")+")")
@@ -154,56 +152,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "Sweep reuse: warm (RunArena) vs cold solves over derived-problem families (N=%d, P=%d, Npf=%d, %d graphs/cell)\n",
 			cfg.Tasks, cfg.Procs, cfg.Npf, cfg.Graphs)
 		return bench.RenderSweepReuse(out, rep)
-	case "faults":
-		cfg := bench.DefaultFaults()
-		cfg.Seed = *seed
-		if *graphs > 0 {
-			cfg.Graphs = *graphs
-		}
-		if *nmf >= 0 {
-			// Clamp to each budget's Npf (like the service sweep): there
-			// are only Npf+1 copies to spread over media.
-			for i := range cfg.Budgets {
-				cfg.Budgets[i].Nmf = *nmf
-				if cfg.Budgets[i].Nmf > cfg.Budgets[i].Npf {
-					cfg.Budgets[i].Nmf = cfg.Budgets[i].Npf
-				}
-			}
-		}
-		rep, err := bench.Faults(cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return bench.RenderFaultsJSON(out, rep)
-		}
-		fmt.Fprintf(out, "Faults: unified Npf+Nmf budget across topologies (N=%d, CCR=%g, P=%d, %d graphs/cell)\n",
-			cfg.N, cfg.CCR, cfg.Procs, cfg.Graphs)
-		return bench.RenderFaults(out, rep)
-	case "combined":
-		cfg := bench.DefaultCombined()
-		cfg.Seed = *seed
-		if *graphs > 0 {
-			cfg.Graphs = *graphs
-		}
-		if *nmf >= 0 {
-			for i := range cfg.Budgets {
-				cfg.Budgets[i].Nmf = *nmf
-				if cfg.Budgets[i].Nmf > cfg.Budgets[i].Npf {
-					cfg.Budgets[i].Nmf = cfg.Budgets[i].Npf
-				}
-			}
-		}
-		rep, err := bench.Combined(cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return bench.RenderCombinedJSON(out, rep)
-		}
-		fmt.Fprintf(out, "Combined: joint Npf+Nmf masking, certificate and reliability at q=%g (N=%d, CCR=%g, P=%d, %d graphs/cell)\n",
-			cfg.Q, cfg.N, cfg.CCR, cfg.Procs, cfg.Graphs)
-		return bench.RenderCombined(out, rep)
 	case "corpus":
 		cfg := bench.DefaultCorpus()
 		cfg.Dir = *scenarios

@@ -88,13 +88,16 @@ func TestRunScalingJSON(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
 	// service and cluster were load experiments; benchmark/ measures load.
-	for _, name := range []string{"fig42", "service", "cluster"} {
+	// faults and combined became scenarios in testdata/scenarios.
+	for _, name := range []string{"fig42", "service", "cluster", "faults", "combined"} {
 		if err := run([]string{"-experiment", name}, &out); err == nil {
 			t.Errorf("unknown experiment %q accepted", name)
 		}
 	}
-	if err := run([]string{"-experiment", "example", "-stages"}, &out); err == nil {
-		t.Error("unknown flag -stages accepted")
+	for _, flag := range []string{"-stages", "-nmf"} {
+		if err := run([]string{"-experiment", "example", flag, "1"}, &out); err == nil {
+			t.Errorf("unknown flag %s accepted", flag)
+		}
 	}
 	if err := run([]string{"-experiment", "fig9", "-topology", "moebius"}, &out); err == nil {
 		t.Error("unknown topology accepted")
@@ -119,7 +122,7 @@ func TestRunRefusesUnsupportedOutputFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-experiment", "example", "-json"}, "-json is not supported by experiment \"example\" (only scaling, sweepreuse, faults, combined, corpus)"},
+		{[]string{"-experiment", "example", "-json"}, "-json is not supported by experiment \"example\" (only scaling, sweepreuse, corpus)"},
 		{[]string{"-experiment", "fig9", "-json"}, "-json is not supported by experiment \"fig9\""},
 		{[]string{"-experiment", "fig10", "-json"}, "-json is not supported by experiment \"fig10\""},
 		{[]string{"-experiment", "npf", "-json"}, "-json is not supported by experiment \"npf\""},
@@ -179,41 +182,5 @@ func TestRunCorpusSmall(t *testing.T) {
 	out.Reset()
 	if err := run([]string{"-experiment", "corpus", "-scenarios", dir}, &out); err == nil {
 		t.Error("floor violation exited zero")
-	}
-}
-
-// TestRunFaultsSmall smoke-tests the faults experiment end to end,
-// table and JSON.
-func TestRunFaultsSmall(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-experiment", "faults", "-graphs", "2"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, want := range []string{"topology", "dualbus", "full"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("faults table missing %q: %s", want, out.String())
-		}
-	}
-	out.Reset()
-	if err := run([]string{"-experiment", "faults", "-graphs", "2", "-json"}, &out); err != nil {
-		t.Fatalf("run -json: %v", err)
-	}
-	var rep struct {
-		Experiment string `json:"experiment"`
-		Cells      []struct {
-			LinkMasked float64 `json:"link_masked"`
-			Validated  int     `json:"validated"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("JSON report: %v", err)
-	}
-	if rep.Experiment != "faults" || len(rep.Cells) == 0 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	for _, c := range rep.Cells {
-		if c.Validated > 0 && c.LinkMasked != 1 {
-			t.Errorf("validated cell masks %.0f%% of link crashes", c.LinkMasked*100)
-		}
 	}
 }

@@ -59,10 +59,9 @@
 // dependency over media not already carrying one, and Schedule.Validate
 // rejects any schedule whose deliveries share a single point of failure
 // (DESIGN.md Section 10). SingleLinkFailureSweep and
-// CombinedFailureSweep verify the masking empirically; the
-// masked-fraction-versus-topology grid runs with
-// `ftbench -experiment faults [-json]` (the BENCH_faults.json
-// trajectory):
+// CombinedFailureSweep verify the masking empirically; the scenario
+// corpus (testdata/scenarios, `ftbench -experiment corpus`) measures
+// the masked fractions per topology:
 //
 //	p.SetFaults(ftbar.FaultModel{Npf: 1, Nmf: 1})
 //	res, _ := ftbar.Run(p, ftbar.Options{})
@@ -87,9 +86,9 @@
 // every delivery chain (exact up to 16 chains, sound greedy beyond;
 // void at Nmf = 0). CombinedFailureSweep measures the full grid —
 // every processor subset up to Npf, every medium, every decisive crash
-// instant — with worker-invariant reports; the trajectory runs with
-// `ftbench -experiment combined [-json]` (BENCH_combined.json), whose
-// headline is the ring cell at {Npf=1, Nmf=1} masking the entire grid.
+// instant — with worker-invariant reports. The corpus records each
+// scenario's certificate rate beside its masked fractions; its
+// ring4-layered-11-n20 scenario masks the entire grid at {Npf=1, Nmf=1}.
 // With Nmf = 0 neither extension is consulted.
 //
 // Reliability — the second extension the paper's conclusion announces —

@@ -162,18 +162,18 @@ func famName(s string) string {
 // RenderCorpus writes the report as a fixed-width text table.
 func RenderCorpus(w io.Writer, rep *CorpusReport) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %-9s %-8s | %3s %3s | %5s %6s | %6s %6s %6s | %8s | %8s %8s\n",
-		"scenario", "topology", "family", "Npf", "Nmf", "valid", "rate",
+	fmt.Fprintf(&b, "%-24s %-9s %-8s | %3s %3s | %5s %6s %6s | %6s %6s %6s | %8s | %8s %8s\n",
+		"scenario", "topology", "family", "Npf", "Nmf", "valid", "rate", "joint",
 		"link", "proc", "comb", "floors", "cold ms", "warm ms")
-	b.WriteString(strings.Repeat("-", 126) + "\n")
+	b.WriteString(strings.Repeat("-", 129) + "\n")
 	for _, c := range rep.Cells {
 		verdict := "MET"
 		if !c.FloorsMet {
 			verdict = "VIOLATED"
 		}
-		fmt.Fprintf(&b, "%-22s %-9s %-8s | %3d %3d | %5d %5.0f%% | %5.0f%% %5.0f%% %5.0f%% | %8s | %8.2f %8.2f\n",
+		fmt.Fprintf(&b, "%-24s %-9s %-8s | %3d %3d | %5d %5.0f%% %5.0f%% | %5.0f%% %5.0f%% %5.0f%% | %8s | %8.2f %8.2f\n",
 			c.Name, c.Topology, c.Family, c.Npf, c.Nmf,
-			c.Outcome.Validated, c.Outcome.ValidatedRate*100,
+			c.Outcome.Validated, c.Outcome.ValidatedRate*100, c.Outcome.JointRate*100,
 			c.Outcome.LinkMasked*100, c.Outcome.ProcMasked*100, c.Outcome.CombinedMasked*100,
 			verdict, c.ColdMs, c.WarmMs)
 	}

@@ -54,3 +54,40 @@ func TestFig10Topologies(t *testing.T) {
 		})
 	}
 }
+
+// TestAggregateUnmaskedOverheads pins the topology-aware aggregation: a
+// synthetic comparison set with one unmasked crash feeds the unmasked
+// mean/max columns and leaves the masked failure overheads untouched.
+func TestAggregateUnmaskedOverheads(t *testing.T) {
+	comps := []*Comparison{
+		{
+			FTBAROverhead: 10, HBPOverhead: 20,
+			FTBARFail:   []float64{30, 50},
+			HBPFail:     []float64{40, 80},
+			FTBARMasked: []bool{true, false},
+			HBPMasked:   []bool{true, true},
+		},
+		{
+			FTBAROverhead: 20, HBPOverhead: 40,
+			FTBARFail:   []float64{34, 70},
+			HBPFail:     []float64{44, 90},
+			FTBARMasked: []bool{true, false},
+			HBPMasked:   []bool{false, true},
+		},
+	}
+	pt := aggregate(1, comps)
+	if pt.FTBARMasked != 0.5 || pt.HBPMasked != 0.75 {
+		t.Errorf("masked fractions %g / %g, want 0.5 / 0.75", pt.FTBARMasked, pt.HBPMasked)
+	}
+	if pt.FTBARUnmaskedMean != 60 || pt.FTBARUnmaskedMax != 70 {
+		t.Errorf("FTBAR unmasked mean/max %g/%g, want 60/70", pt.FTBARUnmaskedMean, pt.FTBARUnmaskedMax)
+	}
+	if pt.HBPUnmaskedMean != 44 || pt.HBPUnmaskedMax != 44 {
+		t.Errorf("HBP unmasked mean/max %g/%g, want 44/44", pt.HBPUnmaskedMean, pt.HBPUnmaskedMax)
+	}
+	// Masked failure overhead: FTBAR proc 0 averages (30+34)/2 = 32 and
+	// proc 1 never masks, so the per-processor maximum is 32.
+	if pt.FTBARFailure != 32 {
+		t.Errorf("FTBAR failure overhead %g, want 32", pt.FTBARFailure)
+	}
+}

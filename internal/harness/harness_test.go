@@ -39,6 +39,12 @@ func TestCorpusScenarios(t *testing.T) {
 			if out.Graphs != s.Graphs {
 				t.Errorf("ran %d graphs, want %d", out.Graphs, s.Graphs)
 			}
+			// Every generated problem is refused up front, refused by the
+			// planner, or validated: none is lost between the stages.
+			if got := out.SpecRejected + out.SchedRejected + out.Validated; got != out.Graphs {
+				t.Errorf("spec_rejected %d + sched_rejected %d + validated %d = %d, want graphs %d",
+					out.SpecRejected, out.SchedRejected, out.Validated, got, out.Graphs)
+			}
 		})
 	}
 	// The corpus must span the structured families and grid topologies
@@ -87,6 +93,7 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"bad family":    `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "family": "spaghetti", "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}}`,
 		"engine option": `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "options": {"engine": "reference"}, "floors": {"validated_rate": 0}}`,
 		"floor above 1": `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 1.5}}`,
+		"joint above 1": `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0, "joint_rate": 1.01}}`,
 		"bad ceiling":   `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}, "makespan_ceiling": -1}`,
 		"ungeneratable": `{"version": 1, "name": "x", "gen": {"n": 0, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}}`,
 		"trailing doc":  `{"version": 1, "name": "x", "gen": {"n": 5, "ccr": 1, "procs": 4, "npf": 1, "seed": 1}, "graphs": 1, "floors": {"validated_rate": 0}} {}`,
@@ -127,6 +134,22 @@ func TestCheckFloors(t *testing.T) {
 	s.Floors.ValidatedRate = 0
 	if err := Check(s, none); err != nil {
 		t.Errorf("zero-floor empty outcome fails: %v", err)
+	}
+	// The joint floor binds from below over Graphs like validated_rate:
+	// also when nothing validated, and alone in its message.
+	s.Floors.JointRate = 0.5
+	if err := Check(s, &Outcome{Validated: 4, ValidatedRate: 1, LinkMasked: 1, CombinedMasked: 0.5,
+		JointRate: 0.5, MakespanMean: 10}); err != nil {
+		t.Errorf("boundary joint rate fails: %v", err)
+	}
+	lowJoint := &Outcome{Validated: 4, ValidatedRate: 1, LinkMasked: 1, CombinedMasked: 0.5,
+		JointRate: 0.4, MakespanMean: 10}
+	if err := Check(s, lowJoint); err == nil || !strings.Contains(err.Error(), "joint_rate") ||
+		strings.Contains(err.Error(), "validated_rate") {
+		t.Errorf("low joint rate error = %v, want a joint_rate-only failure", err)
+	}
+	if err := Check(s, none); err == nil || !strings.Contains(err.Error(), "joint_rate") {
+		t.Errorf("empty outcome error = %v, want the joint_rate floor to bind", err)
 	}
 }
 

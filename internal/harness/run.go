@@ -24,11 +24,17 @@ type Outcome struct {
 	SpecRejected  int `json:"spec_rejected"`
 	SchedRejected int `json:"sched_rejected"`
 	Validated     int `json:"validated"`
-	// ValidatedRate through CombinedMasked mirror the Floors fields.
+	// JointValidated counts the validated schedules that also carry the
+	// joint-survivability certificate (sched.ValidateJoint).
+	JointValidated int `json:"joint_validated"`
+	// ValidatedRate through JointRate mirror the Floors fields; the two
+	// validation rates are over Graphs, the masked fractions over the
+	// sweep scenarios of the validated schedules.
 	ValidatedRate  float64 `json:"validated_rate"`
 	LinkMasked     float64 `json:"link_masked"`
 	ProcMasked     float64 `json:"proc_masked"`
 	CombinedMasked float64 `json:"combined_masked"`
+	JointRate      float64 `json:"joint_rate"`
 	// MakespanMean is the mean fault-free schedule length over the
 	// validated runs (0 when none validated).
 	MakespanMean float64 `json:"makespan_mean"`
@@ -71,6 +77,9 @@ func Run(s *Spec) (*Outcome, error) {
 			continue
 		}
 		out.Validated++
+		if res.Schedule.ValidateJoint() == nil {
+			out.JointValidated++
+		}
 		lengthSum += res.Schedule.Length()
 		links, err := sim.SingleLinkFailureSweep(res.Schedule)
 		if err != nil {
@@ -107,6 +116,7 @@ func Run(s *Spec) (*Outcome, error) {
 	out.LinkMasked = rate(linkMasked, linkScen)
 	out.ProcMasked = rate(procMasked, procScen)
 	out.CombinedMasked = rate(combMasked, combScen)
+	out.JointRate = rate(out.JointValidated, out.Graphs)
 	if out.Validated > 0 {
 		out.MakespanMean = lengthSum / float64(out.Validated)
 	}
@@ -130,6 +140,7 @@ func Check(s *Spec, out *Outcome) error {
 		}
 	}
 	bound("validated_rate", out.ValidatedRate, s.Floors.ValidatedRate)
+	bound("joint_rate", out.JointRate, s.Floors.JointRate)
 	// Mask floors only bind once something validated: with zero validated
 	// schedules there are no sweep scenarios, and the validated_rate floor
 	// is the bound that must speak to that.

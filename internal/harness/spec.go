@@ -3,11 +3,11 @@
 // testdata/scenarios/ — naming a generated problem population (topology,
 // task-graph family, fault budget), the planner options to schedule it
 // under, and the guarantee floors the population must clear. The runner
-// executes every scenario through core.Run and the sim sweeps and checks
-// the measured rates against the floors; the corpus benchmark
-// (internal/bench, `ftbench -experiment corpus`) records the same
-// outcomes as a BENCH trajectory, and `ftgen -scenario` re-emits any
-// single problem of a scenario for the command-line tools.
+// executes every scenario through core.Run, the schedule validators and
+// the sim sweeps and checks the measured rates against the floors; the
+// corpus benchmark (internal/bench, `ftbench -experiment corpus`)
+// records the same outcomes as a BENCH trajectory, and `ftgen -scenario`
+// re-emits any single problem of a scenario for the command-line tools.
 package harness
 
 import (
@@ -96,6 +96,10 @@ type Floors struct {
 	// CombinedMasked bounds the combined (processor, link) sweep's masked
 	// fraction; pairs are guaranteed only when Npf >= Nmf + 1.
 	CombinedMasked float64 `json:"combined_masked,omitempty"`
+	// JointRate bounds JointValidated / Graphs from below, like
+	// ValidatedRate: the share of the population whose schedules carry
+	// the joint-survivability certificate.
+	JointRate float64 `json:"joint_rate,omitempty"`
 }
 
 // Params converts the generation block to gen.Params for graph i of the
@@ -157,6 +161,7 @@ func (s *Spec) Validate() error {
 		{"link_masked", s.Floors.LinkMasked},
 		{"proc_masked", s.Floors.ProcMasked},
 		{"combined_masked", s.Floors.CombinedMasked},
+		{"joint_rate", s.Floors.JointRate},
 	} {
 		if f.v < 0 || f.v > 1 {
 			return fmt.Errorf("%w: %s: floor %s = %g outside [0, 1]",

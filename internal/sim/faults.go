@@ -101,7 +101,7 @@ func (sc Scenario) Validate(a *arch.Architecture) error {
 		if f.Proc < 0 || int(f.Proc) >= a.NumProcs() {
 			return fmt.Errorf("%w: id %d", ErrUnknownProc, f.Proc)
 		}
-		if f.At < 0 || math.IsNaN(f.At) || f.Until <= f.At {
+		if !validWindow(f.At, f.Until) {
 			return fmt.Errorf("%w: [%g,%g) on proc %d", ErrBadFailure, f.At, f.Until, f.Proc)
 		}
 	}
@@ -109,11 +109,18 @@ func (sc Scenario) Validate(a *arch.Architecture) error {
 		if f.Medium < 0 || int(f.Medium) >= a.NumMedia() {
 			return fmt.Errorf("%w: medium id %d", ErrUnknownMedium, f.Medium)
 		}
-		if f.At < 0 || math.IsNaN(f.At) || f.Until <= f.At {
+		if !validWindow(f.At, f.Until) {
 			return fmt.Errorf("%w: [%g,%g) on medium %d", ErrBadFailure, f.At, f.Until, f.Medium)
 		}
 	}
 	return nil
+}
+
+// validWindow reports 0 <= at < until. Written as one positive
+// comparison chain, it refuses a NaN bound on either side: a NaN recovery
+// time would otherwise pass an "until <= at" test and cancel the failure.
+func validWindow(at, until float64) bool {
+	return 0 <= at && at < until
 }
 
 // buildMediumDown turns the medium failures into per-medium down

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ftbar/internal/arch"
@@ -97,5 +98,10 @@ func TestScenarioValidatesMediumFailures(t *testing.T) {
 	_, err = Run(s, Scenario{MediumFailures: []MediumFailure{IntermittentLink(0, 3, 2)}})
 	if !errors.Is(err, ErrBadFailure) {
 		t.Errorf("empty window error = %v", err)
+	}
+	// A NaN recovery time must not silently cancel the failure.
+	_, err = Run(s, Scenario{MediumFailures: []MediumFailure{IntermittentLink(0, 0, math.NaN())}})
+	if !errors.Is(err, ErrBadFailure) {
+		t.Errorf("NaN until error = %v", err)
 	}
 }

@@ -1,11 +1,7 @@
 package sim
 
 import (
-	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/sched"
@@ -17,12 +13,6 @@ import (
 // budget's cross products. A schedule accepted by sched.Validate under a
 // FaultModel with Nmf >= 1 must mask every single-link scenario; the
 // sweeps verify that empirically.
-
-// LinkCrashAtZero simulates one iteration with medium m failed from the
-// start, the link analogue of the paper's Figure 8 configuration.
-func LinkCrashAtZero(s *sched.Schedule, m arch.MediumID) (*Result, error) {
-	return Run(s, Scenario{MediumFailures: []MediumFailure{PermanentLink(m, 0)}})
-}
 
 // LinkReport is the outcome of a worst-case single-link-failure sweep for
 // one medium.
@@ -48,62 +38,25 @@ type LinkReport struct {
 // concurrently on a worker pool sized to GOMAXPROCS; the reports do not
 // depend on the worker count.
 func SingleLinkFailureSweep(s *sched.Schedule) ([]LinkReport, error) {
-	return SingleLinkFailureSweepWorkers(s, 0)
-}
-
-// SingleLinkFailureSweepWorkers is SingleLinkFailureSweep with an
-// explicit worker bound: 0 picks GOMAXPROCS, 1 runs serially. Each
-// (medium, crash instant) scenario is an independent simulation; the
-// reduction happens in probe order, making the reports bit-identical for
-// every worker count.
-func SingleLinkFailureSweepWorkers(s *sched.Schedule, workers int) ([]LinkReport, error) {
-	nM := s.Problem().Arc.NumMedia()
-	probes := make([][]float64, nM)
-	outcomes := make([][]probeOutcome, nM)
-	var jobs []probeJob
-	for m := 0; m < nM; m++ {
-		probes[m] = linkCrashProbes(s, arch.MediumID(m))
-		outcomes[m] = make([]probeOutcome, len(probes[m]))
-		for i := range probes[m] {
-			jobs = append(jobs, probeJob{unit: m, idx: i})
-		}
-	}
-	err := runProbePool(workers, jobs, func(j probeJob) error {
-		res, err := Run(s, Scenario{MediumFailures: []MediumFailure{
-			PermanentLink(arch.MediumID(j.unit), probes[j.unit][j.idx]),
-		}})
-		if err != nil {
-			return err
-		}
-		outcomes[j.unit][j.idx] = probeOutcome{
-			makespan: res.Iterations[0].Makespan,
-			masked:   res.Iterations[0].OutputsOK,
-		}
-		return nil
-	})
+	outcomes, err := sweep(s, linkCells(s), 0)
 	if err != nil {
 		return nil, err
 	}
-
-	reports := make([]LinkReport, 0, nM)
-	for m := 0; m < nM; m++ {
-		report := LinkReport{Medium: arch.MediumID(m), Masked: true, WorstAt: -1}
-		for i, at := range probes[m] {
-			o := outcomes[m][i]
-			if o.makespan > report.WorstMakespan {
-				report.WorstMakespan = o.makespan
-				report.WorstAt = at
-			}
-			if at == 0 {
-				report.AtZeroMakespan = o.makespan
-			}
-			if !o.masked {
-				report.Masked = false
-			}
-		}
-		reports = append(reports, report)
+	reports := make([]LinkReport, len(outcomes))
+	for m, o := range outcomes {
+		reports[m] = LinkReport{Medium: arch.MediumID(m), WorstAt: o.worstAt,
+			WorstMakespan: o.worstMakespan, AtZeroMakespan: o.atZeroMakespan, Masked: o.masked}
 	}
 	return reports, nil
+}
+
+// linkCells is the medium sweep: one cell per medium.
+func linkCells(s *sched.Schedule) []crashCell {
+	cells := make([]crashCell, s.Problem().Arc.NumMedia())
+	for m := range cells {
+		cells[m] = crashCell{media: []arch.MediumID{arch.MediumID(m)}, probes: linkCrashProbes(s, arch.MediumID(m))}
+	}
+	return cells
 }
 
 // linkCrashProbes returns the candidate crash instants for a medium.
@@ -116,22 +69,6 @@ func linkCrashProbes(s *sched.Schedule, m arch.MediumID) []float64 {
 		probes = append(probes, c.End+crashEps)
 	}
 	return probes
-}
-
-// WorstSingleLinkMakespan returns the largest makespan over every medium
-// and probed crash instant, with the fault-free makespan as the floor —
-// the bound to compare against Rtc when one link failure must be
-// tolerated.
-func WorstSingleLinkMakespan(s *sched.Schedule) (float64, error) {
-	worst := s.Length()
-	reports, err := SingleLinkFailureSweep(s)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range reports {
-		worst = math.Max(worst, r.WorstMakespan)
-	}
-	return worst, nil
 }
 
 // CombinedReport is the outcome of one (processor subset, medium) cell of
@@ -169,77 +106,30 @@ type CombinedReport struct {
 // GOMAXPROCS pool; reports are ordered (subset size, then ids, then
 // medium) and do not depend on the worker count.
 func CombinedFailureSweep(s *sched.Schedule) ([]CombinedReport, error) {
-	return CombinedFailureSweepWorkers(s, 0)
-}
-
-// CombinedFailureSweepWorkers is CombinedFailureSweep with an explicit
-// worker bound: 0 picks GOMAXPROCS, 1 runs serially. Each (subset,
-// medium, instant) scenario is an independent simulation; the reduction
-// happens in probe order, making the reports bit-identical for every
-// worker count.
-func CombinedFailureSweepWorkers(s *sched.Schedule, workers int) ([]CombinedReport, error) {
-	nM := s.Problem().Arc.NumMedia()
-	subsets := procSubsets(s.Problem().Arc.NumProcs(), s.Npf())
-	cells := len(subsets) * nM
-	probes := make([][]float64, cells)
-	outcomes := make([][]probeOutcome, cells)
-	var jobs []probeJob
-	for si, procs := range subsets {
-		for m := 0; m < nM; m++ {
-			ci := si*nM + m
-			probes[ci] = combinedCrashProbes(s, procs, arch.MediumID(m))
-			outcomes[ci] = make([]probeOutcome, len(probes[ci]))
-			for i := range probes[ci] {
-				jobs = append(jobs, probeJob{unit: ci, idx: i})
-			}
-		}
-	}
-	err := runProbePool(workers, jobs, func(j probeJob) error {
-		at := probes[j.unit][j.idx]
-		procs := subsets[j.unit/nM]
-		failures := make([]Failure, len(procs))
-		for i, p := range procs {
-			failures[i] = Permanent(p, at)
-		}
-		res, err := Run(s, Scenario{
-			Failures:       failures,
-			MediumFailures: []MediumFailure{PermanentLink(arch.MediumID(j.unit%nM), at)},
-		})
-		if err != nil {
-			return err
-		}
-		outcomes[j.unit][j.idx] = probeOutcome{
-			makespan: res.Iterations[0].Makespan,
-			masked:   res.Iterations[0].OutputsOK,
-		}
-		return nil
-	})
+	cells := combinedCells(s)
+	outcomes, err := sweep(s, cells, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	reports := make([]CombinedReport, 0, cells)
-	for si, procs := range subsets {
-		for m := 0; m < nM; m++ {
-			ci := si*nM + m
-			report := CombinedReport{Procs: procs, Medium: arch.MediumID(m), Masked: true, WorstAt: -1}
-			for i, at := range probes[ci] {
-				o := outcomes[ci][i]
-				if o.makespan > report.WorstMakespan {
-					report.WorstMakespan = o.makespan
-					report.WorstAt = at
-				}
-				if at == 0 {
-					report.AtZeroMakespan = o.makespan
-				}
-				if !o.masked {
-					report.Masked = false
-				}
-			}
-			reports = append(reports, report)
-		}
+	reports := make([]CombinedReport, len(outcomes))
+	for i, o := range outcomes {
+		reports[i] = CombinedReport{Procs: cells[i].procs, Medium: cells[i].media[0], WorstAt: o.worstAt,
+			WorstMakespan: o.worstMakespan, AtZeroMakespan: o.atZeroMakespan, Masked: o.masked}
 	}
 	return reports, nil
+}
+
+// combinedCells is the combined sweep: every processor subset crossed with
+// every medium, probed at the merged instants of the crashed units.
+func combinedCells(s *sched.Schedule) []crashCell {
+	var cells []crashCell
+	for _, procs := range procSubsets(s.Problem().Arc.NumProcs(), s.Npf()) {
+		for m := 0; m < s.Problem().Arc.NumMedia(); m++ {
+			cells = append(cells, crashCell{procs: procs, media: []arch.MediumID{arch.MediumID(m)},
+				probes: combinedCrashProbes(s, procs, arch.MediumID(m))})
+		}
+	}
+	return cells
 }
 
 // procSubsets enumerates the non-empty processor subsets of size at most
@@ -286,63 +176,4 @@ func combinedCrashProbes(s *sched.Schedule, procs []arch.ProcID, m arch.MediumID
 		}
 	}
 	return dedup
-}
-
-// probeJob indexes one independent scenario of a sweep.
-type probeJob struct{ unit, idx int }
-
-// runProbePool runs fn over the jobs on a bounded worker pool: 0 picks
-// GOMAXPROCS, 1 runs serially. Each job writes a disjoint slot, so the
-// fan-out is deterministic; the first error wins and stops the sweep.
-func runProbePool(workers int, jobs []probeJob, fn func(probeJob) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	runJob := func(j probeJob) {
-		if err := fn(j); err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if failed() {
-				break
-			}
-			runJob(j)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(jobs) || failed() {
-						return
-					}
-					runJob(jobs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return firstErr
 }

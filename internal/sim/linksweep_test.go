@@ -54,12 +54,12 @@ func TestSingleLinkFailureSweepMasksPaperExample(t *testing.T) {
 // must not change a single report.
 func TestSingleLinkSweepWorkerInvariance(t *testing.T) {
 	s := linkBudgetSchedule(t)
-	base, err := SingleLinkFailureSweepWorkers(s, 1)
+	base, err := sweep(s, linkCells(s), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 7} {
-		got, err := SingleLinkFailureSweepWorkers(s, workers)
+		got, err := sweep(s, linkCells(s), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -68,7 +68,7 @@ func TestSingleLinkSweepWorkerInvariance(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != base[i] {
-				t.Errorf("workers=%d report %d: %+v != %+v", workers, i, got[i], base[i])
+				t.Errorf("workers=%d cell %d: %+v != %+v", workers, i, got[i], base[i])
 			}
 		}
 	}
@@ -136,15 +136,15 @@ func TestLinkSweepCatchesUndiverseSchedule(t *testing.T) {
 
 // TestCombinedSweepWorkerInvariance mirrors the single-link invariance
 // pin for the joint grid: the worker count must not change a single
-// (subset, medium) report — same subsets, same probes, same reduction.
+// (subset, medium) outcome — same subsets, same probes, same reduction.
 func TestCombinedSweepWorkerInvariance(t *testing.T) {
 	s := linkBudgetSchedule(t)
-	base, err := CombinedFailureSweepWorkers(s, 1)
+	base, err := sweep(s, combinedCells(s), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 7} {
-		got, err := CombinedFailureSweepWorkers(s, workers)
+		got, err := sweep(s, combinedCells(s), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -152,8 +152,8 @@ func TestCombinedSweepWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: %d reports, want %d", workers, len(got), len(base))
 		}
 		for i := range got {
-			if !reflect.DeepEqual(got[i], base[i]) {
-				t.Errorf("workers=%d report %d: %+v != %+v", workers, i, got[i], base[i])
+			if got[i] != base[i] {
+				t.Errorf("workers=%d cell %d: %+v != %+v", workers, i, got[i], base[i])
 			}
 		}
 	}

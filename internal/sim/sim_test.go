@@ -257,6 +257,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"unknown proc", Scenario{Failures: []Failure{Permanent(9, 1)}}, ErrUnknownProc},
 		{"negative at", Scenario{Failures: []Failure{Permanent(0, -1)}}, ErrBadFailure},
 		{"empty window", Scenario{Failures: []Failure{Intermittent(0, 2, 2)}}, ErrBadFailure},
+		{"NaN at", Scenario{Failures: []Failure{Permanent(0, math.NaN())}}, ErrBadFailure},
+		{"NaN until", Scenario{Failures: []Failure{Intermittent(0, 0, math.NaN())}}, ErrBadFailure},
 		{"bad iterations", Scenario{Iterations: -1}, ErrBadIteration},
 	}
 	for _, tc := range cases {

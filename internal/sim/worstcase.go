@@ -40,69 +40,25 @@ const crashEps = 1e-6
 // worker pool sized to GOMAXPROCS; the reports do not depend on the worker
 // count.
 func SingleFailureSweep(s *sched.Schedule) ([]CrashReport, error) {
-	return SingleFailureSweepWorkers(s, 0)
-}
-
-// probeOutcome is the simulated makespan and masking verdict of one
-// (processor, crash instant) scenario.
-type probeOutcome struct {
-	makespan float64
-	masked   bool
-}
-
-// SingleFailureSweepWorkers is SingleFailureSweep with an explicit worker
-// bound: 0 picks GOMAXPROCS, 1 runs serially. Each (processor, crash
-// instant) scenario is an independent simulation, so the sweep saturates
-// the pool; the reduction happens in probe order, making the reports
-// bit-identical for every worker count.
-func SingleFailureSweepWorkers(s *sched.Schedule, workers int) ([]CrashReport, error) {
-	nP := s.Problem().Arc.NumProcs()
-	probes := make([][]float64, nP)
-	outcomes := make([][]probeOutcome, nP)
-	var jobs []probeJob
-	for p := 0; p < nP; p++ {
-		probes[p] = crashProbes(s, arch.ProcID(p))
-		outcomes[p] = make([]probeOutcome, len(probes[p]))
-		for i := range probes[p] {
-			jobs = append(jobs, probeJob{unit: p, idx: i})
-		}
-	}
-	err := runProbePool(workers, jobs, func(j probeJob) error {
-		res, err := Run(s, Scenario{Failures: []Failure{
-			Permanent(arch.ProcID(j.unit), probes[j.unit][j.idx]),
-		}})
-		if err != nil {
-			return err
-		}
-		outcomes[j.unit][j.idx] = probeOutcome{
-			makespan: res.Iterations[0].Makespan,
-			masked:   res.Iterations[0].OutputsOK,
-		}
-		return nil
-	})
+	outcomes, err := sweep(s, procCells(s), 0)
 	if err != nil {
 		return nil, err
 	}
-
-	reports := make([]CrashReport, 0, nP)
-	for p := 0; p < nP; p++ {
-		report := CrashReport{Proc: arch.ProcID(p), Masked: true, WorstAt: -1}
-		for i, at := range probes[p] {
-			o := outcomes[p][i]
-			if o.makespan > report.WorstMakespan {
-				report.WorstMakespan = o.makespan
-				report.WorstAt = at
-			}
-			if at == 0 {
-				report.AtZeroMakespan = o.makespan
-			}
-			if !o.masked {
-				report.Masked = false
-			}
-		}
-		reports = append(reports, report)
+	reports := make([]CrashReport, len(outcomes))
+	for p, o := range outcomes {
+		reports[p] = CrashReport{Proc: arch.ProcID(p), WorstAt: o.worstAt,
+			WorstMakespan: o.worstMakespan, AtZeroMakespan: o.atZeroMakespan, Masked: o.masked}
 	}
 	return reports, nil
+}
+
+// procCells is the processor sweep: one cell per processor.
+func procCells(s *sched.Schedule) []crashCell {
+	cells := make([]crashCell, s.Problem().Arc.NumProcs())
+	for p := range cells {
+		cells[p] = crashCell{procs: []arch.ProcID{arch.ProcID(p)}, probes: crashProbes(s, arch.ProcID(p))}
+	}
+	return cells
 }
 
 // crashProbes returns the candidate crash instants for a processor.
