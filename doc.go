@@ -42,8 +42,10 @@
 //
 // Run schedules with the incremental engine: it maintains an indegree
 // ready queue, caches schedule pressures per (task, processor) under
-// revision-stamp invalidation, previews cold pairs on a bounded worker
-// pool, and undoes speculative duplications with in-place checkpoints.
+// revision-stamp invalidation, previews only the cold pairs of the
+// candidates its screen cannot rule out, and undoes speculative
+// duplications with in-place checkpoints. One run plans on one
+// goroutine; independent runs may proceed in parallel.
 // A straightforward reference implementation that redoes every step
 // from scratch stays inside the module as the oracle of the differential
 // tests, which enforce bit-identical decision logs between the two; the

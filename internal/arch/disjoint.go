@@ -327,8 +327,8 @@ func (a *Architecture) MaxDisjointRoutes(srcs []ProcID, dst ProcID, usable func(
 // architecture, keyed on the (source-set, destination) pair. Entries are
 // invalidated wholesale when the architecture's topology Revision moves,
 // so a cache held across AddMedium calls never serves stale routes. The
-// cache is not safe for concurrent use; callers synchronise (the
-// scheduler guards it with the same mutex as its per-edge route tables).
+// cache is not safe for concurrent use: the scheduler holds one per
+// data-dependency, shared by a clone family that one goroutine plans.
 // Source sets are encoded as processor bitmasks, so caching engages only
 // on architectures of at most 64 processors; larger ones fall through to
 // a direct computation.
@@ -379,8 +379,6 @@ func (c *FanCache) relayPenalty() float64 {
 // Lookup returns the cached fan for (srcs, dst) without computing or
 // mutating anything, missing when the entry is absent, the topology
 // revision moved, or the architecture is too large for bitmask keys.
-// Being read-only, concurrent Lookups are safe under a reader lock while
-// Fan calls hold the writer side.
 func (c *FanCache) Lookup(srcs []ProcID, dst ProcID) ([]Route, bool) {
 	return c.LookupAvoiding(srcs, dst, 0)
 }
@@ -426,9 +424,8 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 		// closure below captures it.
 		c.penalty = 0
 	}
-	relay := c.relayCostFor(avoid)
 	if c.a.NumProcs() > 64 {
-		return c.a.disjointFanRelay(&c.scratch, srcs, dst, c.weight, relay)
+		return c.a.disjointFanRelay(&c.scratch, srcs, dst, c.weight, c.relayCostFor(avoid))
 	}
 	key := fanKey{avoid: avoid, dst: dst}
 	for _, sp := range srcs {
@@ -440,7 +437,7 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 		// in canonical order for every ordering of the same source set.
 		canon := append([]ProcID(nil), srcs...)
 		sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-		routes = c.a.disjointFanRelay(&c.scratch, canon, dst, c.weight, relay)
+		routes = c.a.disjointFanRelay(&c.scratch, canon, dst, c.weight, c.relayCostFor(avoid))
 		c.fans[key] = routes
 	}
 	return routes

@@ -374,7 +374,8 @@ func TestDisjointFanScratchReuse(t *testing.T) {
 }
 
 // TestFanCacheWarmLookupAllocs pins the warm path: once an entry is
-// cached, Fan is a key build plus a map hit and must not allocate.
+// cached, Fan and FanAvoiding are a key build plus a map hit and must not
+// allocate (the relay-cost closure is built only on a miss).
 func TestFanCacheWarmLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
@@ -385,5 +386,9 @@ func TestFanCacheWarmLookupAllocs(t *testing.T) {
 	c.Fan(srcs, 0) // warm
 	if avg := testing.AllocsPerRun(100, func() { c.Fan(srcs, 0) }); avg != 0 {
 		t.Errorf("warm Fan allocates %v per op, want 0", avg)
+	}
+	c.FanAvoiding(srcs, 0, 1<<2)
+	if avg := testing.AllocsPerRun(100, func() { c.FanAvoiding(srcs, 0, 1<<2) }); avg != 0 {
+		t.Errorf("warm FanAvoiding allocates %v per op, want 0", avg)
 	}
 }

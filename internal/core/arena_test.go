@@ -313,9 +313,6 @@ func TestArenaRecordsRoundTrip(t *testing.T) {
 // not per replayed decision — the CI alloc gate (0 allocs per decision,
 // amortised) rides on this.
 func TestWarmReplayAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on the measured path")
-	}
 	p, err := gen.Generate(gen.Params{N: 60, CCR: 1, Procs: 4, Npf: 1, Seed: 11})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -396,7 +393,7 @@ func TestOptionsKeyFormatPinned(t *testing.T) {
 	}{
 		{Options{}, "nodup=false|tails=false|legacy=false"},
 		{Options{NoDuplication: true, TailsWithComms: true}, "nodup=true|tails=true|legacy=false"},
-		{Options{Engine: EngineReference, PreviewWorkers: 3}, "nodup=false|tails=false|legacy=false"},
+		{Options{Engine: EngineReference}, "nodup=false|tails=false|legacy=false"},
 	} {
 		if got := optionsKey(tc.opts); got != tc.want {
 			t.Errorf("optionsKey(%+v) = %q, want %q", tc.opts, got, tc.want)

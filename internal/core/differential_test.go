@@ -185,26 +185,6 @@ func TestDifferentialStructuredFamilies(t *testing.T) {
 	}
 }
 
-// TestDifferentialWorkerCounts pins the determinism claim: the worker
-// count must not change the incremental engine's decisions.
-func TestDifferentialWorkerCounts(t *testing.T) {
-	p, err := gen.Generate(gen.Params{N: 30, CCR: 2, Procs: 5, Npf: 1, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(p, Options{PreviewWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 6} {
-		res, err := Run(p, Options{PreviewWorkers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertSameSteps(t, base.Steps, res.Steps)
-	}
-}
-
 // TestSigmaMatchesCachedSigma spot-checks that cached pressures are the
 // exact Sigma values, not approximations: a schedule length or pressure
 // drift would show up here as a non-finite or mismatched urgency.

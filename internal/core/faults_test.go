@@ -151,7 +151,7 @@ func TestSigmaCacheMediumRevInvalidation(t *testing.T) {
 		tails: Tails(p, tg, false),
 		done:  make([]bool, tg.NumTasks()),
 	}
-	c := newSigmaCache(sch, 1)
+	c := newSigmaCache(sch)
 	srcT, aT, bT := tg.TaskOf(src), tg.TaskOf(a), tg.TaskOf(b)
 	if _, err := s.PlaceReplica(srcT, 0); err != nil {
 		t.Fatal(err)

@@ -43,8 +43,8 @@ const (
 	// EngineIncremental is the default: candidates come from an
 	// indegree-counter ready queue, schedule pressures are cached per
 	// (task, processor) and invalidated by the schedule's revision
-	// counters, and cold previews fan out across a bounded worker pool
-	// (DESIGN.md Section 8).
+	// counters, and cold previews are computed only for the candidates the
+	// selection screen cannot rule out (DESIGN.md Section 8).
 	EngineIncremental Engine = iota
 	// EngineReference is the seed implementation: a full candidate rescan
 	// and uncached pressure previews at every step. It is kept as the
@@ -67,11 +67,6 @@ type Options struct {
 	// default and produces identical results to the reference engine,
 	// which only the differential tests and the scaling experiment pick.
 	Engine Engine
-	// PreviewWorkers bounds the worker pool the incremental engine uses
-	// for cold pressure previews. 0 picks GOMAXPROCS capped at 8; 1
-	// disables parallelism. Ignored by the reference engine. The result
-	// does not depend on the worker count.
-	PreviewWorkers int
 }
 
 // Step records one scheduling decision for inspection, tests and the
@@ -190,7 +185,7 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 	}
 	if opts.Engine == EngineIncremental {
 		sch.rq = newReadyQueue(tg)
-		sch.cache = newSigmaCache(sch, opts.PreviewWorkers)
+		sch.cache = newSigmaCache(sch)
 		if sch.vuln == nil {
 			sch.evals = make([]candEval, tg.NumTasks())
 		}
@@ -220,7 +215,7 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		ExtraReplicas: sch.extraReplicas(),
 	}
 	if sch.cache != nil {
-		res.Planner.PreviewsComputed = int(sch.cache.computed.Load())
+		res.Planner.PreviewsComputed = int(sch.cache.computed)
 		res.Planner.PreviewsScreened = int(sch.cache.skipped)
 		res.Planner.SigmaReuses = int(sch.cache.reused)
 		res.Planner.BatchedCommits = sch.batched
@@ -262,19 +257,6 @@ func NonFT(p *spec.Problem) (*Result, error) {
 // execution times (and mean communication times when withComms is set).
 func Tails(p *spec.Problem, tg *model.TaskGraph, withComms bool) []float64 {
 	return tg.Tails(tailsCostModel(p, tg, withComms))
-}
-
-// NewTailsCache wraps the same S̄ cost model in an incrementally updatable
-// cache (model.TailsCache). One scheduling run never perturbs the tails —
-// they are a static graph quantity — but sweeps that re-cost the problem
-// between runs (fault-frontier analyses scaling exec times, CCR ablations
-// scaling comm times) can hold the cache, invalidate the tasks and edges
-// whose mean times changed, and pay only for the affected upstream cone
-// instead of a full Tails pass per point. The cost model reads p live, so
-// invalidations must be reported before the next read (see
-// model.TailsCache).
-func NewTailsCache(p *spec.Problem, tg *model.TaskGraph, withComms bool) *model.TailsCache {
-	return model.NewTailsCache(tg, tailsCostModel(p, tg, withComms))
 }
 
 // tailsCostModel is the paper's S̄ calibration: mean execution times over

@@ -2,9 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/model"
@@ -165,8 +162,7 @@ type sigmaCache struct {
 	sch     *scheduler
 	nProcs  int
 	entries []sigmaEntry // index t*nProcs + p
-	workers int
-	step    uint64 // prepare() invocation counter
+	step    uint64       // prepare() invocation counter
 	// rowStamp[t] advances whenever the replica set of t or of one of its
 	// predecessors changed — the structural part of entry validity. It is
 	// maintained by syncStamps, which diffs the schedule's per-task
@@ -185,12 +181,11 @@ type sigmaCache struct {
 	coldRanges []coldRange
 	// skipped counts candidate evaluations the cache-aware screen
 	// avoided: their cold previews were never computed. computed counts
-	// the previews that were (atomic: ensure fans compute across the
-	// worker pool); reused counts revalidations that kept an entry
-	// without a preview (only ever bumped on the serial control path).
-	// All three are observational — Result.Planner reads them out.
+	// the previews that were; reused counts revalidations that kept an
+	// entry without a preview. All three are observational —
+	// Result.Planner reads them out.
 	skipped  uint64
-	computed atomic.Uint64
+	computed uint64
 	reused   uint64
 	// memoOK gates per-edge plan memoization to the configurations it is
 	// sound for (no medium fault budget, mask-sized media set).
@@ -203,23 +198,13 @@ type coldRange struct {
 	lo, hi int32
 }
 
-func newSigmaCache(sch *scheduler, workers int) *sigmaCache {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
+func newSigmaCache(sch *scheduler) *sigmaCache {
 	n := sch.tg.NumTasks()
 	nProcs := sch.p.Arc.NumProcs()
 	c := &sigmaCache{
 		sch:      sch,
 		nProcs:   nProcs,
 		entries:  make([]sigmaEntry, n*nProcs),
-		workers:  workers,
 		rowStamp: make([]uint64, n),
 		lastRev:  make([]uint64, n),
 		succs:    make([][]model.TaskID, n),
@@ -324,56 +309,19 @@ func (c *sigmaCache) screen(t model.TaskID, need int, bestUrgency float64) (arch
 	return argmin, min, true
 }
 
-// ensure recomputes candidate t's cold previews, fanning them across the
-// worker pool when the range is large enough to pay for the hand-off. A
-// candidate's range is capped at nProcs, so the fan-out engages only on
-// wide architectures (>= 16 processors); on the paper-sized ones the
-// previews run serially, which the scaling grid shows is a net win next
-// to the screen's skipped previews (the old whole-step batch rarely
-// crossed its 16*workers threshold either). Previews only read the
-// schedule (each holds its own scratch and overlay), so the parallel
-// fill is safe, and each worker writes a disjoint set of entries, so
-// the outcome is deterministic.
+// ensure recomputes candidate t's cold previews, in processor order.
 func (c *sigmaCache) ensure(t model.TaskID) {
-	var cold []int32
 	for i := range c.coldRanges {
 		if c.coldRanges[i].task == t {
 			r := &c.coldRanges[i]
-			cold = c.cold[r.lo:r.hi]
+			for _, idx := range c.cold[r.lo:r.hi] {
+				c.compute(int(idx))
+			}
 			// A candidate is ensured at most once per step, but Minimize
 			// re-previews through the schedule, not the cache; collapsing
 			// the range keeps a repeated ensure harmless.
 			r.lo = r.hi
-			break
-		}
-	}
-	if len(cold) == 0 {
-		return
-	}
-	if c.workers > 1 && len(cold) >= 16 {
-		var next int64
-		var wg sync.WaitGroup
-		workers := c.workers
-		if workers > len(cold) {
-			workers = len(cold)
-		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := atomic.AddInt64(&next, 1) - 1
-					if i >= int64(len(cold)) {
-						return
-					}
-					c.compute(int(cold[i]))
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, idx := range cold {
-			c.compute(int(idx))
+			return
 		}
 	}
 }
@@ -445,7 +393,7 @@ func (c *sigmaCache) stampsValid(t model.TaskID, p arch.ProcID) bool {
 
 // compute fills entry idx with a fresh preview and its dependency record.
 func (c *sigmaCache) compute(idx int) {
-	c.computed.Add(1)
+	c.computed++
 	t := model.TaskID(idx / c.nProcs)
 	p := arch.ProcID(idx % c.nProcs)
 	s := c.sch.s

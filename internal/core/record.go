@@ -53,9 +53,9 @@ type PlaceRec struct {
 }
 
 // optionsKey fingerprints the options that influence decisions. Engine
-// and PreviewWorkers are excluded on purpose: the repo's standing
-// invariant (enforced by the differential suite) is that they never
-// change the decision log, only the work profile.
+// is excluded on purpose: the repo's standing invariant (enforced by the
+// differential suite) is that it never changes the decision log, only the
+// work profile.
 func optionsKey(opts Options) string {
 	// The literal "legacy=false" stays: persisted v3 arena snapshots and
 	// drain handoffs key their records on these exact bytes.

@@ -1,9 +1,10 @@
 package sched
 
 // Allocation regression guards for the planning hot path: Preview must not
-// allocate in steady state (the scratch pool, epoch overlays and the
+// allocate in steady state (the scratch free list, epoch overlays and the
 // partial selection of earliestReplicasInto replace the per-call maps and
-// copy+sorts of the seed implementation).
+// copy+sorts of the seed implementation). The gates are exact in every
+// build mode, the race detector's included.
 
 import (
 	"runtime/debug"
@@ -51,7 +52,7 @@ func previewFixture(tb testing.TB) (*Schedule, model.TaskID, arch.ProcID) {
 
 func TestPreviewDoesNotAllocate(t *testing.T) {
 	s, probe, dst := previewFixture(t)
-	// Warm the scratch pool and the route caches.
+	// Warm the scratch list and the route memos.
 	for i := 0; i < 10; i++ {
 		if _, err := s.Preview(probe, dst); err != nil {
 			t.Fatal(err)
@@ -62,9 +63,7 @@ func TestPreviewDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state is zero; one alloc of slack tolerates a sync.Pool
-	// refill after a GC cycle.
-	if avg > 1 {
+	if avg != 0 {
 		t.Errorf("Preview allocates %.2f allocs/op, want 0", avg)
 	}
 }
@@ -84,7 +83,7 @@ func TestPreviewTouchedDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 1 {
+	if avg != 0 {
 		t.Errorf("PreviewTouched allocates %.2f allocs/op, want 0", avg)
 	}
 }
@@ -144,15 +143,9 @@ func BenchmarkPreviewTouched(b *testing.B) {
 	}
 }
 
-// TestPreviewZeroAllocsGCOff is the hard form of the preview gate: with
-// the collector paused there is no sync.Pool eviction to tolerate, so a
-// warm Preview must allocate exactly nothing. The soft (GC-on) variants
-// above keep ≤1 of slack for pool refills; this one is the regression
-// tripwire for any new allocation on the hot path.
+// TestPreviewZeroAllocsGCOff is the preview gate with the collector
+// paused, so no allocation can hide behind a collection between runs.
 func TestPreviewZeroAllocsGCOff(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on the measured path")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s, probe, dst := previewFixture(t)
 	for i := 0; i < 10; i++ {
@@ -173,9 +166,6 @@ func TestPreviewZeroAllocsGCOff(t *testing.T) {
 // buffers have grown to the schedule's size, repeated checkpoint/rollback
 // cycles are pure slice copies.
 func TestCheckpointRollbackAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on the measured path")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s, _, _ := previewFixture(t)
 	cp := new(Checkpoint)

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/model"
@@ -60,9 +59,10 @@ type EdgeArrival struct {
 }
 
 // planScratch carries the reusable buffers of one plan call, so previews
-// allocate nothing in steady state. Buffers are pooled on the Schedule and
-// hold no schedule state between calls, which keeps concurrent previews
-// safe (each call owns one scratch for its duration).
+// allocate nothing in steady state. Buffers are recycled through the clone
+// family's scratchList and hold no schedule state between calls; each call
+// owns one scratch for its duration (an open PlannedPlacement keeps its
+// scratch until Commit or Discard, so plans may nest).
 type planScratch struct {
 	// overlay holds tentative medium busy-ends so the hops of one
 	// placement contend with each other deterministically. Epoch-marking
@@ -106,19 +106,31 @@ type planScratch struct {
 	claimIdx    []int32
 }
 
-// newScratchPool returns a pool of planScratch buffers for an architecture
-// with nMedia media.
-func newScratchPool(nMedia int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &planScratch{
-			overlayVal:   make([]float64, nMedia),
-			overlayEpoch: make([]uint64, nMedia),
-			usedMark:     make([]uint64, nMedia),
-			claimMark:    make([]uint64, nMedia),
-			claimIdx:     make([]int32, nMedia),
-		}
-	}}
+// scratchList is the free list of planScratch buffers shared by a clone
+// family. It grows to the number of plans held open at once (at most a
+// few, under Minimize's nested plans) and never drops a buffer, so warm
+// plans allocate nothing.
+type scratchList struct {
+	nMedia int
+	free   []*planScratch
 }
+
+func (l *scratchList) get() *planScratch {
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free = l.free[:n-1]
+		return sc
+	}
+	return &planScratch{
+		overlayVal:   make([]float64, l.nMedia),
+		overlayEpoch: make([]uint64, l.nMedia),
+		usedMark:     make([]uint64, l.nMedia),
+		claimMark:    make([]uint64, l.nMedia),
+		claimIdx:     make([]int32, l.nMedia),
+	}
+}
+
+func (l *scratchList) put(sc *planScratch) { l.free = append(l.free, sc) }
 
 // begin resets the scratch for a new plan call.
 func (sc *planScratch) begin() {
@@ -164,7 +176,7 @@ func (sc *planScratch) markUsed(m arch.MediumID) { sc.usedMark[m] = sc.usedEpoch
 func (sc *planScratch) isUsed(m arch.MediumID) bool { return sc.usedMark[m] == sc.usedEpoch }
 
 func (s *Schedule) getScratch() *planScratch {
-	sc := s.scratch.Get().(*planScratch)
+	sc := s.scratch.get()
 	sc.begin()
 	return sc
 }
@@ -174,27 +186,21 @@ func (s *Schedule) putScratch(sc *planScratch) {
 	// mask (see Schedule.mediaTouched). Every plan path — committed
 	// placements, rejected selection previews, memo replays, Minimize
 	// speculation — releases its scratch here, so the mask covers every
-	// medium whose busy-end any decision arithmetic read as a claim. The
-	// load-check avoids the atomic RMW once the bits are already set,
-	// which is the steady state.
-	if s.maskTracked && len(sc.bounds) > 0 {
-		var m uint64
+	// medium whose busy-end any decision arithmetic read as a claim.
+	if s.maskTracked {
 		for i := range sc.bounds {
-			m |= 1 << uint(sc.bounds[i].Medium)
-		}
-		if s.mediaTouched.Load()&m != m {
-			s.mediaTouched.Or(m)
+			s.mediaTouched |= 1 << uint(sc.bounds[i].Medium)
 		}
 	}
-	s.scratch.Put(sc)
+	s.scratch.put(sc)
 }
 
 // plan computes the placement of one replica of task t on processor p
 // against the current schedule state, planning (without committing) every
 // communication it implies into sc.plans. When needDetails is set the
 // per-edge arrival breakdown is collected into sc.details. plan reads the
-// slab columns but never mutates them — and never materialises the pointer
-// view — so distinct scratches may plan concurrently.
+// slab columns but never mutates them, and never materialises the pointer
+// view; it may fill the family's route and fan memos.
 func (s *Schedule) plan(t model.TaskID, p arch.ProcID, sc *planScratch, needDetails bool) (Placement, error) {
 	sl := &s.slab
 	task := s.tasks.Task(t)
@@ -489,7 +495,8 @@ func (s *Schedule) earliestRepsInto(dst []repID, t model.TaskID, n int) []repID 
 
 // Preview computes the placement of one replica of t on p without mutating
 // the schedule. Heuristics use it to evaluate the schedule pressure of every
-// candidate pair. Preview is safe to call concurrently.
+// candidate pair. Like every planning call it fills memos and scratch the
+// clone family shares, so one goroutine plans a family at a time.
 func (s *Schedule) Preview(t model.TaskID, p arch.ProcID) (Placement, error) {
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, false)

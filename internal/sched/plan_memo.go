@@ -141,8 +141,7 @@ func (s *Schedule) MemoSafe() bool {
 // in-edges whose recorded inputs still hold are replayed from memo
 // instead of replanned. The caller owns memo (one per cached (t, p)
 // entry) and must only use PreviewMemo on a schedule for which MemoSafe
-// reports true. Concurrent calls are safe as long as each touches a
-// distinct memo.
+// reports true.
 func (s *Schedule) PreviewMemo(t model.TaskID, p arch.ProcID, memo *PlanMemo, bounds []MediumBound) (Placement, []MediumBound, error) {
 	sc := s.getScratch()
 	sc.memoRec = true

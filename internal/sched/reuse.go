@@ -18,7 +18,7 @@ import (
 // bit is clear was never bound by any preview or commit, so forbidding it
 // cannot change any of the decisions taken so far. Meaningful only when
 // MediaMaskTracked reports true.
-func (s *Schedule) MediaTouched() uint64 { return s.mediaTouched.Load() }
+func (s *Schedule) MediaTouched() uint64 { return s.mediaTouched }
 
 // MediaMaskTracked reports whether the media-touch mask is maintained:
 // architectures with more than 64 media are not representable and every
@@ -32,8 +32,8 @@ func (s *Schedule) MediaMaskTracked() bool { return s.maskTracked }
 // against, so without the seed the child's own record would
 // under-approximate its decisions' media dependencies.
 func (s *Schedule) OrMediaTouched(mask uint64) {
-	if s.maskTracked && mask != 0 {
-		s.mediaTouched.Or(mask)
+	if s.maskTracked {
+		s.mediaTouched |= mask
 	}
 }
 
@@ -76,8 +76,6 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 	s := &Schedule{
 		problem:      p,
 		tasks:        tasks,
-		routes:       new(routeStore),
-		fans:         newFanStore(),
 		faults:       p.FaultModel(),
 		procEnd:      zeroFloats(donor.procEnd),
 		mediumEnd:    zeroFloats(donor.mediumEnd),
@@ -89,19 +87,22 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 	}
 	if donor.problem.Arc == p.Arc {
 		// Derive shares the architecture by pointer, so the direct-media
-		// index and the scratch pool (whose buffers are sized by nMedia
+		// index and the scratch list (whose buffers are sized by nMedia
 		// and carry no schedule state) transfer as-is.
 		s.directMedia = donor.directMedia
 		s.scratch = donor.scratch
 	} else {
 		s.directMedia = p.Arc.DirectMedia()
-		s.scratch = newScratchPool(nMedia)
+		s.scratch = &scratchList{nMedia: nMedia}
 	}
 	if donor.problem.Arc == p.Arc && donor.problem.Comm == p.Comm {
 		// Routes and fans depend only on the architecture and the comm
-		// table, both shared: the warm caches stay exact.
+		// table, both shared: the warm memos stay exact.
 		s.routes = donor.routes
 		s.fans = donor.fans
+	} else {
+		s.routes = make(map[model.EdgeID]*arch.RouteTable)
+		s.fans = make(map[model.EdgeID]*arch.FanCache)
 	}
 	s.slab = donor.slab
 	s.slab.reset()

@@ -6,13 +6,18 @@
 // Section 12), and Gantt rendering.
 //
 // A Schedule doubles as the list-scheduling builder: heuristics grow it with
-// PlaceReplica, preview placements with Preview (no mutation, safe
-// concurrently, allocation-free in steady state), and roll back speculative
-// work either by Clone-and-swap or by the cheaper in-place
-// Checkpoint/Rollback, which is how FTBAR's Minimize-start-time undo (paper
-// micro-step ⑦) is realised. Revision stamps (ProcRev, MediumRev, TaskRev)
-// let incremental heuristics reuse previews across steps (DESIGN.md
-// Section 8).
+// PlaceReplica, preview placements with Preview (no mutation,
+// allocation-free in steady state), and roll back speculative work either
+// by Clone-and-swap or by the cheaper in-place Checkpoint/Rollback, which
+// is how FTBAR's Minimize-start-time undo (paper micro-step ⑦) is
+// realised. Revision stamps (ProcRev, MediumRev, TaskRev) let incremental
+// heuristics reuse previews across steps (DESIGN.md Section 8).
+//
+// Building is single-goroutine: a schedule and its clones share route
+// tables, fan caches and scratch buffers without locks, so one clone
+// family is planned by one goroutine at a time. A finished schedule's
+// read accessors (Replicas, ProcSeq, MediumSeq and the validators built
+// on them) are safe to call from many goroutines.
 //
 // Storage is the flat slab of DESIGN.md Section 13: structure-of-arrays
 // columns addressed by dense ids (slab.go), with the pointer-shaped
@@ -72,140 +77,29 @@ type Comm struct {
 	End      float64
 }
 
-// routeStore caches one weighted routing table per data-dependency,
-// consulted only when no direct medium carries the dependency. The cache
-// is deterministic, append-only and shared across a clone family; entries
-// are published copy-on-write through an atomic pointer, so warm lookups
-// from concurrent previews never take a lock and the fill lock covers only
-// the rare cold computations.
-type routeStore struct {
-	mu     sync.Mutex
-	tables atomic.Pointer[map[model.EdgeID]*arch.RouteTable]
-}
-
-func (rs *routeStore) get(edge model.EdgeID) (*arch.RouteTable, bool) {
-	if m := rs.tables.Load(); m != nil {
-		rt, ok := (*m)[edge]
-		return rt, ok
-	}
-	return nil, false
-}
-
-func (rs *routeStore) fill(edge model.EdgeID, p *spec.Problem) (*arch.RouteTable, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	old := rs.tables.Load()
-	if old != nil {
-		if rt, ok := (*old)[edge]; ok {
-			return rt, nil
-		}
-	}
-	rt, err := p.EdgeRoutes(edge)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[model.EdgeID]*arch.RouteTable, 1)
-	if old != nil {
-		next = make(map[model.EdgeID]*arch.RouteTable, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[edge] = rt
-	rs.tables.Store(&next)
-	return rt, nil
-}
-
-// fanKey identifies one cached disjoint fan: the data-dependency, the
-// sender-processor set and relay-avoid set as bitmasks, and the receiver
-// (DESIGN.md Sections 11-12). Bitmask keying restricts the flat cache to
-// architectures of at most 64 processors; larger ones compute uncached,
-// exactly like the per-edge FanCache they wrap.
-type fanKey struct {
-	edge  model.EdgeID
-	srcs  uint64
-	avoid uint64
-	dst   arch.ProcID
-}
-
-// fanStore caches, per data-dependency, the media-disjoint delivery fans of
-// the Nmf-aware planner. Fans depend only on the topology, the edge's
-// communication times and the key's masks — the avoid mask's inputs (the
-// replica sets of the edge's endpoint tasks) are exactly the TaskRev
-// dependencies the σ-cache already tracks — so one store stays exact across
-// a whole clone family and its concurrent previews. The flat map is
-// published copy-on-write: warm lookups are one atomic load and one map
-// probe, with no reader lock to contend on; the fill lock serialises the
-// cold flow computations and guards the per-edge compute contexts.
-type fanStore struct {
-	mu     sync.Mutex
-	fans   atomic.Pointer[map[fanKey][]arch.Route]
-	caches map[model.EdgeID]*arch.FanCache
-}
-
-func newFanStore() *fanStore {
-	return &fanStore{caches: make(map[model.EdgeID]*arch.FanCache)}
-}
-
-// cacheFor returns edge's compute context, creating it on first use. The
-// caller holds fs.mu. The weight closure must not capture a Schedule: the
-// store is shared by the whole clone family and would otherwise pin
-// whichever clone filled it — the comm table is immutable and shared.
-func (fs *fanStore) cacheFor(edge model.EdgeID, p *spec.Problem) *arch.FanCache {
-	fc, ok := fs.caches[edge]
-	if !ok {
-		e, comm := edge, p.Comm
-		fc = arch.NewFanCache(p.Arc, func(m arch.MediumID) float64 {
-			return comm.Time(e, m)
-		})
-		fs.caches[edge] = fc
-	}
-	return fc
-}
-
-func (fs *fanStore) fill(key fanKey, srcs []arch.ProcID, p *spec.Problem) []arch.Route {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	old := fs.fans.Load()
-	if old != nil {
-		// Another preview may have filled the entry between the caller's
-		// lock-free probe and this lock.
-		if fan, ok := (*old)[key]; ok {
-			return fan
-		}
-	}
-	fan := fs.cacheFor(key.edge, p).FanAvoiding(srcs, key.dst, key.avoid)
-	var next map[fanKey][]arch.Route
-	if old != nil {
-		next = make(map[fanKey][]arch.Route, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	} else {
-		next = make(map[fanKey][]arch.Route, 1)
-	}
-	next[key] = fan
-	fs.fans.Store(&next)
-	return fan
-}
-
 // Schedule is a static distributed schedule under construction or finished.
 // Create one with NewSchedule; the zero value is not usable.
 type Schedule struct {
 	problem *spec.Problem
 	tasks   *model.TaskGraph
-	routes  *routeStore
-	fans    *fanStore
 	faults  spec.FaultModel
+
+	// routes and fans memoise, per data-dependency, the weighted routing
+	// table consulted when no direct medium carries the dependency and the
+	// media-disjoint delivery fans of the Nmf-aware planner. Both depend
+	// only on the topology and the edge's communication times, so one
+	// memo stays exact across the whole clone family that shares it.
+	routes map[model.EdgeID]*arch.RouteTable
+	fans   map[model.EdgeID]*arch.FanCache
 
 	// directMedia[p*nProcs+q] lists the media directly connecting p and q,
 	// precomputed so the planning hot path never allocates. Immutable and
 	// shared across clones.
 	directMedia [][]arch.MediumID
 
-	// scratch pools planScratch buffers across Preview/PlaceReplica calls
-	// (shared across clones: buffers carry no schedule state).
-	scratch *sync.Pool
+	// scratch recycles planScratch buffers across Preview/PlaceReplica
+	// calls (shared across clones: buffers carry no schedule state).
+	scratch *scratchList
 
 	// slab holds every replica and comm in flat columns (slab.go).
 	slab slab
@@ -225,7 +119,8 @@ type Schedule struct {
 	stampCounter *uint64
 
 	// view is the pointer-shaped materialisation of the slab (view.go),
-	// dropped on every mutation.
+	// dropped on every mutation. Concurrent readers of a finished
+	// schedule may build it, hence the lock.
 	view   atomic.Pointer[scheduleView]
 	viewMu sync.Mutex
 
@@ -238,7 +133,7 @@ type Schedule struct {
 	// a recorded decision log stays valid when a medium is forbidden
 	// (DESIGN.md Section 15). Only tracked on architectures of at most 64
 	// media (maskTracked); larger ones report every medium as touched.
-	mediaTouched atomic.Uint64
+	mediaTouched uint64
 	maskTracked  bool
 }
 
@@ -253,11 +148,11 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 	s := &Schedule{
 		problem:      p,
 		tasks:        tasks,
-		routes:       new(routeStore),
-		fans:         newFanStore(),
 		faults:       p.FaultModel(),
+		routes:       make(map[model.EdgeID]*arch.RouteTable),
+		fans:         make(map[model.EdgeID]*arch.FanCache),
 		directMedia:  p.Arc.DirectMedia(),
-		scratch:      newScratchPool(nMedia),
+		scratch:      &scratchList{nMedia: nMedia},
 		procEnd:      make([]float64, nProcs),
 		mediumEnd:    make([]float64, nMedia),
 		procRev:      make([]uint64, nProcs),
@@ -271,25 +166,22 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 }
 
 // nextStamp returns a fresh revision stamp, unique across the clone
-// family. Stamps are only taken while committing, never while previewing,
-// so concurrent previews do not contend on the counter.
+// family. Stamps are only taken while committing, never while previewing.
 func (s *Schedule) nextStamp() uint64 {
 	*s.stampCounter++
 	return *s.stampCounter
 }
 
 // routeFor returns the weighted route of edge from processor p to q,
-// computing and caching the edge's routing table on first use. Safe for
-// concurrent previews: warm lookups are lock-free against the published
-// map, cold fills are serialised in the store.
+// computing and memoising the edge's routing table on first use.
 func (s *Schedule) routeFor(edge model.EdgeID, p, q arch.ProcID) (arch.Route, error) {
-	rt, ok := s.routes.get(edge)
+	rt, ok := s.routes[edge]
 	if !ok {
 		var err error
-		rt, err = s.routes.fill(edge, s.problem)
-		if err != nil {
+		if rt, err = s.problem.EdgeRoutes(edge); err != nil {
 			return nil, err
 		}
+		s.routes[edge] = rt
 	}
 	return rt.Route(p, q)
 }
@@ -300,33 +192,27 @@ func (s *Schedule) routeFor(edge model.EdgeID, p, q arch.ProcID) (arch.Route, er
 // processors hosting replicas of the edge's sender or receiver task as
 // dispreferred relays (DESIGN.md Section 12): their crash already
 // endangers the delivery, so routing a chain through them would couple
-// chain death to replica death under a joint processor+medium crash. Warm
-// lookups probe the copy-on-write map with no lock at all; cold fills go
-// through the store's fill lock.
+// chain death to replica death under a joint processor+medium crash. The
+// edge's FanCache memoises the fan per (sender set, avoid mask, receiver).
 func (s *Schedule) fanFor(edge model.EdgeID, srcs []arch.ProcID, dst arch.ProcID, avoid uint64) []arch.Route {
-	if s.problem.Arc.NumProcs() > 64 {
-		// No bitmask keys: compute uncached under the fill lock, which
-		// also serialises the per-edge compute context.
-		s.fans.mu.Lock()
-		fan := s.fans.cacheFor(edge, s.problem).FanAvoiding(srcs, dst, avoid)
-		s.fans.mu.Unlock()
-		return fan
+	fc, ok := s.fans[edge]
+	if !ok {
+		// The weight closure must not capture a Schedule: the cache is
+		// shared by the whole clone family and would otherwise pin
+		// whichever clone filled it — the comm table is immutable and
+		// shared.
+		e, comm := edge, s.problem.Comm
+		fc = arch.NewFanCache(s.problem.Arc, func(m arch.MediumID) float64 {
+			return comm.Time(e, m)
+		})
+		s.fans[edge] = fc
 	}
-	key := fanKey{edge: edge, avoid: avoid, dst: dst}
-	for _, sp := range srcs {
-		key.srcs |= 1 << uint(sp)
-	}
-	if m := s.fans.fans.Load(); m != nil {
-		if fan, ok := (*m)[key]; ok {
-			return fan
-		}
-	}
-	return s.fans.fill(key, srcs, s.problem)
+	return fc.FanAvoiding(srcs, dst, avoid)
 }
 
 // replicaProcMask returns the bitmask of processors hosting a replica of
 // t (processors beyond 63 are not representable and left out; the fan
-// cache bypasses bitmask keying on such architectures anyway).
+// cache computes uncached on such architectures anyway).
 func (s *Schedule) replicaProcMask(t model.TaskID) uint64 {
 	sl := &s.slab
 	row := int(t) * sl.nProcs
@@ -489,14 +375,14 @@ func (s *Schedule) MeetsRtc() (bool, error) {
 // (FTBAR duplicates predecessors tentatively and must undo on regression).
 // With the slab this is a fixed number of contiguous column copies,
 // independent of how many replicas and comms the schedule holds; the route
-// and fan stores are shared with the family, copy-on-write.
+// and fan memos and the scratch list are shared with the family.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
 		problem:      s.problem,
 		tasks:        s.tasks,
+		faults:       s.faults,
 		routes:       s.routes,
 		fans:         s.fans,
-		faults:       s.faults,
 		directMedia:  s.directMedia,
 		scratch:      s.scratch,
 		procEnd:      append([]float64(nil), s.procEnd...),
@@ -505,9 +391,9 @@ func (s *Schedule) Clone() *Schedule {
 		mediumRev:    append([]uint64(nil), s.mediumRev...),
 		taskRev:      append([]uint64(nil), s.taskRev...),
 		stampCounter: s.stampCounter,
+		mediaTouched: s.mediaTouched,
 		maskTracked:  s.maskTracked,
 	}
-	c.mediaTouched.Store(s.mediaTouched.Load())
 	c.slab.copyFrom(&s.slab)
 	return c
 }

@@ -50,12 +50,6 @@ func TestCacheKeyContentAddressing(t *testing.T) {
 			t.Errorf("%s variant collides with the base key", name)
 		}
 	}
-	// PreviewWorkers does not change the schedule, so it must not split
-	// the cache.
-	c := &ScheduleRequest{Problem: genProblem(t, 5), Options: RequestOptions{PreviewWorkers: 3}}
-	if k, _ := c.CacheKey(); k != ka {
-		t.Error("preview_workers split the cache key")
-	}
 	if _, err := (&ScheduleRequest{}).CacheKey(); !errors.Is(err, ErrBadRequest) {
 		t.Error("missing problem accepted")
 	}

@@ -35,7 +35,7 @@ func roundTrip(t *testing.T, v, fresh any) {
 func TestWireTypesRoundTrip(t *testing.T) {
 	req := &ScheduleRequest{
 		Problem: paperex.Problem(),
-		Options: RequestOptions{NoDuplication: true, PreviewWorkers: 2},
+		Options: RequestOptions{NoDuplication: true},
 		Include: Include{Gantt: true, Stats: true, Sweep: true},
 	}
 	roundTrip(t, req, &ScheduleRequest{})

@@ -19,10 +19,6 @@ type RequestOptions struct {
 	NoDuplication bool `json:"no_duplication,omitempty"`
 	// TailsWithComms adds mean communication times to the S̄ tails.
 	TailsWithComms bool `json:"tails_with_comms,omitempty"`
-	// PreviewWorkers bounds the planner's preview pool; 0 lets the
-	// planner pick. The schedule does not depend on it, so it is
-	// excluded from the cache key.
-	PreviewWorkers int `json:"preview_workers,omitempty"`
 }
 
 // CoreOptions translates the wire options.
@@ -30,7 +26,6 @@ func (o RequestOptions) CoreOptions() core.Options {
 	return core.Options{
 		NoDuplication:  o.NoDuplication,
 		TailsWithComms: o.TailsWithComms,
-		PreviewWorkers: o.PreviewWorkers,
 	}
 }
 

@@ -60,9 +60,8 @@ func TestGoldenRoundTrips(t *testing.T) {
 
 // TestCacheKeyStability pins the content-address semantics the cluster
 // routes on: equal problems share a key whatever the decoded object
-// identity, preview workers do not split it, include flags alter the key
-// (a response is cached with exactly its artefacts), and a missing
-// problem fails as BAD_REQUEST.
+// identity, include flags alter the key (a response is cached with
+// exactly its artefacts), and a missing problem fails as BAD_REQUEST.
 func TestCacheKeyStability(t *testing.T) {
 	if _, err := (&ScheduleRequest{}).CacheKey(); CodeOf(err) != CodeBadRequest {
 		t.Errorf("missing problem: CodeOf = %s, want BAD_REQUEST", CodeOf(err))
@@ -80,13 +79,46 @@ func TestCacheKeyStability(t *testing.T) {
 	if ka != kb {
 		t.Error("identical problems in distinct objects got different keys")
 	}
-	b.Options.PreviewWorkers = 3
-	if kb2, _ := b.CacheKey(); kb2 != ka {
-		t.Error("preview workers changed the key")
-	}
 	b.Include.Gantt = true
 	if kb3, _ := b.CacheKey(); kb3 == ka {
 		t.Error("include flags did not change the key")
+	}
+}
+
+// TestRetiredPreviewWorkersIgnored pins request compatibility across the
+// removal of the planner's preview pool: a body that still carries the
+// retired "preview_workers" option decodes to the same request, and keys
+// to the same cache entry, as the body without it.
+func TestRetiredPreviewWorkersIgnored(t *testing.T) {
+	problem, err := json.Marshal(paperex.Problem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(options string) (ScheduleRequest, string) {
+		t.Helper()
+		body := `{"problem":` + string(problem) + `,"options":` + options + `,"include":{"stats":true}}`
+		var req ScheduleRequest
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("decode options %s: %v", options, err)
+		}
+		key, err := req.CacheKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, key
+	}
+	for _, opts := range [][2]string{
+		{`{"preview_workers":3}`, `{}`},
+		{`{"no_duplication":true,"preview_workers":3}`, `{"no_duplication":true}`},
+	} {
+		old, oldKey := decode(opts[0])
+		cur, curKey := decode(opts[1])
+		if old.Options != cur.Options || old.Include != cur.Include {
+			t.Errorf("%s decoded to %+v, want %+v", opts[0], old.Options, cur.Options)
+		}
+		if oldKey != curKey {
+			t.Errorf("%s keys to %s, want %s as without the field", opts[0], oldKey, curKey)
+		}
 	}
 }
 
