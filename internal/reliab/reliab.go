@@ -26,9 +26,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/sched"
@@ -167,10 +164,33 @@ func Evaluate(s *sched.Schedule, m Model) (*Report, error) {
 		return nil, fmt.Errorf("%w: %d processors + %d media", ErrTooLarge, nP, nM)
 	}
 	total := 1 << (nP + nM)
-	masked := make([]bool, total)
-	if err := maskSubsets(s, nP, nM, masked); err != nil {
+	masked, err := sim.CrashSetsMasked(s, total, func(mask int, procs []arch.ProcID, media []arch.MediumID) ([]arch.ProcID, []arch.MediumID) {
+		for p := 0; p < nP; p++ {
+			if mask&(1<<p) != 0 {
+				procs = append(procs, arch.ProcID(p))
+			}
+		}
+		for mi := 0; mi < nM; mi++ {
+			if mask&(1<<(nP+mi)) != 0 {
+				media = append(media, arch.MediumID(mi))
+			}
+		}
+		return procs, media
+	})
+	if err != nil {
 		return nil, err
 	}
+	// The all-processors crash is trivially unmasked.
+	for mask := 1<<nP - 1; mask < total; mask += 1 << nP {
+		masked[mask] = false
+	}
+	return exactReport(m, nP, nM, masked), nil
+}
+
+// exactReport reduces the masked flag of every crash subset (processors
+// in the low nP bits of the index, media above) to the exact report.
+func exactReport(m Model, nP, nM int, masked []bool) *Report {
+	total := len(masked)
 	rep := &Report{
 		Method:        MethodExact,
 		TotalSubsets:  total,
@@ -212,7 +232,7 @@ func Evaluate(s *sched.Schedule, m Model) (*Report, error) {
 	if nM > 0 {
 		rep.UnmaskedMinimalMedia = minimalUnmaskedMedia(masked, nP, nM)
 	}
-	return rep, nil
+	return rep
 }
 
 // Options tunes EvaluateAuto's dispatch and the Monte-Carlo estimator.
@@ -257,7 +277,7 @@ func MonteCarlo(s *sched.Schedule, m Model, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("%w: %d samples", ErrBadOpts, samples)
 	}
 	// Crash sets are drawn up front from one sequential PRNG; the
-	// simulations then fan out over disjoint slots.
+	// simulations then fan out over sim's pool into disjoint slots.
 	rng := rand.New(rand.NewSource(opts.Seed))
 	crashProcs := make([][]arch.ProcID, samples)
 	crashMedia := make([][]arch.MediumID, samples)
@@ -273,21 +293,16 @@ func MonteCarlo(s *sched.Schedule, m Model, opts Options) (*Report, error) {
 			}
 		}
 	}
-	maskedOut := make([]bool, samples)
-	err = forEachIndex(samples, func(i int) error {
-		ok, err := crashSetMasked(s, crashProcs[i], crashMedia[i], nP)
-		if err != nil {
-			return err
-		}
-		maskedOut[i] = ok
-		return nil
+	maskedOut, err := sim.CrashSetsMasked(s, samples, func(i int, procs []arch.ProcID, media []arch.MediumID) ([]arch.ProcID, []arch.MediumID) {
+		return append(procs, crashProcs[i]...), append(media, crashMedia[i]...)
 	})
 	if err != nil {
 		return nil, err
 	}
 	maskedN := 0
-	for _, ok := range maskedOut {
-		if ok {
+	for i, ok := range maskedOut {
+		// The all-processors crash is trivially unmasked.
+		if ok && len(crashProcs[i]) < nP {
 			maskedN++
 		}
 	}
@@ -300,107 +315,6 @@ func MonteCarlo(s *sched.Schedule, m Model, opts Options) (*Report, error) {
 		CIHigh:      math.Min(1, p+half),
 		Samples:     samples,
 	}, nil
-}
-
-// maskSubsets fills masked[mask] for every crash subset (processors in
-// the low nP bits, media above), fanning the independent simulations over
-// a GOMAXPROCS pool; each subset writes its own slot, so the result does
-// not depend on the worker count.
-func maskSubsets(s *sched.Schedule, nP, nM int, masked []bool) error {
-	return forEachIndex(len(masked), func(mask int) error {
-		var procs []arch.ProcID
-		for p := 0; p < nP; p++ {
-			if mask&(1<<p) != 0 {
-				procs = append(procs, arch.ProcID(p))
-			}
-		}
-		var media []arch.MediumID
-		for mi := 0; mi < nM; mi++ {
-			if mask&(1<<(nP+mi)) != 0 {
-				media = append(media, arch.MediumID(mi))
-			}
-		}
-		ok, err := crashSetMasked(s, procs, media, nP)
-		if err != nil {
-			return err
-		}
-		masked[mask] = ok
-		return nil
-	})
-}
-
-// crashSetMasked crashes the processors and media at time 0 and reports
-// whether every output survives. The all-processors crash is trivially
-// unmasked.
-func crashSetMasked(s *sched.Schedule, procs []arch.ProcID, media []arch.MediumID, nP int) (bool, error) {
-	if len(procs) == nP {
-		return false, nil
-	}
-	var failures []sim.Failure
-	for _, p := range procs {
-		failures = append(failures, sim.Permanent(p, 0))
-	}
-	var mFailures []sim.MediumFailure
-	for _, m := range media {
-		mFailures = append(mFailures, sim.PermanentLink(m, 0))
-	}
-	res, err := sim.Run(s, sim.Scenario{Failures: failures, MediumFailures: mFailures})
-	if err != nil {
-		return false, err
-	}
-	return res.Iterations[0].OutputsOK, nil
-}
-
-// forEachIndex runs fn(0..n-1) on a GOMAXPROCS worker pool; the first
-// error wins. Each index owns its output slot, so the fan-out is
-// deterministic.
-func forEachIndex(n int, fn func(int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     int64 = -1
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				errMu.Lock()
-				failed := firstErr != nil
-				errMu.Unlock()
-				if failed {
-					return
-				}
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // subsetProb is the probability of exactly this crash subset.

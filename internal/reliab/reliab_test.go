@@ -3,12 +3,16 @@ package reliab
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"ftbar/internal/arch"
 	"ftbar/internal/core"
 	"ftbar/internal/gen"
 	"ftbar/internal/paperex"
 	"ftbar/internal/sched"
+	"ftbar/internal/sim"
 	"ftbar/internal/spec"
 )
 
@@ -287,5 +291,109 @@ func TestUniformJointModel(t *testing.T) {
 		if q != 0.125 {
 			t.Errorf("qm = %g", q)
 		}
+	}
+}
+
+// runMasked is the evaluation path the reports are pinned to: one sim.Run
+// of the crash set at time 0, with the all-processors crash trivially
+// unmasked.
+func runMasked(t *testing.T, s *sched.Schedule, procs []arch.ProcID, media []arch.MediumID) bool {
+	t.Helper()
+	if len(procs) == s.Problem().Arc.NumProcs() {
+		return false
+	}
+	var sc sim.Scenario
+	for _, p := range procs {
+		sc.Failures = append(sc.Failures, sim.Permanent(p, 0))
+	}
+	for _, m := range media {
+		sc.MediumFailures = append(sc.MediumFailures, sim.PermanentLink(m, 0))
+	}
+	res, err := sim.Run(s, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Iterations[0].OutputsOK
+}
+
+// TestReportsMatchPerSubsetRuns pins Evaluate and MonteCarlo, which run
+// every crash set on one indexed copy of the schedule and one state per
+// worker, to reports built from one sim.Run per crash set (sim's oracle
+// test pins Run to the executor it replaced): the exact reports of the
+// test schedules, and a Monte-Carlo report redrawn from the same seed.
+func TestReportsMatchPerSubsetRuns(t *testing.T) {
+	p, err := gen.Generate(gen.Params{N: 12, CCR: 1, Procs: 4, Npf: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	npf2, err := core.Run(p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s *sched.Schedule
+		m Model
+	}{
+		{paperSchedule(t), Uniform(3, 0.01)},
+		{paperSchedule(t), Model{PFail: []float64{0.1, 0.02, 0.005}}},
+		{jointSchedule(t), UniformJoint(3, 3, 0.05, 0.05)},
+		{npf2.Schedule, Uniform(4, 0.05)},
+	} {
+		got, err := Evaluate(tc.s, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nP, nM := len(tc.m.PFail), len(tc.m.MFail)
+		masked := make([]bool, 1<<(nP+nM))
+		for mask := range masked {
+			var procs []arch.ProcID
+			var media []arch.MediumID
+			for u := 0; u < nP+nM; u++ {
+				switch {
+				case mask&(1<<u) == 0:
+				case u < nP:
+					procs = append(procs, arch.ProcID(u))
+				default:
+					media = append(media, arch.MediumID(u-nP))
+				}
+			}
+			masked[mask] = runMasked(t, tc.s, procs, media)
+		}
+		if want := exactReport(tc.m, nP, nM, masked); !reflect.DeepEqual(got, want) {
+			t.Errorf("model %+v: report\n %+v\nwant\n %+v", tc.m, got, want)
+		}
+	}
+
+	s, m := jointSchedule(t), UniformJoint(3, 3, 0.05, 0.05)
+	const samples = 2000
+	got, err := MonteCarlo(s, m, Options{Samples: samples, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	maskedN := 0
+	for i := 0; i < samples; i++ {
+		var procs []arch.ProcID
+		var media []arch.MediumID
+		for p, q := range m.PFail {
+			if rng.Float64() < q {
+				procs = append(procs, arch.ProcID(p))
+			}
+		}
+		for mi, q := range m.MFail {
+			if rng.Float64() < q {
+				media = append(media, arch.MediumID(mi))
+			}
+		}
+		if runMasked(t, s, procs, media) {
+			maskedN++
+		}
+	}
+	r := float64(maskedN) / samples
+	half := 1.96 * math.Sqrt(r*(1-r)/samples)
+	want := &Report{Method: MethodMonteCarlo, Reliability: r, CILow: math.Max(0, r-half),
+		CIHigh: math.Min(1, r+half), Samples: samples}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Monte-Carlo report %+v, want %+v", got, want)
 	}
 }

@@ -120,13 +120,15 @@ func CombinedFailureSweep(s *sched.Schedule) ([]CombinedReport, error) {
 }
 
 // combinedCells is the combined sweep: every processor subset crossed with
-// every medium, probed at the merged instants of the crashed units.
+// every medium, probed at the merged instants of the crashed units. Each
+// unit's instants are computed once and shared by its cells.
 func combinedCells(s *sched.Schedule) []crashCell {
-	var cells []crashCell
-	for _, procs := range procSubsets(s.Problem().Arc.NumProcs(), s.Npf()) {
-		for m := 0; m < s.Problem().Arc.NumMedia(); m++ {
-			cells = append(cells, crashCell{procs: procs, media: []arch.MediumID{arch.MediumID(m)},
-				probes: combinedCrashProbes(s, procs, arch.MediumID(m))})
+	procs, links := procCells(s), linkCells(s)
+	subsets := procSubsets(len(procs), s.Npf())
+	cells := make([]crashCell, 0, len(subsets)*len(links))
+	for _, sub := range subsets {
+		for _, l := range links {
+			cells = append(cells, crashCell{procs: sub, media: l.media, probes: mergeProbes(procs, sub, l.probes)})
 		}
 	}
 	return cells
@@ -159,15 +161,20 @@ func procSubsets(nP, npf int) [][]arch.ProcID {
 	return out
 }
 
-// combinedCrashProbes merges the decisive crash instants of every crashed
-// processor and of the crashed medium: time zero plus just before/after
-// each of their fault-free event completions, ascending and deduplicated.
-func combinedCrashProbes(s *sched.Schedule, procs []arch.ProcID, m arch.MediumID) []float64 {
-	var all []float64
-	for _, p := range procs {
-		all = append(all, crashProbes(s, p)...)
+// mergeProbes merges the decisive crash instants of every crashed
+// processor (procs holds each processor's cell) and of the crashed medium:
+// time zero plus just before/after each of their fault-free event
+// completions, ascending and deduplicated.
+func mergeProbes(procs []crashCell, sub []arch.ProcID, link []float64) []float64 {
+	n := len(link)
+	for _, p := range sub {
+		n += len(procs[p].probes)
 	}
-	all = append(all, linkCrashProbes(s, m)...)
+	all := make([]float64, 0, n)
+	for _, p := range sub {
+		all = append(all, procs[p].probes...)
+	}
+	all = append(all, link...)
 	sort.Float64s(all)
 	dedup := all[:0]
 	for i, t := range all {

@@ -1,10 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"ftbar/internal/arch"
 	"ftbar/internal/sched"
 )
@@ -30,16 +26,22 @@ type cellOutcome struct {
 	masked                                 bool
 }
 
-// sweep simulates every (cell, probe instant) scenario on a bounded worker
-// pool — 0 picks GOMAXPROCS, 1 runs serially — and reduces each cell in
-// probe order, so the outcomes are bit-identical for every worker count.
-// The first simulation error stops the sweep.
+// sweep simulates every (cell, probe instant) scenario on one plan of the
+// schedule and a bounded pool of per-worker states — 0 workers picks
+// GOMAXPROCS, 1 runs serially — and reduces each cell in probe order, so
+// the outcomes are bit-identical for every worker count. A probe records
+// only its makespan and whether the outputs survived. The first
+// simulation error stops the sweep.
 func sweep(s *sched.Schedule, cells []crashCell, workers int) ([]cellOutcome, error) {
 	type job struct {
 		cell int
 		at   float64
 	}
-	var jobs []job
+	n := 0
+	for _, c := range cells {
+		n += len(c.probes)
+	}
+	jobs := make([]job, 0, n)
 	for ci, c := range cells {
 		for _, at := range c.probes {
 			jobs = append(jobs, job{ci, at})
@@ -50,45 +52,19 @@ func sweep(s *sched.Schedule, cells []crashCell, workers int) ([]cellOutcome, er
 		masked   bool
 	}
 	results := make([]result, len(jobs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	pl := newPlan(s)
+	unitsOK := make([]bool, len(cells))
+	for ci, c := range cells {
+		unitsOK[ci] = pl.unitsValid(c.procs, c.media)
 	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < min(workers, len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				c, at := cells[jobs[i].cell], jobs[i].at
-				var sc Scenario
-				for _, p := range c.procs {
-					sc.Failures = append(sc.Failures, Permanent(p, at))
-				}
-				for _, m := range c.media {
-					sc.MediumFailures = append(sc.MediumFailures, PermanentLink(m, at))
-				}
-				res, err := Run(s, sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; failed.Store(true) })
-					return
-				}
-				results[i] = result{res.Iterations[0].Makespan, res.Iterations[0].OutputsOK}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := pl.forEach(len(jobs), workers, func(st *state, i int) error {
+		ci := jobs[i].cell
+		makespan, masked, err := st.crash(cells[ci].procs, cells[ci].media, jobs[i].at, unitsOK[ci])
+		results[i] = result{makespan, masked}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	outcomes := make([]cellOutcome, len(cells))
@@ -109,4 +85,41 @@ func sweep(s *sched.Schedule, cells []crashCell, workers int) ([]cellOutcome, er
 		outcomes[ci] = o
 	}
 	return outcomes, nil
+}
+
+// crashScenario fails the processors and media permanently from at.
+func crashScenario(procs []arch.ProcID, media []arch.MediumID, at float64) Scenario {
+	var sc Scenario
+	for _, p := range procs {
+		sc.Failures = append(sc.Failures, Permanent(p, at))
+	}
+	for _, m := range media {
+		sc.MediumFailures = append(sc.MediumFailures, PermanentLink(m, at))
+	}
+	return sc
+}
+
+// CrashSetsMasked reports, for each of n crash sets, whether every output
+// of s is still produced when the set's processors and media all fail
+// permanently at time 0. units(i, procs, media) appends set i's units to
+// the two empty buffers and returns them; it runs on the pool's
+// goroutines, each with its own buffers. The schedule is indexed once and
+// every worker of a GOMAXPROCS pool simulates on its own state, so the
+// result does not depend on the worker count. An unknown unit id fails
+// the evaluation with Scenario.Validate's error.
+func CrashSetsMasked(s *sched.Schedule, n int,
+	units func(i int, procs []arch.ProcID, media []arch.MediumID) ([]arch.ProcID, []arch.MediumID)) ([]bool, error) {
+
+	pl := newPlan(s)
+	masked := make([]bool, n)
+	err := pl.forEach(n, 0, func(st *state, i int) error {
+		st.procBuf, st.mediaBuf = units(i, st.procBuf[:0], st.mediaBuf[:0])
+		_, ok, err := st.crash(st.procBuf, st.mediaBuf, 0, pl.unitsValid(st.procBuf, st.mediaBuf))
+		masked[i] = ok
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return masked, nil
 }
