@@ -1,12 +1,12 @@
 package core
 
 // Differential harness for the incremental scheduling engine: the
-// incremental engine (ready queue + revision-epoch σ cache + parallel
-// previews) must reproduce the reference engine's decision log bit for
+// incremental engine (ready queue + revision-epoch σ cache + cache-aware
+// screen) must reproduce the reference engine's decision log bit for
 // bit, and both schedules must pass full structural validation. The
 // property is exercised on the paper's worked example, a register
-// (mem) feedback loop, and seeded random problems across every
-// topology and Npf 0..2 (DESIGN.md Section 8).
+// (mem) feedback loop, seeded random problems across every topology and
+// Npf 0..2, and fuzzed generator parameters (DESIGN.md Section 8).
 
 import (
 	"math"
@@ -182,6 +182,59 @@ func TestDifferentialStructuredFamilies(t *testing.T) {
 	}
 	if total := len(families) * len(topos) * len(budgets); scheduled < total*3/4 {
 		t.Errorf("only %d of %d structured problems scheduled; the sweep would mostly compare refusals", scheduled, total)
+	}
+}
+
+// FuzzEnginesAgree holds the two engines to each other on generated
+// problems: 4–30 tasks on 2–9 processors, every topology and family,
+// Npf 0–2 and Nmf up to Npf, with the CCR, heterogeneity and seed drawn
+// from the input too. A committed crasher under testdata/fuzz becomes a
+// regression seed.
+//
+//	go test ./internal/core -run '^$' -fuzz FuzzEnginesAgree -fuzztime 10s -fuzzminimizetime 50x
+func FuzzEnginesAgree(f *testing.F) {
+	for _, seed := range [][]byte{
+		{6, 2, 0, 0, 1, 0, 128, 0, 1},
+		{16, 4, 2, 1, 1, 1, 200, 3, 7},
+		{26, 7, 6, 2, 2, 1, 90, 5, 42},
+		{20, 6, 7, 3, 2, 2, 255, 2, 3},
+		{12, 5, 8, 0, 1, 1, 30, 7, 99, 1},
+		{9, 3, 4, 1, 2, 0, 0, 0, 5},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := gen.Generate(fuzzParams(data))
+		if err != nil {
+			return
+		}
+		assertEnginesAgree(t, p, Options{})
+	})
+}
+
+// fuzzParams is FuzzEnginesAgree's byte format, one field per byte (a
+// missing byte reads 0): tasks, processors, topology, family, Npf, Nmf,
+// CCR (0.1 to 10, log scale), heterogeneity (0 to 0.7), then up to eight
+// little-endian seed bytes.
+func fuzzParams(data []byte) gen.Params {
+	b := make([]byte, 16)
+	copy(b, data)
+	procs := 2 + int(b[1])%8
+	npf := min(int(b[4])%3, procs-1)
+	var seed int64
+	for i := 15; i >= 8; i-- {
+		seed = seed<<8 | int64(b[i])
+	}
+	return gen.Params{
+		N:             4 + int(b[0])%27,
+		Procs:         procs,
+		Topology:      gen.Topologies()[int(b[2])%len(gen.Topologies())],
+		Family:        gen.Families()[int(b[3])%len(gen.Families())],
+		Npf:           npf,
+		Nmf:           int(b[5]) % (npf + 1),
+		CCR:           0.1 * math.Pow(100, float64(b[6])/255),
+		Heterogeneity: float64(b[7]%8) / 10,
+		Seed:          seed,
 	}
 }
 

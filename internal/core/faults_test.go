@@ -96,7 +96,8 @@ func TestPaperExampleOnRingWithLinkBudget(t *testing.T) {
 // fires on a non-trivial problem — candidates with still-valid cached
 // pressures below the running winner are skipped without previews — while
 // the decision log stays bit-identical to the reference engine's (the
-// skip-safety argument of selectCandidate).
+// skip-safety argument of selectCandidate). Every decision takes its own
+// prepare/select round, and the retired batch counters stay 0.
 func TestCacheAwareSelectionSkips(t *testing.T) {
 	p, err := gen.Generate(gen.Params{N: 60, CCR: 2, Procs: 5, Npf: 1, Seed: 11})
 	if err != nil {
@@ -116,6 +117,15 @@ func TestCacheAwareSelectionSkips(t *testing.T) {
 	}
 	if inc.Planner.PreviewsScreened == 0 {
 		t.Errorf("cache-aware selection never skipped a candidate")
+	}
+	for _, res := range []*Result{ref, inc} {
+		if res.Planner.Rounds != len(res.Steps) {
+			t.Errorf("%d rounds for %d decisions", res.Planner.Rounds, len(res.Steps))
+		}
+		if res.Planner.BatchedCommits != 0 || res.Planner.BatchFallbacks != 0 {
+			t.Errorf("retired batch counters read %d and %d",
+				res.Planner.BatchedCommits, res.Planner.BatchFallbacks)
+		}
 	}
 }
 

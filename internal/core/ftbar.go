@@ -97,38 +97,34 @@ type Result struct {
 	ExtraReplicas int
 	// Planner is the run's planner-work breakdown for the observability
 	// layer (internal/obsv): how many σ previews were actually computed
-	// versus screened away, how often the σ cache answered without a
-	// preview, and how the rounds split between batch commits and replan
-	// fallbacks. The counters are plain integers collected alongside
-	// state the engines already maintain — no atomics, no allocations —
-	// so instrumented runs stay bit-identical and the hot-path alloc
-	// gates are unaffected.
+	// versus screened away, and how often the σ cache answered without a
+	// preview. The counters are plain integers collected alongside state
+	// the engines already maintain — no atomics, no allocations — so
+	// instrumented runs stay bit-identical and the hot-path alloc gates
+	// are unaffected.
 	Planner PlannerStats
 }
 
 // PlannerStats summarises the work profile of one scheduling run. Every
 // field is observational: none of them feeds back into any decision.
 type PlannerStats struct {
-	// Rounds counts the outer prepare/select rounds (decisions made the
-	// sequential way; batched commits are counted separately).
+	// Rounds counts the prepare/select rounds of the run, one per searched
+	// decision: len(Steps) − ReplayedDecisions.
 	Rounds int `json:"rounds"`
 	// PreviewsComputed counts the σ previews actually computed — the
 	// dominant cost of a run.
 	PreviewsComputed int `json:"previews_computed"`
-	// PreviewsScreened counts the candidate evaluations the cache-aware
-	// screen and lazy pricing proved irrelevant, whose previews were
-	// never paid for (0 for the reference engine). Skips never change
-	// the decision log; they only avoid work.
+	// PreviewsScreened counts the candidates the cache-aware screen ruled
+	// out from still-valid cached pressures, whose cold previews were
+	// never paid for (0 for the reference engine). Skips never change the
+	// decision log; they only avoid work.
 	PreviewsScreened int `json:"previews_screened"`
 	// SigmaReuses counts σ-cache entries revalidated against the live
 	// schedule and reused without recomputation.
 	SigmaReuses int `json:"sigma_reuses"`
-	// BatchedCommits counts decisions the incremental engine settled from
-	// the previous selection's records without a prepare/select pass
-	// (batch.go; 0 for the reference engine) — provably identical to
-	// sequential rounds. BatchFallbacks counts the batch scans that could
-	// not prove the next winner and fell back to a full prepare/select
-	// round.
+	// BatchedCommits and BatchFallbacks are retired and always 0: the
+	// engine settles every decision in its own round. The fields stay for
+	// readers of the JSON document that still expect them.
 	BatchedCommits int `json:"batched_commits"`
 	BatchFallbacks int `json:"batch_fallbacks"`
 	// The remaining counters are the cross-run reuse profile (arena.go,
@@ -160,12 +156,12 @@ func Run(p *spec.Problem, opts Options) (*Result, error) {
 // schedule. A non-empty prefix primes the scheduler as if those decisions
 // had just been taken: the caller has already replayed their placements
 // onto s (arena.go), so only done-marking, ready-queue catch-up and the
-// decision log need reconstructing — the σ cache and batch machinery
-// start cold and exact, which keeps the resumed suffix bit-identical to
-// the suffix of a cold run. A non-nil rec captures the run's decision
-// record for future replays; recording is only wired for the incremental
-// engine (the reference engine's clone-and-swap speculation escapes the
-// media-touch mask, see sched.MediaTouched).
+// decision log need reconstructing — the σ cache starts cold and exact,
+// which keeps the resumed suffix bit-identical to the suffix of a cold
+// run. A non-nil rec captures the run's decision record for future
+// replays; recording is only wired for the incremental engine (the
+// reference engine's clone-and-swap speculation escapes the media-touch
+// mask, see sched.MediaTouched).
 func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec *RunRecord) (*Result, error) {
 	tg := s.Tasks()
 	sch := &scheduler{
@@ -186,9 +182,6 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 	if opts.Engine == EngineIncremental {
 		sch.rq = newReadyQueue(tg)
 		sch.cache = newSigmaCache(sch)
-		if sch.vuln == nil {
-			sch.evals = make([]candEval, tg.NumTasks())
-		}
 	}
 	if len(prefix) > 0 {
 		sch.steps = append(make([]Step, 0, tg.NumTasks()), prefix...)
@@ -218,8 +211,6 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		res.Planner.PreviewsComputed = int(sch.cache.computed)
 		res.Planner.PreviewsScreened = int(sch.cache.skipped)
 		res.Planner.SigmaReuses = int(sch.cache.reused)
-		res.Planner.BatchedCommits = sch.batched
-		res.Planner.BatchFallbacks = sch.batchFallbacks
 	}
 	res.Planner.Rounds = sch.rounds
 	ok, rtcErr := sch.s.MeetsRtc()
@@ -317,30 +308,11 @@ type scheduler struct {
 	// vuln is the PairCutMatrix of the architecture when the
 	// crash-separated placement bias is active (Nmf >= 1), nil otherwise.
 	vuln [][]bool
-	// evals records, per task id, how the last round priced the
-	// candidate (batch.go); nil under the crash-separated bias, whose
-	// processor picks the records cannot reconstruct. Follow-on rounds
-	// are batch-committed whenever the records exist; batched counts the
-	// rounds settled that way. roundStart is the σ-cache epoch of the
-	// current outer round's prepare; staleBuf and deferBuf are lazyKey's
-	// scratch, phaseBuf the candidate-ordering scratch of the two-phase
-	// scans.
-	evals   []candEval
-	batched int
-	// rounds and batchFallbacks feed Result.Planner: outer
-	// prepare/select rounds, and batch scans that failed their proof.
-	rounds         int
-	batchFallbacks int
-	roundStart     uint64
-	staleBuf       []int32
-	deferBuf       []int32
-	phaseBuf       []model.TaskID
-	estBuf         []float64
+	// rounds feeds Result.Planner: the prepare/select rounds run.
+	rounds int
 	// checkpoints is the reusable buffer stack of the incremental
-	// engine's in-place speculation undo; memos is the matching stack of
-	// Minimize-loop replay memos (speculation nests, so both form stacks).
+	// engine's in-place speculation undo (speculation nests).
 	checkpoints []*sched.Checkpoint
-	memos       []*sched.PlanMemo
 	// evalBuf, procsBuf and sigmasBuf are scratch for candidate
 	// evaluation, the per-step hot path: bestProcs results only live
 	// until the next call (selectCandidate copies the winner's into the
@@ -383,40 +355,24 @@ func (sch *scheduler) run() error {
 		sch.rounds++
 		if sch.cache != nil {
 			sch.cache.prepare(cands)
-			sch.roundStart = sch.cache.step
 		}
 		best, procs, sigmas, urgency, err := sch.selectCandidate(cands)
 		if err != nil {
 			return err
 		}
-		_, dup, err := sch.commitStep(best, procs, sigmas, urgency)
-		if err != nil {
+		if err := sch.commitStep(best, procs, sigmas, urgency); err != nil {
 			return err
 		}
 		remaining--
-		if sch.batchEnabled() {
-			n, err := sch.batchCommits(dup)
-			if err != nil {
-				return err
-			}
-			remaining -= n
-		}
 	}
 	return nil
 }
 
 // commitStep places the round winner's replicas, marks it done, updates
-// the ready queue and appends the decision log entry. For the batch
-// machinery it reports whether the commit released new candidates and
-// whether it grew the schedule beyond the winner's own replicas (a kept
-// Minimize-start-time duplication) — either ends a batch (batch.go).
-func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas []float64, urgency float64) (releases, dup bool, err error) {
-	repsBefore, readyBefore := 0, 0
-	if sch.rq != nil {
-		repsBefore = sch.s.TotalReplicas()
-		readyBefore = len(sch.rq.ready)
-	}
+// the ready queue and appends the decision log entry.
+func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas []float64, urgency float64) error {
 	for _, proc := range procs {
+		var err error
 		if sch.opts.NoDuplication {
 			_, err = sch.s.PlaceReplica(best, proc)
 		} else {
@@ -426,24 +382,16 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 			// The diversity gate refused a placement the round's pressures
 			// did not rule out. Surface it as the planner's typed refusal,
 			// keeping the gate's cause matchable.
-			return false, false, fmt.Errorf("%w: task %q on %q: %w", ErrNoProcessorChoice,
+			return fmt.Errorf("%w: task %q on %q: %w", ErrNoProcessorChoice,
 				sch.tg.Task(best).Name, sch.p.Arc.Proc(proc).Name, err)
 		}
 		if err != nil {
-			return false, false, err
+			return err
 		}
 	}
 	sch.done[best] = true
 	if sch.rq != nil {
 		sch.rq.commit(best)
-		releases = len(sch.rq.ready) != readyBefore-1
-		dup = sch.s.TotalReplicas() != repsBefore+len(procs)
-	}
-	if sch.cache != nil {
-		// Advance the vetting epoch: entries vetted before this commit
-		// (prepare or a batch scan) must be re-walked against the new
-		// schedule state before anything trusts them again.
-		sch.cache.step++
 	}
 	sch.steps = append(sch.steps, Step{
 		Task: best, Procs: procs, Sigmas: sigmas, Urgency: urgency,
@@ -453,11 +401,11 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 		// is the replay cut for this step, and the media mask — monotone,
 		// so it covers every preview this round priced before committing —
 		// is the bound the delta-invalidation rule checks (DESIGN.md
-		// Section 15). Batched rounds route through here too.
+		// Section 15).
 		sch.rec.StepPlaces = append(sch.rec.StepPlaces, int32(sch.s.TotalReplicas()))
 		sch.rec.MaskAfter = append(sch.rec.MaskAfter, sch.s.MediaTouched())
 	}
-	return releases, dup, nil
+	return nil
 }
 
 // candidates returns the unscheduled tasks whose predecessors are all
@@ -506,9 +454,6 @@ func (sch *scheduler) candidates() []model.TaskID {
 // it anyway — so the decision log stays bit-identical to the reference
 // engine's.
 func (sch *scheduler) selectCandidate(cands []model.TaskID) (model.TaskID, []arch.ProcID, []float64, float64, error) {
-	if sch.evals != nil {
-		return sch.selectCandidateLazy(cands)
-	}
 	bestTask := model.TaskID(-1)
 	bestUrgency := math.Inf(-1)
 	var bestProcs []arch.ProcID
@@ -517,7 +462,7 @@ func (sch *scheduler) selectCandidate(cands []model.TaskID) (model.TaskID, []arc
 	for _, t := range cands {
 		memWrite := sch.tg.Task(t).Role == model.MemWrite
 		if sch.cache != nil && !memWrite {
-			if _, _, skip := sch.cache.screen(t, sch.fm.Replicas(), bestUrgency); skip {
+			if sch.cache.screen(t, sch.fm.Replicas(), bestUrgency) {
 				continue
 			}
 			sch.cache.ensure(t)
@@ -532,97 +477,6 @@ func (sch *scheduler) selectCandidate(cands []model.TaskID) (model.TaskID, []arc
 			bestProcs, bestSigmas = procs, sigmas
 			cur = 1 - cur // shield the winner's buffers from the next evaluation
 		}
-	}
-	if bestTask < 0 {
-		return -1, nil, nil, 0, fmt.Errorf("%w: no selectable candidate", ErrInternal)
-	}
-	return bestTask, append([]arch.ProcID(nil), bestProcs...), append([]float64(nil), bestSigmas...), bestUrgency, nil
-}
-
-// selectCandidateLazy is selectCandidate for the lazily-priced engine
-// (cache and per-candidate records active). It scans in two phases:
-// phase one evaluates the cheap candidates — mem writes (priced off the
-// cache on their pinned processors) and candidates whose whole σ-row
-// prepare() vetted, whose evaluation reads only the cache — and phase
-// two prices the candidates with stale entries in descending order of
-// their recorded keys, against a running maximum that is then usually
-// final, so lazyKey's bound skips most of their previews. The winner is
-// the lexicographic maximum of (urgency, smaller id) — identical to the
-// ascending scan's strict-> displacement — and an evaluation error is
-// raised for the smallest-id failing candidate, exactly the one the
-// ascending scan would have tripped on (feasibility is structural, so
-// no skip can hide it).
-func (sch *scheduler) selectCandidateLazy(cands []model.TaskID) (model.TaskID, []arch.ProcID, []float64, float64, error) {
-	bestTask := model.TaskID(-1)
-	bestUrgency := math.Inf(-1)
-	var bestProcs []arch.ProcID
-	var bestSigmas []float64
-	cur := 0
-	errTask := model.TaskID(-1)
-	var firstErr error
-	evalNow := func(t model.TaskID, memWrite bool) {
-		procs, sigmas, urgency, err := sch.bestProcs(t, sch.procsBuf[cur][:0], sch.sigmasBuf[cur][:0])
-		if err != nil {
-			if errTask < 0 || t < errTask {
-				errTask, firstErr = t, err
-			}
-			return
-		}
-		sch.procsBuf[cur], sch.sigmasBuf[cur] = procs, sigmas
-		if memWrite {
-			sch.evals[t] = candEval{round: sch.cache.step, kind: evalMemWrite, proc: procs[0], sigma: urgency}
-		} else {
-			// procs[0] is the (sigma, proc)-ascending argmin: record it so
-			// the batch scan's shortcut and the estimate ordering see this
-			// round's key.
-			sch.evals[t] = candEval{round: sch.cache.step, kind: evalEvaluated, proc: procs[0], sigma: urgency}
-		}
-		if urgency > bestUrgency || (urgency == bestUrgency && t < bestTask) {
-			bestTask, bestUrgency = t, urgency
-			bestProcs, bestSigmas = procs, sigmas
-			cur = 1 - cur // shield the winner's buffers from the next evaluation
-		}
-	}
-	c := sch.cache
-	rest := sch.phaseBuf[:0]
-	for _, t := range cands {
-		if sch.tg.Task(t).Role == model.MemWrite {
-			evalNow(t, true)
-			continue
-		}
-		base := int(t) * c.nProcs
-		vetted := true
-		for p := 0; p < c.nProcs; p++ {
-			if c.entries[base+p].checked != c.step {
-				vetted = false
-				break
-			}
-		}
-		if vetted {
-			evalNow(t, false)
-			continue
-		}
-		rest = append(rest, t)
-	}
-	sch.orderByEstimate(rest)
-	for _, t := range rest {
-		skip, _, feasible := sch.lazyKey(t, bestUrgency, bestTask, true)
-		if skip && feasible {
-			c.skipped++
-			continue
-		}
-		if feasible {
-			// Finish the row in-cache so the evaluation replays from it
-			// instead of re-previewing the entries the deferral skipped.
-			sch.fillRow(t)
-		}
-		// Infeasible candidates fall through so bestProcs raises the
-		// error the reference engine would.
-		evalNow(t, false)
-	}
-	sch.phaseBuf = rest
-	if errTask >= 0 {
-		return -1, nil, nil, 0, firstErr
 	}
 	if bestTask < 0 {
 		return -1, nil, nil, 0, fmt.Errorf("%w: no selectable candidate", ErrInternal)

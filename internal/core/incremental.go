@@ -149,11 +149,6 @@ type sigmaEntry struct {
 	// mismatch means a replica appeared in t's input neighbourhood.
 	rowStamp uint64
 	bounds   []sched.MediumBound
-	// memo is the entry's per-edge replay record: when a recomputation is
-	// unavoidable, PreviewMemo replays the in-edges whose recorded inputs
-	// still hold and replans only the rest (sched/plan_memo.go). Only used
-	// on memo-safe schedules (sigmaCache.memoOK).
-	memo sched.PlanMemo
 }
 
 // sigmaCache is the (task × processor) pressure cache of the incremental
@@ -187,9 +182,6 @@ type sigmaCache struct {
 	skipped  uint64
 	computed uint64
 	reused   uint64
-	// memoOK gates per-edge plan memoization to the configurations it is
-	// sound for (no medium fault budget, mask-sized media set).
-	memoOK bool
 }
 
 // coldRange is the span of cold entries belonging to one candidate.
@@ -208,19 +200,10 @@ func newSigmaCache(sch *scheduler) *sigmaCache {
 		rowStamp: make([]uint64, n),
 		lastRev:  make([]uint64, n),
 		succs:    make([][]model.TaskID, n),
-		memoOK:   sch.s.MemoSafe(),
 	}
 	for t := 0; t < n; t++ {
 		c.lastRev[t] = sch.s.TaskRev(model.TaskID(t))
 		c.succs[t] = sch.tg.Succs(model.TaskID(t))
-	}
-	if c.memoOK {
-		// Arena-backed replay memos (one per entry, same indexing): the
-		// pre-sized record slices keep steady-state recomputations
-		// allocation-free.
-		for i, m := range sch.s.NewPlanMemos() {
-			c.entries[i].memo = m
-		}
 	}
 	return c
 }
@@ -229,8 +212,8 @@ func newSigmaCache(sch *scheduler) *sigmaCache {
 // into the row stamps: a task whose revision counter moved dirties its own
 // row and every successor's row. Speculative duplications that rolled back
 // restore the counters bit-exact, so only net changes dirty anything.
-// Called at every scan boundary (prepare and the batch scan), after which
-// no commit happens until the scan's results are consumed.
+// Called by prepare, after which no commit happens until the round's
+// selection is made.
 func (c *sigmaCache) syncStamps() {
 	s := c.sch.s
 	for t := range c.lastRev {
@@ -283,15 +266,11 @@ func (c *sigmaCache) prepare(cands []model.TaskID) {
 // fails when fewer than need processors are usable — so t is only skipped
 // when its valid entries alone prove at least need placements are
 // possible. Both facts come from entries prepare() vetted this step; no
-// preview is computed. On a skip it also returns the bound: the
-// processor of the smallest vetted entry and its pressure — an upper
-// bound on the candidate's selection key that the batch-commit scan
-// (batch.go) re-checks against later rounds.
-func (c *sigmaCache) screen(t model.TaskID, need int, bestUrgency float64) (arch.ProcID, float64, bool) {
+// preview is computed.
+func (c *sigmaCache) screen(t model.TaskID, need int, bestUrgency float64) bool {
 	base := int(t) * c.nProcs
 	finite := 0
 	min := math.Inf(1)
-	argmin := arch.ProcID(-1)
 	for p := 0; p < c.nProcs; p++ {
 		e := &c.entries[base+p]
 		if e.checked != c.step || math.IsInf(e.sigma, 1) {
@@ -299,14 +278,14 @@ func (c *sigmaCache) screen(t model.TaskID, need int, bestUrgency float64) (arch
 		}
 		finite++
 		if e.sigma < min {
-			min, argmin = e.sigma, arch.ProcID(p)
+			min = e.sigma
 		}
 	}
 	if finite < need || min > bestUrgency {
-		return -1, 0, false
+		return false
 	}
 	c.skipped++
-	return argmin, min, true
+	return true
 }
 
 // ensure recomputes candidate t's cold previews, in processor order.
@@ -358,7 +337,9 @@ func (c *sigmaCache) valid(t model.TaskID, p arch.ProcID) bool {
 // sworst = +Inf and are never repaired — their status is structural.
 func (c *sigmaCache) revalidate(t model.TaskID, p arch.ProcID) bool {
 	e := &c.entries[int(t)*c.nProcs+int(p)]
-	if !c.stampsValid(t, p) {
+	// Row stamps only advance, so a matching stamp means "unchanged", not
+	// "changed and restored".
+	if !e.used || e.rowStamp != c.rowStamp[t] {
 		return false
 	}
 	s := c.sch.s
@@ -378,19 +359,6 @@ func (c *sigmaCache) revalidate(t model.TaskID, p arch.ProcID) bool {
 	return true
 }
 
-// stampsValid reports whether the replica-set record of (t, p)'s entry —
-// the row stamp syncStamps maintains off t's and its predecessors'
-// revision counters — still matches the schedule. When it does,
-// everything that could have perturbed the entry since it was computed is
-// busy-end growth, so the cached σ is a lower bound on the current one
-// and the cached error status is still exact (lazyKey's monotone
-// deferral, batch.go). Row stamps only advance, so a matching stamp
-// really means "unchanged", not "changed and restored".
-func (c *sigmaCache) stampsValid(t model.TaskID, p arch.ProcID) bool {
-	e := &c.entries[int(t)*c.nProcs+int(p)]
-	return e.used && e.rowStamp == c.rowStamp[t]
-}
-
 // compute fills entry idx with a fresh preview and its dependency record.
 func (c *sigmaCache) compute(idx int) {
 	c.computed++
@@ -398,14 +366,7 @@ func (c *sigmaCache) compute(idx int) {
 	p := arch.ProcID(idx % c.nProcs)
 	s := c.sch.s
 	e := &c.entries[idx]
-	var pl sched.Placement
-	var bounds []sched.MediumBound
-	var err error
-	if c.memoOK {
-		pl, bounds, err = s.PreviewMemo(t, p, &e.memo, e.bounds[:0])
-	} else {
-		pl, bounds, err = s.PreviewTouched(t, p, e.bounds[:0])
-	}
+	pl, bounds, err := s.PreviewTouched(t, p, e.bounds[:0])
 	e.bounds = bounds
 	if err != nil {
 		e.sigma, e.sworst = math.Inf(1), math.Inf(1)

@@ -46,24 +46,15 @@ func (sch *scheduler) placeMinimized(t model.TaskID, p arch.ProcID) error {
 	return err
 }
 
-// placeMinimizedFused is placeMinimized on the incremental engine, with
-// two accelerations the reference engine's clone-and-swap shape rules
-// out. First, the final commit reuses the newest plan instead of
-// replanning: the schedule state at the commit is exactly the state the
-// newest plan ran against — the loop either breaks right after planning,
-// or a failed speculation rolls the state back to it bit-exact — so
-// PlaceReplica's replan would reproduce the held plan and is pure waste.
-// Second, on memo-safe schedules the loop threads a replay memo through
-// its re-plans of (t, p): each iteration differs from the previous one by
-// one committed duplication, so most in-edges replay instead of
-// replanning (sched/plan_memo.go). The memo never outlives the loop — a
-// failed speculation leaves it describing the rolled-back state, which is
-// exactly why pooled memos are Reset on the way in and the loop breaks
-// without another plan on that path.
+// placeMinimizedFused is placeMinimized on the incremental engine, whose
+// final commit reuses the newest plan instead of replanning — a shortcut
+// the reference engine's clone-and-swap shape rules out. The schedule
+// state at the commit is exactly the state the newest plan ran against:
+// the loop either breaks right after planning, or a failed speculation
+// rolls the state back to it bit-exact. PlaceReplica's replan would
+// reproduce the held plan and is pure waste.
 func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
-	memo := sch.getMemo()
-	defer sch.putMemo(memo)
-	tok, err := sch.planFused(t, p, memo)
+	tok, err := sch.s.PlanPlacement(t, p)
 	if err != nil {
 		return err // step Ë: t cannot be scheduled on p
 	}
@@ -72,7 +63,7 @@ func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
 		if !ok {
 			break
 		}
-		newTok, improved := sch.tryDuplicationFused(t, p, lip, tok.Placement().SWorst, memo)
+		newTok, improved := sch.tryDuplicationFused(t, p, lip, tok.Placement().SWorst)
 		if !improved {
 			break // step Ï: the duplication was undone
 		}
@@ -83,21 +74,12 @@ func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
 	return nil
 }
 
-// planFused plans (t, p) through the loop's replay memo when the
-// schedule supports it, and through a plain plan otherwise.
-func (sch *scheduler) planFused(t model.TaskID, p arch.ProcID, memo *sched.PlanMemo) (sched.PlannedPlacement, error) {
-	if memo != nil {
-		return sch.s.PlanPlacementMemo(t, p, memo)
-	}
-	return sch.s.PlanPlacement(t, p)
-}
-
 // tryDuplicationFused speculatively duplicates lip onto p and keeps the
 // work only when it strictly reduces S_worst(t, p), returning the open
 // plan of (t, p) against the improved state. On a non-improving (or
 // impossible) duplication it rolls the schedule back and reports false.
 func (sch *scheduler) tryDuplicationFused(t model.TaskID, p arch.ProcID, lip model.TaskID,
-	sWorst float64, memo *sched.PlanMemo) (sched.PlannedPlacement, bool) {
+	sWorst float64) (sched.PlannedPlacement, bool) {
 
 	cp := sch.getCheckpoint()
 	defer sch.putCheckpoint(cp)
@@ -108,7 +90,7 @@ func (sch *scheduler) tryDuplicationFused(t model.TaskID, p arch.ProcID, lip mod
 		sch.s.Rollback(cp)
 		return sched.PlannedPlacement{}, false
 	}
-	newTok, err := sch.planFused(t, p, memo)
+	newTok, err := sch.s.PlanPlacement(t, p)
 	if err != nil || newTok.Placement().SWorst >= sWorst-timeEps {
 		newTok.Discard()   // nil-safe on the error path's zero token
 		sch.s.Rollback(cp) // step Ï: undo all replications of Í
@@ -152,30 +134,6 @@ func (sch *scheduler) getCheckpoint() *sched.Checkpoint {
 
 func (sch *scheduler) putCheckpoint(cp *sched.Checkpoint) {
 	sch.checkpoints = append(sch.checkpoints, cp)
-}
-
-// getMemo pops a reusable replay memo for one Minimize loop, Reset so no
-// stale recording — possibly from a rolled-back speculation or another
-// (task, processor) pair — can leak into the new loop. Returns nil when
-// the schedule is not memo-safe; planFused then falls back to plain
-// planning.
-func (sch *scheduler) getMemo() *sched.PlanMemo {
-	if !sch.s.MemoSafe() {
-		return nil
-	}
-	if n := len(sch.memos); n > 0 {
-		m := sch.memos[n-1]
-		sch.memos = sch.memos[:n-1]
-		m.Reset()
-		return m
-	}
-	return new(sched.PlanMemo)
-}
-
-func (sch *scheduler) putMemo(m *sched.PlanMemo) {
-	if m != nil {
-		sch.memos = append(sch.memos, m)
-	}
 }
 
 const timeEps = 1e-9

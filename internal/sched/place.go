@@ -24,11 +24,6 @@ type Placement struct {
 	End    float64
 }
 
-// plannedComm is one comm hop planned but not yet committed.
-type plannedComm struct {
-	comm Comm
-}
-
 // MediumBound is one entry of a preview's medium dependency set: the plan
 // put a comm on Medium whose start was computed as max(sender/relay
 // availability, the medium's busy-end at the time). Because committed
@@ -88,22 +83,8 @@ type planScratch struct {
 	// fanProcs collects the sender processors of the edge being planned,
 	// the key of the disjoint-fan lookup.
 	fanProcs []arch.ProcID
-	plans    []plannedComm
+	plans    []Comm // comm hops planned but not yet committed
 	details  []EdgeArrival
-	// memoRec enables per-edge replay recording (plan_memo.go): planEdge
-	// appends one planEdgeMemo per in-edge to edgeMemos, newComm one
-	// claimRec per (edge, medium) pair to claims — delineated by claimMark
-	// epochs sharing usedEpoch — and mEnd accumulates the media the current
-	// edge's planning read into edgeMask. Only set on memo-safe topologies
-	// (Nmf = 0, at most 64 media).
-	memoRec     bool
-	memoComms   bool
-	edgeMask    uint64
-	claims      []claimRec
-	edgeMemos   []planEdgeMemo
-	memoSenders []repID
-	claimMark   []uint64
-	claimIdx    []int32
 }
 
 // scratchList is the free list of planScratch buffers shared by a clone
@@ -125,8 +106,6 @@ func (l *scratchList) get() *planScratch {
 		overlayVal:   make([]float64, l.nMedia),
 		overlayEpoch: make([]uint64, l.nMedia),
 		usedMark:     make([]uint64, l.nMedia),
-		claimMark:    make([]uint64, l.nMedia),
-		claimIdx:     make([]int32, l.nMedia),
 	}
 }
 
@@ -138,20 +117,12 @@ func (sc *planScratch) begin() {
 	sc.bounds = sc.bounds[:0]
 	sc.plans = sc.plans[:0]
 	sc.details = sc.details[:0]
-	sc.memoRec = false
-	sc.memoComms = false
-	sc.claims = sc.claims[:0]
-	sc.edgeMemos = sc.edgeMemos[:0]
-	sc.memoSenders = sc.memoSenders[:0]
 }
 
 // mEnd returns the tentative busy-end of medium m: the overlay value when
 // one of this plan's earlier hops claimed the medium, the committed
 // busy-end otherwise.
 func (sc *planScratch) mEnd(s *Schedule, m arch.MediumID) float64 {
-	if sc.memoRec {
-		sc.edgeMask |= 1 << uint(m)
-	}
 	if sc.overlayEpoch[m] == sc.epoch {
 		return sc.overlayVal[m]
 	}
@@ -184,9 +155,9 @@ func (s *Schedule) getScratch() *planScratch {
 func (s *Schedule) putScratch(sc *planScratch) {
 	// Fold the plan's claimed media into the schedule's monotone touch
 	// mask (see Schedule.mediaTouched). Every plan path — committed
-	// placements, rejected selection previews, memo replays, Minimize
-	// speculation — releases its scratch here, so the mask covers every
-	// medium whose busy-end any decision arithmetic read as a claim.
+	// placements, rejected selection previews, Minimize speculation —
+	// releases its scratch here, so the mask covers every medium whose
+	// busy-end any decision arithmetic read as a claim.
 	if s.maskTracked {
 		for i := range sc.bounds {
 			s.mediaTouched |= 1 << uint(sc.bounds[i].Medium)
@@ -240,9 +211,7 @@ func errDuplicateOn(s *Schedule, name string, p arch.ProcID) error {
 // planEdge plans the arrival of one in-edge of a (t, p) placement: the
 // local case when a predecessor replica is co-located, the replicated
 // comms from the Npf+1 earliest-finishing predecessor replicas otherwise.
-// It returns the edge's best and worst arrival. When sc.memoRec is set it
-// additionally appends the edge's replay record — predecessor revision,
-// read-media mask, per-medium claims — to the scratch (plan_memo.go).
+// It returns the edge's best and worst arrival.
 func (s *Schedule) planEdge(eid model.TaskEdgeID, edge model.TaskEdge, t model.TaskID, p arch.ProcID,
 	dstIndex int, sc *planScratch, needDetails bool) (float64, float64, error) {
 
@@ -250,12 +219,6 @@ func (s *Schedule) planEdge(eid model.TaskEdgeID, edge model.TaskEdge, t model.T
 	if sl.taskRepN[edge.Src] == 0 {
 		return 0, 0, fmt.Errorf("%w: %q needs %q",
 			ErrPredUnscheduled, s.tasks.Task(t).Name, s.tasks.Task(edge.Src).Name)
-	}
-	var claimLo, planLo int32
-	if sc.memoRec {
-		claimLo = int32(len(sc.claims))
-		planLo = int32(len(sc.plans))
-		sc.edgeMask = 0
 	}
 	if local := sl.repOn(int(edge.Src), int(p)); local >= 0 {
 		// Paper Figure 3(b): a co-located predecessor replica makes
@@ -267,25 +230,12 @@ func (s *Schedule) planEdge(eid model.TaskEdgeID, edge model.TaskEdge, t model.T
 				Edge: eid, Src: edge.Src, Local: true, Best: localEnd, Worst: localEnd,
 			})
 		}
-		if sc.memoRec {
-			sLo := int32(len(sc.memoSenders))
-			sc.edgeMemos = append(sc.edgeMemos, planEdgeMemo{
-				src: edge.Src, predRev: s.taskRev[edge.Src], local: true,
-				best: localEnd, worst: localEnd, claimLo: claimLo, claimHi: claimLo,
-				senderLo: sLo, senderHi: sLo, planLo: planLo, planHi: planLo,
-			})
-		}
 		return localEnd, localEnd, nil
 	}
 	// Paper Figure 3(c): replicate the comm from the Npf+1
 	// earliest-finishing predecessor replicas over parallel media.
 	sc.beginEdge()
 	sc.senders = s.earliestRepsInto(sc.senders, edge.Src, s.faults.Npf+1)
-	var senderLo int32
-	if sc.memoRec {
-		senderLo = int32(len(sc.memoSenders))
-		sc.memoSenders = append(sc.memoSenders, sc.senders...)
-	}
 	// Under a medium budget the copies must travel media-disjoint
 	// chains, and on sparse topologies per-sender greedy choices can
 	// paint later senders into a corner (the first copy's route eats
@@ -343,14 +293,6 @@ func (s *Schedule) planEdge(eid model.TaskEdgeID, edge model.TaskEdge, t model.T
 			Edge: eid, Src: edge.Src, Best: edgeBest, Worst: edgeWorst,
 		})
 	}
-	if sc.memoRec {
-		sc.edgeMemos = append(sc.edgeMemos, planEdgeMemo{
-			src: edge.Src, predRev: s.taskRev[edge.Src], readMask: sc.edgeMask,
-			best: edgeBest, worst: edgeWorst, claimLo: claimLo, claimHi: int32(len(sc.claims)),
-			senderLo: senderLo, senderHi: int32(len(sc.memoSenders)),
-			planLo: planLo, planHi: int32(len(sc.plans)),
-		})
-	}
 	return edgeBest, edgeWorst, nil
 }
 
@@ -387,22 +329,13 @@ func (s *Schedule) planDelivery(edge model.TaskEdge, sender repID, dst arch.Proc
 		if s.faults.Nmf > 0 {
 			sc.markUsed(m)
 		}
-		if sc.memoRec {
-			if sc.claimMark[m] == sc.usedEpoch {
-				sc.claims[sc.claimIdx[m]].end = end
-			} else {
-				sc.claimMark[m] = sc.usedEpoch
-				sc.claimIdx[m] = int32(len(sc.claims))
-				sc.claims = append(sc.claims, claimRec{medium: m, bound: start, end: end})
-			}
-		}
-		sc.plans = append(sc.plans, plannedComm{comm: Comm{
+		sc.plans = append(sc.plans, Comm{
 			Edge: edge.ID, Orig: edge.Orig,
 			SrcIndex: senderIndex, DstIndex: dstIndex,
 			Hop: hop, LastHop: last,
 			Medium: m, From: from, To: to,
 			Start: start, End: end,
-		}})
+		})
 	}
 
 	// followRoute plans the hops of a prescribed route in order, each
@@ -576,7 +509,7 @@ func (pp *PlannedPlacement) Details() []EdgeArrival { return pp.sc.details }
 func (pp *PlannedPlacement) Commit() Replica {
 	s, sc, pl := pp.s, pp.sc, pp.pl
 	for i := range sc.plans {
-		s.commitComm(&sc.plans[i].comm)
+		s.commitComm(&sc.plans[i])
 	}
 	t, p := pl.Task, pl.Proc
 	r := Replica{Task: t, Index: int(s.slab.taskRepN[t]), Proc: p, Start: pl.SBest, End: pl.End}
@@ -614,7 +547,7 @@ func (s *Schedule) PlaceReplica(t model.TaskID, p arch.ProcID) (Replica, error) 
 		return Replica{}, err
 	}
 	for i := range sc.plans {
-		s.commitComm(&sc.plans[i].comm)
+		s.commitComm(&sc.plans[i])
 	}
 	s.putScratch(sc)
 	r := Replica{Task: t, Index: int(s.slab.taskRepN[t]), Proc: p, Start: pl.SBest, End: pl.End}

@@ -111,8 +111,6 @@ type plannerMetrics struct {
 	previewsComputed *obsv.Counter
 	previewsScreened *obsv.Counter
 	sigmaReuses      *obsv.Counter
-	batchedCommits   *obsv.Counter
-	batchFallbacks   *obsv.Counter
 	warmStarts       *obsv.Counter
 	replayedDecns    *obsv.Counter
 	replayFallbacks  *obsv.Counter
@@ -124,8 +122,6 @@ func (m *plannerMetrics) add(p core.PlannerStats) {
 	m.previewsComputed.Add(uint64(p.PreviewsComputed))
 	m.previewsScreened.Add(uint64(p.PreviewsScreened))
 	m.sigmaReuses.Add(uint64(p.SigmaReuses))
-	m.batchedCommits.Add(uint64(p.BatchedCommits))
-	m.batchFallbacks.Add(uint64(p.BatchFallbacks))
 	m.warmStarts.Add(uint64(p.WarmStarts))
 	m.replayedDecns.Add(uint64(p.ReplayedDecisions))
 	m.replayFallbacks.Add(uint64(p.ReplayFallbacks))
@@ -157,8 +153,6 @@ func New(cfg Config) *Service {
 			previewsComputed: reg.NewCounter("ftbar_planner_previews_computed_total", "Candidate previews computed (σ-cache misses)."),
 			previewsScreened: reg.NewCounter("ftbar_planner_previews_screened_total", "Candidate previews skipped by the cache-aware screen."),
 			sigmaReuses:      reg.NewCounter("ftbar_planner_sigma_reuses_total", "σ-cache entries revalidated and reused without recompute."),
-			batchedCommits:   reg.NewCounter("ftbar_planner_batched_commits_total", "Rounds committed from a batch under proof obligations."),
-			batchFallbacks:   reg.NewCounter("ftbar_planner_batch_fallbacks_total", "Batch proof failures that fell back to a full replan."),
 			warmStarts:       reg.NewCounter("ftbar_planner_warm_starts_total", "Runs warm-started from a recorded decision log (cross-run reuse)."),
 			replayedDecns:    reg.NewCounter("ftbar_planner_replayed_decisions_total", "Decisions replayed from records instead of searched."),
 			replayFallbacks:  reg.NewCounter("ftbar_planner_replay_fallbacks_total", "Replays abandoned on a stale decision log (run restarted cold)."),
