@@ -259,29 +259,11 @@ func (a *Architecture) Validate() error {
 	if len(a.procs) == 1 {
 		return nil
 	}
-	seen := make([]bool, len(a.procs))
-	queue := []ProcID{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, mid := range a.mediaOf[p] {
-			for _, q := range a.media[mid].Endpoints {
-				if !seen[q] {
-					seen[q] = true
-					count++
-					queue = append(queue, q)
-				}
-			}
-		}
-	}
-	if count != len(a.procs) {
-		for id, ok := range seen {
-			if !ok {
-				return fmt.Errorf("%w: %q unreachable from %q",
-					ErrDisconnected, a.procs[id].Name, a.procs[0].Name)
-			}
+	// Processor 0 is the smallest id, so its component is labelled 0.
+	for id, c := range a.Components(func(MediumID) bool { return true }, nil) {
+		if c != 0 {
+			return fmt.Errorf("%w: %q unreachable from %q",
+				ErrDisconnected, a.procs[id].Name, a.procs[0].Name)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ftbar/internal/gen"
@@ -15,11 +16,65 @@ import (
 	"ftbar/internal/spec"
 )
 
-// tinyDoc is a two-operation problem on two processors joined by one
-// link, with its exec and comm tables left as format verbs.
-const tinyDoc = `{"algorithm":{"ops":[{"name":"a","kind":"comp"},{"name":"b","kind":"comp"}],` +
-	`"edges":[{"src":"a","dst":"b"}]},"architecture":{"procs":["P0","P1"],` +
-	`"media":[{"name":"L","endpoints":["P0","P1"]}]},"exec":%s,"comm":%s,"rtc":{"deadline":9},"npf":0}`
+// tinyAlg and tinyArc are a two-operation graph and two processors joined
+// by one link; tinyDoc is their problem document with its exec and comm
+// tables left as format verbs.
+const (
+	tinyAlg = `{"ops":[{"name":"a","kind":"comp"},{"name":"b","kind":"comp"}],"edges":[{"src":"a","dst":"b"}]}`
+	tinyArc = `{"procs":["P0","P1"],"media":[{"name":"L","endpoints":["P0","P1"]}]}`
+	tinyDoc = `{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":%s,"comm":%s,"rtc":{"deadline":9},"npf":0}`
+)
+
+// badAlg is tinyAlg with an edge to an unknown operation: a semantic
+// error that only decoding the graph finds.
+const badAlg = `{"ops":[{"name":"a","kind":"comp"}],"edges":[{"src":"a","dst":"zz"}]}`
+
+// docCases are whole documents around the one-pass reader's boundary,
+// each with whether that reader takes it (true) or leaves it to the
+// generic decoder: key order, duplicate, case-variant and escaped keys,
+// null and non-object sub-documents, npf spellings, unknown keys, deep
+// nesting, truncations, and syntax errors behind a graph error.
+var docCases = []struct {
+	doc     string
+	onePass bool
+}{
+	{`{"npf":1,"rtc":{},"comm":[[1]],"exec":[[1,2],[3,4]],"architecture":` + tinyArc + `,"algorithm":` + tinyAlg + `}`, true},
+	{` { "faults" : {"npf":1,"nmf":1} , "algorithm" : ` + tinyAlg + ` , "architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[["inf"]]} ` + "\n", true},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"rtc":{"deadline":9,"op_deadlines":{"b":4}},"npf":1234567890}`, true},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":-0}`, true},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":-1}`, true},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]]}`, true},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":1.0}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":1e0}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":01}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":12345678901234567890}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":"1"}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"npf":0,"npf":1}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"rtc":{"deadline":9},"rtc":{"op_deadlines":{"b":4}}}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"exec":[[5,6],[7,8]]}`, false},
+	{`{"Algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"NPF":1}`, false},
+	{`{"alg\u006frithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"np\u0066":1}`, false},
+	{`{"algorithm":null,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]]}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":null,"exec":[[1,2],[3,4]],"comm":[[1]]}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":null,"comm":[[1]]}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"rtc":null,"faults":null}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"faults":[1]}`, false},
+	{`{"algorithm":` + tinyAlg + `,"architecture":` + tinyArc + `,"exec":[[1,2],[3,4]],"comm":[[1]],"extra":{"x":[true,false,null]}}`, false},
+	{`{"algorithm":{"ops":[],"x":` + strings.Repeat("[", 200) + strings.Repeat("]", 200) + `},"architecture":` + tinyArc + `}`, false},
+	{`{"algorithm":` + badAlg + `,"architecture":` + tinyArc + `,"exec":[[1]],"comm":[[1]]}`, true},
+	{`{"algorithm":` + badAlg + `,"architecture":` + tinyArc + `,"exec":[[1]],"comm":[[1]],"rtc":{"deadline":9,}}`, false},
+	{`{"algorithm":` + badAlg + `,"architecture":` + tinyArc + `,"exec":[[1]],"comm":[[1]]}}`, false},
+	{`{"algorithm":` + badAlg + `,"architecture":{"procs":["P0","P\q"]},"exec":[[1]],"comm":[[1]]}`, false},
+	{`{"algorithm":` + badAlg + `,"architecture":{"procs":["P0","P` + "\x01" + `"]},"exec":[[1]],"comm":[[1]]}`, false},
+	{`{"algorithm":` + badAlg + `,"exec":[[1]],"comm":[[1]],"rtc":{"deadline":9e}}`, false},
+	{`{"algorithm":` + badAlg + `,"faults":{"npf":1,"nmf":` + "\"1\"" + `}}`, false},
+	{`{"algorithm":`, false},
+	{`{"algorithm":` + tinyAlg, false},
+	{`{"algorithm":` + tinyAlg + `,`, false},
+	{`{`, false},
+	{`{}`, true},
+	{`[]`, false},
+}
 
 // handCases are table spellings the generators never write: whitespace,
 // exponent boundaries, signed zero, escaped and null cells, out-of-range
@@ -52,7 +107,7 @@ var handCases = [][2]string{
 
 // codecSeeds returns the seed documents of FuzzProblemCodec: the paper
 // example, one generated problem per topology × family (the first with a
-// medium budget, forbidden cells and deadlines), and handCases.
+// medium budget, forbidden cells and deadlines), handCases and docCases.
 func codecSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	var problems []*spec.Problem
@@ -86,14 +141,18 @@ func codecSeeds(tb testing.TB) [][]byte {
 	for _, c := range handCases {
 		seeds = append(seeds, []byte(fmt.Sprintf(tinyDoc, c[0], c[1])))
 	}
+	for _, c := range docCases {
+		seeds = append(seeds, []byte(c.doc))
+	}
 	return seeds
 }
 
-// FuzzProblemCodec holds the table codec to the per-cell codec it
+// FuzzProblemCodec holds the problem codec to the per-cell codec it
 // replaced (oracle_test.go). Decoding any input, both accept or refuse
 // alike, with the same error text, and accepted tables are bit-identical.
-// Every accepted problem marshals to the oracle's bytes and round-trips.
-// The input is also decoded as a single JSONTime against the old JSONTime
+// Every accepted problem marshals to the oracle's bytes, is read by the
+// one-pass reader rather than the generic decoder, and round-trips. The
+// input is also decoded as a single JSONTime against the old JSONTime
 // decoder. Run it with
 //
 //	go test ./internal/spec -run '^$' -fuzz FuzzProblemCodec -fuzztime 10s
@@ -154,6 +213,9 @@ func checkProblemCodec(t *testing.T, data []byte) {
 	}
 	if !bytes.Equal(enc, oracleEnc) {
 		t.Fatalf("encoding differs:\n got %s\nwant %s", enc, oracleEnc)
+	}
+	if !spec.ReadsInOnePass(enc) {
+		t.Fatalf("the one-pass reader leaves MarshalJSON's output to the generic decoder:\n%s", enc)
 	}
 	viaJSON, err := json.Marshal(&got)
 	if err != nil || !bytes.Equal(viaJSON, enc) {
@@ -280,5 +342,39 @@ func TestMarshalRefusesMalformedProblems(t *testing.T) {
 	p.Rtc.OpDeadlines = map[model.OpID]float64{model.OpID(p.Alg.NumOps()): 1}
 	if _, err := p.MarshalJSON(); !errors.Is(err, spec.ErrUnknownForRtc) {
 		t.Errorf("deadline on an unknown operation: error %v, want ErrUnknownForRtc", err)
+	}
+}
+
+// TestOnePassReader pins which of docCases the one-pass reader takes; the
+// fuzz seeds hold both paths to the oracle on every one of them.
+func TestOnePassReader(t *testing.T) {
+	for i, c := range docCases {
+		if got := spec.ReadsInOnePass([]byte(c.doc)); got != c.onePass {
+			t.Errorf("case %d: read in one pass %v, want %v:\n%s", i, got, c.onePass, c.doc)
+		}
+		checkProblemCodec(t, []byte(c.doc))
+	}
+}
+
+// TestSyntaxErrorWinsOverGraphError pins the generic decoder's order: a
+// document with an unknown edge endpoint in its graph and a syntax error
+// later reports the syntax error, and the same graph in a well-formed
+// document reports the graph's error.
+func TestSyntaxErrorWinsOverGraphError(t *testing.T) {
+	valid := `{"algorithm":` + badAlg + `,"architecture":` + tinyArc + `,"exec":[[1]],"comm":[[1]]}`
+	var syntax *json.SyntaxError
+	for _, doc := range []string{
+		valid[:len(valid)-1] + `,"rtc":{"deadline":9,}}`,
+		valid + `}`,
+		valid[:len(valid)-1] + `,"npf":01}`,
+	} {
+		err := new(spec.Problem).UnmarshalJSON([]byte(doc))
+		if !errors.As(err, &syntax) {
+			t.Errorf("%s: error %v, want a syntax error", doc, err)
+		}
+	}
+	err := new(spec.Problem).UnmarshalJSON([]byte(valid))
+	if err == nil || errors.As(err, &syntax) {
+		t.Errorf("well-formed document with a bad graph: error %v, want the graph's", err)
 	}
 }

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -172,40 +171,6 @@ func (p *Problem) MarshalJSON() ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// timeTable is a time table read in one pass: rows of cells that share
-// one backing array.
-type timeTable [][]JSONTime
-
-// errGenericTable refuses a table the one-pass parser does not read.
-var errGenericTable = errors.New("spec: table needs the generic decoder")
-
-// UnmarshalJSON reads a table whose cells are all strict JSON numbers or
-// the literal "inf", and refuses any other table with errGenericTable.
-func (t *timeTable) UnmarshalJSON(data []byte) error {
-	var cells []JSONTime
-	var ends []int
-	cell := func(i int) (int, bool) {
-		v, n, ok := scanTime(data[i:])
-		cells = append(cells, JSONTime(v))
-		return i + n, ok
-	}
-	row := func(i int) (int, bool) {
-		i, ok := scanArray(data, i, cell)
-		ends = append(ends, len(cells))
-		return i, ok
-	}
-	if i, ok := scanArray(data, skipSpace(data, 0), row); !ok || skipSpace(data, i) != len(data) {
-		return errGenericTable
-	}
-	*t = make(timeTable, len(ends))
-	start := 0
-	for r, end := range ends {
-		(*t)[r] = cells[start:end:end]
-		start = end
-	}
-	return nil
-}
-
 // scanArray reads the JSON array starting at data[i], each of whose
 // elements elem reads from its first byte, and returns the index past
 // the closing bracket.
@@ -300,94 +265,72 @@ func skipDigits(b []byte, i int) int {
 	return i
 }
 
+// document is a problem document's top-level fields, with the exec and
+// comm tables read into flat cells.
+type document struct {
+	alg, arc   []byte
+	exec, comm table
+	rtc        rtcJSON
+	npf        int
+	faults     *FaultModel
+}
+
+// table is a decoded time table: its cells row-major in one array, and
+// the cell index past the end of each row.
+type table struct {
+	cells []float64
+	ends  []int
+}
+
 // UnmarshalJSON decodes a problem written by MarshalJSON into an empty
-// receiver. Documents whose tables the one-pass parser refuses are
-// decoded cell by cell through JSONTime, so every accepted spelling and
-// every error is the generic decoder's.
+// receiver. A document in MarshalJSON's form is read in one pass
+// (readDocument); any other goes through encoding/json with [][]JSONTime
+// tables, so every other accepted spelling and every error is the generic
+// decoder's.
 func (p *Problem) UnmarshalJSON(data []byte) error {
 	if p.Alg != nil {
 		return fmt.Errorf("spec: unmarshal into non-empty problem")
 	}
-	var doc struct {
-		Alg    json.RawMessage `json:"algorithm"`
-		Arc    json.RawMessage `json:"architecture"`
-		Exec   timeTable       `json:"exec"`
-		Comm   timeTable       `json:"comm"`
-		Rtc    rtcJSON         `json:"rtc"`
-		Npf    int             `json:"npf"`
-		Faults *FaultModel     `json:"faults"`
-	}
-	if json.Unmarshal(data, &doc) != nil {
-		// A refused table or a malformed document: decode it again cell
-		// by cell, which decides acceptance and the error text. Those
-		// texts name this anonymous struct and its [][]JSONTime tables.
-		var generic struct {
-			Alg    json.RawMessage `json:"algorithm"`
-			Arc    json.RawMessage `json:"architecture"`
-			Exec   [][]JSONTime    `json:"exec"`
-			Comm   [][]JSONTime    `json:"comm"`
-			Rtc    rtcJSON         `json:"rtc"`
-			Npf    int             `json:"npf"`
-			Faults *FaultModel     `json:"faults"`
+	doc, ok := readDocument(data)
+	if !ok {
+		var err error
+		if doc, err = genericDocument(data); err != nil {
+			return err
 		}
-		if err := json.Unmarshal(data, &generic); err != nil {
-			return fmt.Errorf("spec: decode problem: %w", err)
-		}
-		doc.Alg, doc.Arc, doc.Exec, doc.Comm = generic.Alg, generic.Arc, generic.Exec, generic.Comm
-		doc.Rtc, doc.Npf, doc.Faults = generic.Rtc, generic.Npf, generic.Faults
 	}
 	g := model.NewGraph()
-	if err := json.Unmarshal(doc.Alg, g); err != nil {
+	if err := json.Unmarshal(doc.alg, g); err != nil {
 		return err
 	}
 	a := arch.New()
-	if err := json.Unmarshal(doc.Arc, a); err != nil {
+	if err := json.Unmarshal(doc.arc, a); err != nil {
 		return err
 	}
 	p.Alg, p.Arc = g, a
 	// A "faults" object wins; legacy npf-only documents resolve through
 	// the deprecation shim either way.
-	if doc.Faults != nil {
-		p.SetFaults(*doc.Faults)
+	if doc.faults != nil {
+		p.SetFaults(*doc.faults)
 	} else {
-		p.SetFaults(FaultModel{Npf: doc.Npf})
+		p.SetFaults(FaultModel{Npf: doc.npf})
 	}
-	p.Exec = NewExecTable(g, a)
-	if len(doc.Exec) != g.NumOps() {
-		return fmt.Errorf("%w: exec rows %d, ops %d", ErrShape, len(doc.Exec), g.NumOps())
+	exec := &ExecTable{nOps: g.NumOps(), nProcs: a.NumProcs()}
+	var err error
+	if exec.t, err = doc.exec.check(exec.nOps, exec.nProcs, "exec", "ops", "procs", func(r, c int, v float64) error {
+		return exec.Set(model.OpID(r), arch.ProcID(c), v)
+	}); err != nil {
+		return err
 	}
-	for op, row := range doc.Exec {
-		if len(row) != a.NumProcs() {
-			return fmt.Errorf("%w: exec row %d has %d cols, procs %d", ErrShape, op, len(row), a.NumProcs())
-		}
-		for proc, v := range row {
-			if math.IsInf(float64(v), 1) {
-				continue
-			}
-			if err := p.Exec.Set(model.OpID(op), arch.ProcID(proc), float64(v)); err != nil {
-				return err
-			}
-		}
+	p.Exec = exec
+	comm := &CommTable{nEdges: g.NumEdges(), nMedia: a.NumMedia()}
+	if comm.t, err = doc.comm.check(comm.nEdges, comm.nMedia, "comm", "edges", "media", func(r, c int, v float64) error {
+		return comm.Set(model.EdgeID(r), arch.MediumID(c), v)
+	}); err != nil {
+		return err
 	}
-	p.Comm = NewCommTable(g, a)
-	if len(doc.Comm) != g.NumEdges() {
-		return fmt.Errorf("%w: comm rows %d, edges %d", ErrShape, len(doc.Comm), g.NumEdges())
-	}
-	for e, row := range doc.Comm {
-		if len(row) != a.NumMedia() {
-			return fmt.Errorf("%w: comm row %d has %d cols, media %d", ErrShape, e, len(row), a.NumMedia())
-		}
-		for m, v := range row {
-			if math.IsInf(float64(v), 1) {
-				continue
-			}
-			if err := p.Comm.Set(model.EdgeID(e), arch.MediumID(m), float64(v)); err != nil {
-				return err
-			}
-		}
-	}
-	p.Rtc = Rtc{Deadline: float64(doc.Rtc.Deadline)}
-	for name, d := range doc.Rtc.OpDeadlines {
+	p.Comm = comm
+	p.Rtc = Rtc{Deadline: float64(doc.rtc.Deadline)}
+	for name, d := range doc.rtc.OpDeadlines {
 		op, ok := g.OpByName(name)
 		if !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownForRtc, name)
@@ -398,4 +341,272 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 		p.Rtc.OpDeadlines[op.ID] = float64(d)
 	}
 	return nil
+}
+
+// check checks the table against its rows×cols shape one row at a time —
+// the row's length, then its cells in order, with set reporting the
+// error of a negative one — and returns the checked cells as the table's
+// backing array. So a malformed table reports the first error a
+// cell-by-cell Set would meet. The shape errors name the table what and
+// its dimensions rowsOf and colsOf.
+func (tb table) check(rows, cols int, what, rowsOf, colsOf string, set func(r, c int, v float64) error) ([]float64, error) {
+	if len(tb.ends) != rows {
+		return nil, fmt.Errorf("%w: %s rows %d, %s %d", ErrShape, what, len(tb.ends), rowsOf, rows)
+	}
+	start := 0
+	for r, end := range tb.ends {
+		if end-start != cols {
+			return nil, fmt.Errorf("%w: %s row %d has %d cols, %s %d", ErrShape, what, r, end-start, colsOf, cols)
+		}
+		for c, v := range tb.cells[start:end] {
+			if v < 0 {
+				return nil, set(r, c, v)
+			}
+		}
+		start = end
+	}
+	return tb.cells[:start:start], nil
+}
+
+// genericDocument decodes a document through encoding/json, cell by cell
+// through JSONTime. It decides acceptance and the error text of every
+// document readDocument does not read; those texts name this anonymous
+// struct and its [][]JSONTime tables.
+func genericDocument(data []byte) (document, error) {
+	var generic struct {
+		Alg    json.RawMessage `json:"algorithm"`
+		Arc    json.RawMessage `json:"architecture"`
+		Exec   [][]JSONTime    `json:"exec"`
+		Comm   [][]JSONTime    `json:"comm"`
+		Rtc    rtcJSON         `json:"rtc"`
+		Npf    int             `json:"npf"`
+		Faults *FaultModel     `json:"faults"`
+	}
+	if err := json.Unmarshal(data, &generic); err != nil {
+		return document{}, fmt.Errorf("spec: decode problem: %w", err)
+	}
+	return document{alg: generic.Alg, arc: generic.Arc, exec: flatten(generic.Exec), comm: flatten(generic.Comm),
+		rtc: generic.Rtc, npf: generic.Npf, faults: generic.Faults}, nil
+}
+
+// flatten copies nested rows into a table.
+func flatten(rows [][]JSONTime) table {
+	var tb table
+	for _, row := range rows {
+		for _, v := range row {
+			tb.cells = append(tb.cells, float64(v))
+		}
+		tb.ends = append(tb.ends, len(tb.cells))
+	}
+	return tb
+}
+
+// readDocument reads a document in the form MarshalJSON writes, in one
+// pass: one object whose keys are exactly "algorithm", "architecture",
+// "exec", "comm", "rtc", "npf" and "faults", unescaped, each at most once
+// and in any order, with object values for the algorithm, architecture,
+// rtc and faults, tables the one-pass parser reads, and a plain integer
+// npf. Only the rtc and faults objects are decoded here, through
+// encoding/json. The algorithm and architecture spans are returned to be
+// decoded later, and the whole document has been checked to be valid
+// JSON by then, so a syntax error anywhere still wins over an error in
+// the graph, as in the generic decoder. It reports false for anything
+// else, leaving the document to genericDocument; on a document it reads,
+// genericDocument would decode the same fields.
+func readDocument(data []byte) (document, bool) {
+	var doc document
+	var seen uint8
+	member := func(key []byte, i int) (int, bool) {
+		var bit uint8
+		end, ok := 0, false
+		switch string(key) {
+		case "algorithm":
+			bit = 1 << 0
+			doc.alg, end, ok = objectSpan(data, i)
+		case "architecture":
+			bit = 1 << 1
+			doc.arc, end, ok = objectSpan(data, i)
+		case "exec":
+			bit = 1 << 2
+			doc.exec, end, ok = readTable(data, i)
+		case "comm":
+			bit = 1 << 3
+			doc.comm, end, ok = readTable(data, i)
+		case "rtc":
+			bit = 1 << 4
+			var span []byte
+			if span, end, ok = objectSpan(data, i); ok {
+				ok = json.Unmarshal(span, &doc.rtc) == nil
+			}
+		case "npf":
+			bit = 1 << 5
+			doc.npf, end, ok = readInt(data, i)
+		case "faults":
+			bit = 1 << 6
+			var span []byte
+			if span, end, ok = objectSpan(data, i); ok {
+				doc.faults = new(FaultModel)
+				ok = json.Unmarshal(span, doc.faults) == nil
+			}
+		}
+		if !ok || seen&bit != 0 {
+			return 0, false
+		}
+		seen |= bit
+		return end, true
+	}
+	end, ok := scanObject(data, skipSpace(data, 0), member)
+	return doc, ok && skipSpace(data, end) == len(data)
+}
+
+// objectSpan returns the JSON object starting at data[i], checked to be
+// valid JSON, and the index past it.
+func objectSpan(data []byte, i int) ([]byte, int, bool) {
+	if i >= len(data) || data[i] != '{' {
+		return nil, 0, false
+	}
+	end, ok := skipValue(data, i, 0)
+	if !ok {
+		return nil, 0, false
+	}
+	return data[i:end], end, true
+}
+
+// readTable reads a table whose cells are all strict JSON numbers or the
+// literal "inf", and reports false for any other value.
+func readTable(data []byte, i int) (table, int, bool) {
+	var tb table
+	cell := func(i int) (int, bool) {
+		v, n, ok := scanTime(data[i:])
+		tb.cells = append(tb.cells, v)
+		return i + n, ok
+	}
+	row := func(i int) (int, bool) {
+		i, ok := scanArray(data, i, cell)
+		tb.ends = append(tb.ends, len(tb.cells))
+		return i, ok
+	}
+	end, ok := scanArray(data, i, row)
+	return tb, end, ok
+}
+
+// readInt reads a JSON number with no fraction or exponent that fits an
+// int, the spellings encoding/json decodes into an int without error.
+func readInt(data []byte, i int) (int, int, bool) {
+	n := numberLen(data[i:])
+	tok := data[i : i+n]
+	for _, c := range tok {
+		if c == '.' || c == 'e' || c == 'E' {
+			return 0, 0, false
+		}
+	}
+	v, err := strconv.Atoi(string(tok))
+	return v, i + n, n > 0 && err == nil
+}
+
+// maxDepth bounds the nesting skipValue follows; deeper documents are
+// left to encoding/json, which refuses them beyond its own, larger bound.
+const maxDepth = 100
+
+// skipValue checks that a valid JSON value starts at data[i], nested at
+// most maxDepth deep, and returns the index past it.
+func skipValue(data []byte, i, depth int) (int, bool) {
+	if i >= len(data) || depth > maxDepth {
+		return 0, false
+	}
+	elem := func(i int) (int, bool) { return skipValue(data, i, depth+1) }
+	switch data[i] {
+	case '{':
+		return scanObject(data, i, func(_ []byte, i int) (int, bool) { return elem(i) })
+	case '[':
+		return scanArray(data, i, elem)
+	case '"':
+		return skipString(data, i)
+	case 't':
+		return skipLiteral(data, i, "true")
+	case 'f':
+		return skipLiteral(data, i, "false")
+	case 'n':
+		return skipLiteral(data, i, "null")
+	}
+	n := numberLen(data[i:])
+	return i + n, n > 0
+}
+
+func skipLiteral(data []byte, i int, lit string) (int, bool) {
+	end := i + len(lit)
+	return end, end <= len(data) && string(data[i:end]) == lit
+}
+
+// scanObject reads the JSON object starting at data[i], handing each
+// member's key (its raw bytes between the quotes) and the index of its
+// value to member, which returns the index past the value; it returns the
+// index past the closing brace.
+func scanObject(data []byte, i int, member func(key []byte, i int) (int, bool)) (int, bool) {
+	if i >= len(data) || data[i] != '{' {
+		return 0, false
+	}
+	if i = skipSpace(data, i+1); i < len(data) && data[i] == '}' {
+		return i + 1, true
+	}
+	for {
+		end, ok := skipString(data, i)
+		if !ok {
+			return 0, false
+		}
+		key := data[i+1 : end-1]
+		if i = skipSpace(data, end); i >= len(data) || data[i] != ':' {
+			return 0, false
+		}
+		if i, ok = member(key, skipSpace(data, i+1)); !ok {
+			return 0, false
+		}
+		if i = skipSpace(data, i); i >= len(data) {
+			return 0, false
+		}
+		switch data[i] {
+		case '}':
+			return i + 1, true
+		case ',':
+			i = skipSpace(data, i+1)
+		default:
+			return 0, false
+		}
+	}
+}
+
+// skipString checks that a valid JSON string starts at data[i] and
+// returns the index past its closing quote.
+func skipString(data []byte, i int) (int, bool) {
+	if i >= len(data) || data[i] != '"' {
+		return 0, false
+	}
+	for i++; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == '"':
+			return i + 1, true
+		case c < 0x20:
+			return 0, false
+		case c == '\\':
+			if i++; i >= len(data) {
+				return 0, false
+			}
+			switch data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(data)-i <= 4 {
+					return 0, false
+				}
+				for _, h := range data[i+1 : i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return 0, false
+					}
+				}
+				i += 4
+			default:
+				return 0, false
+			}
+		}
+	}
+	return 0, false
 }

@@ -9,10 +9,14 @@ import (
 	"ftbar/internal/model"
 )
 
-// The per-cell problem codec that the one-pass table codec replaced,
-// kept verbatim as the differential oracle: encoding/json called once per
-// cell on the way out, and a [][]JSONTime document on the way in.
-// FuzzProblemCodec (codec_test.go) holds the production codec to it.
+// Differential oracles, kept verbatim from the code they replaced:
+//
+//   - the per-cell problem codec: encoding/json called once per cell on
+//     the way out, and a [][]JSONTime document on the way in.
+//     FuzzProblemCodec (codec_test.go) holds the production codec to it;
+//   - the route-table reachability check of Validate.
+//     TestReachabilityMatchesOracle (reach_test.go) holds the
+//     connected-components check to it.
 
 // oracleTime is JSONTime's encoder before the table codec: +Inf as "inf",
 // everything else through json.Marshal(float64).
@@ -170,3 +174,86 @@ func OracleUnmarshal(data []byte) (*Problem, error) {
 // TableCells returns the problem's exec and comm cells, row-major, for
 // bit-level comparisons.
 func TableCells(p *Problem) (exec, comm []float64) { return p.Exec.t, p.Comm.t }
+
+// OracleValidate is Problem.Validate before reachability was decided by
+// connected components: the same checks in the same order, with the
+// per-edge route-table check below.
+func OracleValidate(p *Problem) error {
+	if err := p.checkComponents(); err != nil {
+		return err
+	}
+	if err := p.Alg.Validate(); err != nil {
+		return err
+	}
+	if err := p.Arc.Validate(); err != nil {
+		return err
+	}
+	if err := p.checkShape(); err != nil {
+		return err
+	}
+	fm := p.FaultModel()
+	if err := fm.Validate(); err != nil {
+		return err
+	}
+	for _, op := range p.Alg.Ops() {
+		allowed := p.Exec.AllowedProcs(op.ID)
+		if len(allowed) == 0 {
+			return fmt.Errorf("%w: %q", ErrOpUnplaceable, op.Name)
+		}
+		if len(allowed) < fm.Replicas() {
+			return fmt.Errorf("%w: %q runs on %d processors, Npf+1 = %d",
+				ErrTooFewprocs, op.Name, len(allowed), fm.Replicas())
+		}
+	}
+	if err := p.validateMediaDiversity(fm); err != nil {
+		return err
+	}
+	if err := p.oracleEdgeReachability(); err != nil {
+		return err
+	}
+	return p.Rtc.Validate(p.Alg)
+}
+
+// oracleEdgeReachability is validateEdgeReachability before connected
+// components, kept verbatim: every edge with a pair lacking a direct
+// allowed medium builds its Dijkstra route table and asks it for a route.
+func (p *Problem) oracleEdgeReachability() error {
+	nProcs := p.Arc.NumProcs()
+	direct := p.Arc.DirectMedia()
+	allowed := make([][]arch.ProcID, p.Alg.NumOps())
+	procsOf := func(op model.OpID) []arch.ProcID {
+		if allowed[op] == nil {
+			allowed[op] = p.Exec.AllowedProcs(op)
+		}
+		return allowed[op]
+	}
+	for _, e := range p.Alg.Edges() {
+		var rt *arch.RouteTable // built on the first pair with no direct medium
+		for _, sp := range procsOf(e.Src) {
+			for _, dp := range procsOf(e.Dst) {
+				if sp == dp || p.anyAllowed(e.ID, direct[int(sp)*nProcs+int(dp)]) {
+					continue
+				}
+				if rt == nil {
+					var err error
+					if rt, err = p.EdgeRoutes(e.ID); err != nil {
+						return err
+					}
+				}
+				if _, err := rt.Route(sp, dp); err != nil {
+					return fmt.Errorf("%w: %s from %q to %q",
+						ErrEdgeUntravel, p.Alg.EdgeName(e.ID),
+						p.Arc.Proc(sp).Name, p.Arc.Proc(dp).Name)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// ReadsInOnePass reports whether UnmarshalJSON reads data with its
+// one-pass reader rather than the generic decoder.
+func ReadsInOnePass(data []byte) bool {
+	_, ok := readDocument(data)
+	return ok
+}

@@ -422,17 +422,25 @@ func (p *Problem) checkShape() error {
 
 // validateEdgeReachability checks each dependency can be implemented for
 // every allowed (src proc, dst proc) pair: either a direct medium allows
-// it, or a multi-hop route exists over media that all allow it (routing is
-// weighted by the dependency's own communication times, so a single
+// it, or a multi-hop route exists over media that all allow it (a single
 // forbidden link does not cut processors apart when a detour exists).
-// Pairs with a direct allowed medium skip the routing table entirely, so
-// fully connected architectures — the paper's setting, and the service's
-// common case — validate without a single Dijkstra run. The direct media
-// of each pair come from one table, so a pair costs the media joining it,
-// not a scan of every medium.
+// Pairs with a direct allowed medium are settled by one table of direct
+// media, so fully connected architectures — the paper's setting, and the
+// service's common case — need nothing more. The other pairs of an edge
+// are decided by the connected components of the media allowing it
+// (arch.Components), built once for the edge on its first such pair.
+//
+// The planner routes a dependency along Dijkstra paths weighted by its
+// times (EdgeRoutes), and a sum of finite times can overflow to +Inf,
+// which leaves a connected pair without a route. That needs a finite time
+// above MaxFloat64/(2·NumProcs): a path has fewer than NumProcs hops, so
+// below that bound every sum stays under MaxFloat64/2 (DESIGN.md Section
+// 2). Only an edge with such a time is decided by its route table, as the
+// planner will see it.
 func (p *Problem) validateEdgeReachability() error {
 	nProcs := p.Arc.NumProcs()
 	direct := p.Arc.DirectMedia()
+	overflow := math.MaxFloat64 / float64(2*nProcs)
 	allowed := make([][]arch.ProcID, p.Alg.NumOps())
 	procsOf := func(op model.OpID) []arch.ProcID {
 		if allowed[op] == nil {
@@ -440,20 +448,36 @@ func (p *Problem) validateEdgeReachability() error {
 		}
 		return allowed[op]
 	}
+	var comp []arch.ProcID
 	for _, e := range p.Alg.Edges() {
-		var rt *arch.RouteTable // built on the first pair with no direct medium
+		// Once built is set, rt decides e's pairs when it is non-nil and
+		// comp otherwise.
+		var rt *arch.RouteTable
+		built := false
 		for _, sp := range procsOf(e.Src) {
 			for _, dp := range procsOf(e.Dst) {
 				if sp == dp || p.anyAllowed(e.ID, direct[int(sp)*nProcs+int(dp)]) {
 					continue
 				}
-				if rt == nil {
-					var err error
-					if rt, err = p.EdgeRoutes(e.ID); err != nil {
-						return err
+				if !built {
+					if p.maxCommTime(e.ID) > overflow {
+						var err error
+						if rt, err = p.EdgeRoutes(e.ID); err != nil {
+							return err
+						}
+					} else {
+						comp = p.Arc.Components(func(m arch.MediumID) bool { return p.Comm.Allowed(e.ID, m) }, comp)
 					}
+					built = true
 				}
-				if _, err := rt.Route(sp, dp); err != nil {
+				var unreachable bool
+				if rt != nil {
+					_, err := rt.Route(sp, dp)
+					unreachable = err != nil
+				} else {
+					unreachable = comp[sp] != comp[dp]
+				}
+				if unreachable {
 					return fmt.Errorf("%w: %s from %q to %q",
 						ErrEdgeUntravel, p.Alg.EdgeName(e.ID),
 						p.Arc.Proc(sp).Name, p.Arc.Proc(dp).Name)
@@ -462,6 +486,18 @@ func (p *Problem) validateEdgeReachability() error {
 		}
 	}
 	return nil
+}
+
+// maxCommTime returns the largest finite transmission time of the
+// dependency, or 0 when every medium forbids it.
+func (p *Problem) maxCommTime(e model.EdgeID) float64 {
+	most := 0.0
+	for _, v := range p.Comm.t[int(e)*p.Comm.nMedia : (int(e)+1)*p.Comm.nMedia] {
+		if v > most && !math.IsInf(v, 1) {
+			most = v
+		}
+	}
+	return most
 }
 
 // anyAllowed reports whether one of the media allows the dependency.
@@ -477,7 +513,9 @@ func (p *Problem) anyAllowed(e model.EdgeID, media []arch.MediumID) bool {
 // EdgeRoutes returns the routing table of one data-dependency: shortest
 // paths weighted by that dependency's per-medium communication times, with
 // forbidden media unusable. Schedulers consult it when no direct medium
-// carries the dependency.
+// carries the dependency; validation needs it only for an edge whose path
+// sums can overflow (validateEdgeReachability), and otherwise decides
+// reachability from connected components without building it.
 func (p *Problem) EdgeRoutes(e model.EdgeID) (*arch.RouteTable, error) {
 	return p.Arc.ComputeRoutes(func(m arch.MediumID) float64 {
 		return p.Comm.Time(e, m)
