@@ -7,10 +7,9 @@
 //	ftbench -experiment fig10            # overhead vs CCR (Figure 10)
 //	ftbench -experiment fig9 -topology bus   # the sweep on a shared bus
 //	ftbench -experiment npf              # overhead vs Npf (Sect. 7)
-//	ftbench -experiment scaling          # engine-vs-engine wall clock
 //	ftbench -experiment sweepreuse       # warm (RunArena) vs cold solves
 //	ftbench -experiment corpus           # scenario corpus floors + warm timing
-//	ftbench -experiment scaling -json    # machine-readable (BENCH_*.json)
+//	ftbench -experiment corpus -json     # machine-readable (BENCH_*.json)
 //	ftbench -experiment fig9 -graphs 60  # the paper's full 60-graph runs
 //	ftbench -experiment fig10 -csv       # CSV series for plotting
 //
@@ -44,13 +43,13 @@ func main() {
 // jsonExperiments and csvExperiments are the experiments that honour
 // -json and -csv.
 var (
-	jsonExperiments = []string{"scaling", "sweepreuse", "corpus"}
+	jsonExperiments = []string{"sweepreuse", "corpus"}
 	csvExperiments  = []string{"fig9", "fig10"}
 )
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | scaling | sweepreuse | corpus")
+	experiment := fs.String("experiment", "example", "example | fig9 | fig10 | npf | sweepreuse | corpus")
 	scenarios := fs.String("scenarios", "testdata/scenarios", "corpus experiment: scenario directory")
 	graphs := fs.Int("graphs", 0, "random graphs per point (0 = the paper's default)")
 	seed := fs.Int64("seed", 2003, "base seed")
@@ -120,22 +119,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "Figure 10: overhead vs CCR (N=%d, P=%d, Npf=1, topology=%s, %d graphs/point)\n",
 			cfg.N, cfg.Procs, cfg.Topology, cfg.Graphs)
 		return bench.RenderPoints(out, "CCR", pts)
-	case "scaling":
-		cfg := bench.DefaultScaling()
-		cfg.Seed = *seed
-		if *graphs > 0 {
-			cfg.Graphs = *graphs
-		}
-		rep, err := bench.Scaling(cfg)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return bench.RenderScalingJSON(out, rep)
-		}
-		fmt.Fprintf(out, "Scaling: incremental vs reference engine (CCR=%g, %d graphs/cell)\n",
-			cfg.CCR, cfg.Graphs)
-		return bench.RenderScaling(out, rep)
 	case "sweepreuse":
 		cfg := bench.DefaultSweepReuse()
 		cfg.Seed = *seed

@@ -53,43 +53,13 @@ func TestRunNpfSmall(t *testing.T) {
 	}
 }
 
-func TestRunScalingSmall(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-experiment", "scaling", "-graphs", "1"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, want := range []string{"Scaling", "speedup", "identical"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
-func TestRunScalingJSON(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-experiment", "scaling", "-graphs", "1", "-json"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep struct {
-		Experiment string `json:"experiment"`
-		Cells      []struct {
-			Tasks   int     `json:"tasks"`
-			Speedup float64 `json:"speedup"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Experiment != "scaling" || len(rep.Cells) == 0 {
-		t.Errorf("unexpected report: %+v", rep)
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	var out strings.Builder
 	// service and cluster were load experiments; benchmark/ measures load.
-	// faults and combined became scenarios in testdata/scenarios.
-	for _, name := range []string{"fig42", "service", "cluster", "faults", "combined"} {
+	// faults and combined became scenarios in testdata/scenarios. scaling
+	// timed the planner against the reference engine, which is now a
+	// test-only oracle in internal/core.
+	for _, name := range []string{"fig42", "service", "cluster", "faults", "combined", "scaling"} {
 		if err := run([]string{"-experiment", name}, &out); err == nil {
 			t.Errorf("unknown experiment %q accepted", name)
 		}
@@ -122,13 +92,13 @@ func TestRunRefusesUnsupportedOutputFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-experiment", "example", "-json"}, "-json is not supported by experiment \"example\" (only scaling, sweepreuse, corpus)"},
+		{[]string{"-experiment", "example", "-json"}, "-json is not supported by experiment \"example\" (only sweepreuse, corpus)"},
 		{[]string{"-experiment", "fig9", "-json"}, "-json is not supported by experiment \"fig9\""},
 		{[]string{"-experiment", "fig10", "-json"}, "-json is not supported by experiment \"fig10\""},
 		{[]string{"-experiment", "npf", "-json"}, "-json is not supported by experiment \"npf\""},
 		{[]string{"-experiment", "example", "-csv"}, "-csv is not supported by experiment \"example\" (only fig9, fig10)"},
 		{[]string{"-experiment", "npf", "-csv"}, "-csv is not supported by experiment \"npf\""},
-		{[]string{"-experiment", "scaling", "-csv"}, "-csv is not supported by experiment \"scaling\""},
+		{[]string{"-experiment", "sweepreuse", "-csv"}, "-csv is not supported by experiment \"sweepreuse\""},
 		{[]string{"-experiment", "corpus", "-csv"}, "-csv is not supported by experiment \"corpus\""},
 	} {
 		var out strings.Builder

@@ -46,11 +46,10 @@
 // candidates its screen cannot rule out, and undoes speculative
 // duplications with in-place checkpoints. One run plans on one
 // goroutine; independent runs may proceed in parallel.
-// A straightforward reference implementation that redoes every step
-// from scratch stays inside the module as the oracle of the differential
-// tests, which enforce bit-identical decision logs between the two; the
-// engine-vs-engine scaling grid runs with
-// `ftbench -experiment scaling [-json]`.
+// It is the only engine. The seed's reference implementation, which
+// redoes every step from scratch, lives in the core package's tests as
+// the oracle of the differential suite, which enforces bit-identical
+// decision logs between the two.
 //
 // # Unified fault model: processor and link failures
 //

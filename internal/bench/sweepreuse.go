@@ -250,6 +250,24 @@ func SweepReuse(cfg SweepReuseConfig) (*SweepReuseReport, error) {
 	return rep, nil
 }
 
+// stepsIdentical compares two decision logs exactly.
+func stepsIdentical(a, b []core.Step) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Task != b[i].Task || a[i].Urgency != b[i].Urgency || len(a[i].Procs) != len(b[i].Procs) {
+			return false
+		}
+		for j := range a[i].Procs {
+			if a[i].Procs[j] != b[i].Procs[j] || a[i].Sigmas[j] != b[i].Sigmas[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // RenderSweepReuse writes the report as a fixed-width text table.
 func RenderSweepReuse(w io.Writer, rep *SweepReuseReport) error {
 	var b strings.Builder

@@ -170,7 +170,7 @@ func (a *RunArena) diffRecent(p *spec.Problem, okey string) (*RunRecord, spec.De
 // and is recorded for the future. The result is always bit-identical to
 // core.Run(p, opts).
 func (a *RunArena) Run(p *spec.Problem, opts Options) (*Result, error) {
-	if a == nil || !recordable(opts) {
+	if a == nil {
 		return Run(p, opts)
 	}
 	key, err := p.ContentKey()
@@ -192,7 +192,7 @@ func (a *RunArena) Run(p *spec.Problem, opts Options) (*Result, error) {
 // no content diffing needed. Falls back to a recorded cold run when the
 // parent is unknown.
 func (a *RunArena) RunDerived(p *spec.Problem, d spec.Delta, opts Options) (*Result, error) {
-	if a == nil || !recordable(opts) {
+	if a == nil {
 		return Run(p, opts)
 	}
 	// The child's key is cheap: Derive pre-computed it structurally from

@@ -393,7 +393,6 @@ func TestOptionsKeyFormatPinned(t *testing.T) {
 	}{
 		{Options{}, "nodup=false|tails=false|legacy=false"},
 		{Options{NoDuplication: true, TailsWithComms: true}, "nodup=true|tails=true|legacy=false"},
-		{Options{Engine: EngineReference}, "nodup=false|tails=false|legacy=false"},
 	} {
 		if got := optionsKey(tc.opts); got != tc.want {
 			t.Errorf("optionsKey(%+v) = %q, want %q", tc.opts, got, tc.want)

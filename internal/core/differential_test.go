@@ -1,14 +1,16 @@
 package core
 
-// Differential harness for the incremental scheduling engine: the
-// incremental engine (ready queue + revision-epoch σ cache + cache-aware
-// screen) must reproduce the reference engine's decision log bit for
-// bit, and both schedules must pass full structural validation. The
-// property is exercised on the paper's worked example, a register
-// (mem) feedback loop, seeded random problems across every topology and
-// Npf 0..2, and fuzzed generator parameters (DESIGN.md Section 8).
+// Differential harness for the planner: the incremental engine (ready
+// queue + revision-epoch σ cache + cache-aware screen + pruned
+// crash-separated pick) must reproduce the reference oracle's decision
+// log (oracle_test.go) bit for bit, and both schedules must pass full
+// structural validation. The property is exercised on the paper's worked
+// example, a register (mem) feedback loop, seeded random problems across
+// every topology and Npf 0..2, the retired scaling grid, wide combined
+// budgets on rings, and fuzzed generator parameters (DESIGN.md Section 8).
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,16 +21,13 @@ import (
 	"ftbar/internal/spec"
 )
 
-// assertEnginesAgree runs both engines on the problem and fails unless the
-// decision logs are identical and both schedules validate.
+// assertEnginesAgree runs the planner and the reference oracle
+// (oracle_test.go) on the problem and fails unless the decision logs are
+// identical and both schedules validate.
 func assertEnginesAgree(t *testing.T, p *spec.Problem, opts Options) {
 	t.Helper()
-	optsRef := opts
-	optsRef.Engine = EngineReference
-	ref, refErr := Run(p, optsRef)
-	optsInc := opts
-	optsInc.Engine = EngineIncremental
-	inc, incErr := Run(p, optsInc)
+	ref, refErr := oracleRun(p, opts)
+	inc, incErr := Run(p, opts)
 	if (refErr == nil) != (incErr == nil) {
 		t.Fatalf("engines disagree on outcome: reference err=%v, incremental err=%v", refErr, incErr)
 	}
@@ -108,11 +107,27 @@ func TestDifferentialMemFeedbackLoop(t *testing.T) {
 
 // TestDifferentialRandomProblems is the seeded property sweep: 4
 // topologies × Npf 0..2 × 5 seeds = 60 generated problems, with varying
-// size, CCR and heterogeneity, all run through both engines.
+// size, CCR and heterogeneity, all run through the planner and the
+// oracle. Two more groups ride along:
+//   - the 36 problems of the retired scaling grid (ftbench -experiment
+//     scaling, BENCH_scaling.json): 25/50/100 tasks × 4/6 processors ×
+//     Npf 0/1 × graphs 0–2 on a fully connected architecture, CCR 1;
+//   - 12-task layered problems on 20- and 24-rings at {7,1} and {9,1},
+//     which pick 8 of 20 and 10 of 24 processors per task, so the pruned
+//     crash-separated pick meets a long exhaustive enumeration.
 func TestDifferentialRandomProblems(t *testing.T) {
 	topos := []gen.Topology{gen.TopoFull, gen.TopoBus, gen.TopoRing, gen.TopoStar}
 	ccrs := []float64{0.3, 1, 3}
 	problems := 0
+	run := func(name string, params gen.Params) {
+		p, err := gen.Generate(params)
+		if err != nil {
+			t.Fatalf("generate %+v: %v", params, err)
+		}
+		t.Run(name, func(t *testing.T) {
+			assertEnginesAgree(t, p, Options{})
+		})
+	}
 	for _, topo := range topos {
 		for npf := 0; npf <= 2; npf++ {
 			for seed := int64(1); seed <= 5; seed++ {
@@ -127,19 +142,29 @@ func TestDifferentialRandomProblems(t *testing.T) {
 				if seed%2 == 0 {
 					params.Heterogeneity = 0.4
 				}
-				p, err := gen.Generate(params)
-				if err != nil {
-					t.Fatalf("generate %+v: %v", params, err)
-				}
 				problems++
-				t.Run(topo.String(), func(t *testing.T) {
-					assertEnginesAgree(t, p, Options{})
-				})
+				run(topo.String(), params)
 			}
 		}
 	}
 	if problems < 50 {
 		t.Fatalf("property sweep covers %d problems, want at least 50", problems)
+	}
+	for _, n := range []int{25, 50, 100} {
+		for _, procs := range []int{4, 6} {
+			for npf := 0; npf <= 1; npf++ {
+				for g := 0; g < 3; g++ {
+					run(fmt.Sprintf("scaling/n%d-p%d-npf%d-g%d", n, procs, npf, g), gen.Params{
+						N: n, CCR: 1, Procs: procs, Npf: npf, Seed: scalingGridSeed(n, procs, npf, g),
+					})
+				}
+			}
+		}
+	}
+	for _, sh := range []struct{ procs, npf int }{{20, 7}, {24, 9}} {
+		run(fmt.Sprintf("ring%d-%d-1", sh.procs, sh.npf), gen.Params{
+			N: 12, CCR: 1, Procs: sh.procs, Topology: gen.TopoRing, Npf: sh.npf, Nmf: 1, Seed: 1,
+		})
 	}
 }
 

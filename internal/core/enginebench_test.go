@@ -1,28 +1,42 @@
 package core
 
-// Engine-vs-engine microbenchmarks at the roadmap's tracked size
-// (100 tasks, 6 processors, Npf=1). The full grid lives in
-// internal/bench (ftbench -experiment scaling).
+// Planner-vs-oracle microbenchmarks on the tracked cell of the retired
+// scaling grid (100 tasks, 6 processors, Npf = 1, graphs 0 and 1). One
+// op schedules both problems; CI holds the ratio of the two medians to
+// the cell's frozen speedup in BENCH_scaling.json.
 
 import (
 	"testing"
 
 	"ftbar/internal/gen"
+	"ftbar/internal/spec"
 )
 
-func benchmarkEngine(b *testing.B, engine Engine) {
-	p, err := gen.Generate(gen.Params{N: 100, CCR: 1, Procs: 6, Npf: 1, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
+// scalingGridSeed is the seed the retired scaling grid gave graph g of
+// its (n, procs, npf) cell at base seed 2003.
+func scalingGridSeed(n, procs, npf, g int) int64 {
+	return 2003*1_000_183 + int64(n)*4001 + int64(procs)*211 + int64(npf)*47 + int64(g+1)
+}
+
+func benchmarkEngine(b *testing.B, run func(*spec.Problem, Options) (*Result, error)) {
+	var problems []*spec.Problem
+	for g := 0; g < 2; g++ {
+		p, err := gen.Generate(gen.Params{N: 100, CCR: 1, Procs: 6, Npf: 1, Seed: scalingGridSeed(100, 6, 1, g)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		problems = append(problems, p)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Options{Engine: engine}); err != nil {
-			b.Fatal(err)
+		for _, p := range problems {
+			if _, err := run(p, Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-func BenchmarkEngineReference100x6(b *testing.B)   { benchmarkEngine(b, EngineReference) }
-func BenchmarkEngineIncremental100x6(b *testing.B) { benchmarkEngine(b, EngineIncremental) }
+func BenchmarkEngineReference100x6(b *testing.B)   { benchmarkEngine(b, oracleRun) }
+func BenchmarkEngineIncremental100x6(b *testing.B) { benchmarkEngine(b, Run) }

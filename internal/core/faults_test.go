@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/gen"
@@ -103,11 +104,11 @@ func TestCacheAwareSelectionSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(p, Options{Engine: EngineReference})
+	ref, err := oracleRun(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := Run(p, Options{Engine: EngineIncremental})
+	inc, err := Run(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +239,33 @@ func TestCrashSeparatedPlacementOnRing(t *testing.T) {
 	}
 }
 
+// TestCrashSeparatedPickOnWideRing bounds the crash-separated pick's
+// search: a 12-task layered problem on a 28-ring at {11,1} picks 12 of up
+// to 28 processors per task. Enumerating every 12-subset in order took
+// about 11 s on a 2-vCPU VM; the pruned walk takes well under a second,
+// under the race detector too.
+func TestCrashSeparatedPickOnWideRing(t *testing.T) {
+	p, err := gen.Generate(gen.Params{
+		N: 12, CCR: 1, Procs: 28, Topology: gen.TopoRing, Npf: 11, Nmf: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := Run(p, Options{})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("planned in %v", elapsed)
+	if elapsed > 5*time.Second {
+		t.Errorf("planning took %v, want under 5s", elapsed)
+	}
+	if err := res.Schedule.Validate(); err != nil {
+		t.Errorf("schedule invalid: %v", err)
+	}
+}
+
 // TestDiversityRefusalIsTyped pins the refusal a medium-failure
 // reschedule on a sparse ring runs into: with medium 0 forbidden, a
 // chain delivery to P4 can no longer reach two media-disjoint routes, and
@@ -260,10 +288,12 @@ func TestDiversityRefusalIsTyped(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("forbid medium 0: ok=%t err=%v", ok, err)
 	}
-	for _, engine := range []Engine{EngineIncremental, EngineReference} {
-		_, err := Run(child, Options{Engine: engine})
+	for name, run := range map[string]func(*spec.Problem, Options) (*Result, error){
+		"planner": Run, "oracle": oracleRun,
+	} {
+		_, err := run(child, Options{})
 		if !errors.Is(err, ErrNoProcessorChoice) || !errors.Is(err, sched.ErrNoDisjointDelivery) {
-			t.Errorf("engine %d: err = %v, want ErrNoProcessorChoice wrapping sched.ErrNoDisjointDelivery", engine, err)
+			t.Errorf("%s: err = %v, want ErrNoProcessorChoice wrapping sched.ErrNoDisjointDelivery", name, err)
 		}
 	}
 	if _, err := Run(child, Options{NoDuplication: true}); err != nil {

@@ -34,25 +34,6 @@ var (
 	ErrInternal          = errors.New("core: internal scheduling inconsistency")
 )
 
-// Engine selects the scheduling engine implementation. Both engines run
-// the same heuristic and produce bit-identical decision logs and
-// schedules; they differ only in how much work each step redoes.
-type Engine int
-
-const (
-	// EngineIncremental is the default: candidates come from an
-	// indegree-counter ready queue, schedule pressures are cached per
-	// (task, processor) and invalidated by the schedule's revision
-	// counters, and cold previews are computed only for the candidates the
-	// selection screen cannot rule out (DESIGN.md Section 8).
-	EngineIncremental Engine = iota
-	// EngineReference is the seed implementation: a full candidate rescan
-	// and uncached pressure previews at every step. It is kept as the
-	// oracle of the differential tests and the baseline of the scaling
-	// benchmark.
-	EngineReference
-)
-
 // Options tunes the heuristic. The zero value is the paper's FTBAR.
 type Options struct {
 	// NoDuplication disables Minimize-start-time (the Ahmad-Kwok
@@ -63,10 +44,6 @@ type Options struct {
 	// paper's calibration excludes them (see the package comment); this
 	// knob exists for the ablation benchmarks.
 	TailsWithComms bool
-	// Engine selects the scheduling engine; the incremental engine is the
-	// default and produces identical results to the reference engine,
-	// which only the differential tests and the scaling experiment pick.
-	Engine Engine
 }
 
 // Step records one scheduling decision for inspection, tests and the
@@ -99,7 +76,7 @@ type Result struct {
 	// layer (internal/obsv): how many σ previews were actually computed
 	// versus screened away, and how often the σ cache answered without a
 	// preview. The counters are plain integers collected alongside state
-	// the engines already maintain — no atomics, no allocations — so
+	// the planner already maintains — no atomics, no allocations — so
 	// instrumented runs stay bit-identical and the hot-path alloc gates
 	// are unaffected.
 	Planner PlannerStats
@@ -116,8 +93,8 @@ type PlannerStats struct {
 	PreviewsComputed int `json:"previews_computed"`
 	// PreviewsScreened counts the candidates the cache-aware screen ruled
 	// out from still-valid cached pressures, whose cold previews were
-	// never paid for (0 for the reference engine). Skips never change the
-	// decision log; they only avoid work.
+	// never paid for. Skips never change the decision log; they only
+	// avoid work.
 	PreviewsScreened int `json:"previews_screened"`
 	// SigmaReuses counts σ-cache entries revalidated against the live
 	// schedule and reused without recomputation.
@@ -159,9 +136,7 @@ func Run(p *spec.Problem, opts Options) (*Result, error) {
 // decision log need reconstructing — the σ cache starts cold and exact,
 // which keeps the resumed suffix bit-identical to the suffix of a cold
 // run. A non-nil rec captures the run's decision record for future
-// replays; recording is only wired for the incremental engine (the
-// reference engine's clone-and-swap speculation escapes the media-touch
-// mask, see sched.MediaTouched).
+// replays.
 func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec *RunRecord) (*Result, error) {
 	tg := s.Tasks()
 	sch := &scheduler{
@@ -172,46 +147,34 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		opts:  opts,
 		tails: Tails(p, tg, opts.TailsWithComms),
 		done:  make([]bool, tg.NumTasks()),
+		rq:    newReadyQueue(tg),
+		rec:   rec,
 	}
+	sch.cache = newSigmaCache(sch)
 	if sch.fm.Nmf > 0 {
 		// Crash-separated replica placement (DESIGN.md Section 12): under
 		// a combined budget, prefer replica sets no single in-budget
 		// (processor, medium) crash can wipe out or strand.
 		sch.vuln = p.Arc.PairCutMatrix()
 	}
-	if opts.Engine == EngineIncremental {
-		sch.rq = newReadyQueue(tg)
-		sch.cache = newSigmaCache(sch)
-	}
 	if len(prefix) > 0 {
 		sch.steps = append(make([]Step, 0, tg.NumTasks()), prefix...)
 		for _, st := range prefix {
 			sch.done[st.Task] = true
-			if sch.rq != nil {
-				sch.rq.commit(st.Task)
-			}
+			sch.rq.commit(st.Task)
 		}
-	}
-	if rec != nil && recordable(opts) {
-		sch.rec = rec
 	}
 	if err := sch.run(); err != nil {
 		return nil, err
 	}
-	// placeMinimized may roll back speculative duplications by swapping
-	// in a clone (reference engine) or in place (incremental engine);
-	// either way the scheduler's current schedule is the authoritative
-	// one.
 	res := &Result{
 		Schedule:      sch.s,
 		Steps:         sch.steps,
-		ExtraReplicas: sch.extraReplicas(),
+		ExtraReplicas: extraReplicasOf(sch.s, sch.fm),
 	}
-	if sch.cache != nil {
-		res.Planner.PreviewsComputed = int(sch.cache.computed)
-		res.Planner.PreviewsScreened = int(sch.cache.skipped)
-		res.Planner.SigmaReuses = int(sch.cache.reused)
-	}
+	res.Planner.PreviewsComputed = int(sch.cache.computed)
+	res.Planner.PreviewsScreened = int(sch.cache.skipped)
+	res.Planner.SigmaReuses = int(sch.cache.reused)
 	res.Planner.Rounds = sch.rounds
 	ok, rtcErr := sch.s.MeetsRtc()
 	res.MeetsRtc = ok
@@ -280,20 +243,17 @@ func Sigma(s *sched.Schedule, tails []float64, t model.TaskID, p arch.ProcID) fl
 }
 
 // sigma returns the schedule pressure of (t, p): the cached value when the
-// incremental engine holds a valid entry, a fresh computation otherwise.
+// σ cache holds a valid entry, a fresh computation otherwise.
 func (sch *scheduler) sigma(t model.TaskID, p arch.ProcID) float64 {
-	if sch.cache != nil {
-		if sig, ok := sch.cache.get(t, p); ok {
-			return sig
-		}
+	if sig, ok := sch.cache.get(t, p); ok {
+		return sig
 	}
 	return Sigma(sch.s, sch.tails, t, p)
 }
 
-// scheduler carries the mutable state of one run. rq and cache are set for
-// the incremental engine and nil for the reference engine; every other
-// piece of the heuristic is shared, which is what makes the two engines'
-// decision logs bit-identical.
+// scheduler carries the mutable state of one run: the ready queue and σ
+// cache of the incremental planner (incremental.go) around the paper's
+// selection and placement rules.
 type scheduler struct {
 	s     *sched.Schedule
 	tg    *model.TaskGraph
@@ -310,8 +270,8 @@ type scheduler struct {
 	vuln [][]bool
 	// rounds feeds Result.Planner: the prepare/select rounds run.
 	rounds int
-	// checkpoints is the reusable buffer stack of the incremental
-	// engine's in-place speculation undo (speculation nests).
+	// checkpoints is the reusable buffer stack of Minimize-start-time's
+	// in-place speculation undo (speculation nests).
 	checkpoints []*sched.Checkpoint
 	// evalBuf, procsBuf and sigmasBuf are scratch for candidate
 	// evaluation, the per-step hot path: bestProcs results only live
@@ -343,19 +303,12 @@ func (sch *scheduler) run() error {
 		}
 	}
 	for remaining > 0 {
-		var cands []model.TaskID
-		if sch.rq != nil {
-			cands = sch.rq.candidates()
-		} else {
-			cands = sch.candidates()
-		}
+		cands := sch.rq.candidates()
 		if len(cands) == 0 {
 			return fmt.Errorf("%w: %d tasks unschedulable", ErrInternal, remaining)
 		}
 		sch.rounds++
-		if sch.cache != nil {
-			sch.cache.prepare(cands)
-		}
+		sch.cache.prepare(cands)
 		best, procs, sigmas, urgency, err := sch.selectCandidate(cands)
 		if err != nil {
 			return err
@@ -390,9 +343,7 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 		}
 	}
 	sch.done[best] = true
-	if sch.rq != nil {
-		sch.rq.commit(best)
-	}
+	sch.rq.commit(best)
 	sch.steps = append(sch.steps, Step{
 		Task: best, Procs: procs, Sigmas: sigmas, Urgency: urgency,
 	})
@@ -408,37 +359,6 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 	return nil
 }
 
-// candidates returns the unscheduled tasks whose predecessors are all
-// scheduled, in ascending id order (paper: O_cand). A mem's write half
-// additionally waits for its read half, whose placements pin the write's
-// processors (DESIGN.md Section 4).
-func (sch *scheduler) candidates() []model.TaskID {
-	readOf := make(map[model.TaskID]model.TaskID)
-	for _, mp := range sch.tg.MemPairs() {
-		readOf[mp.Write] = mp.Read
-	}
-	var out []model.TaskID
-	for t := 0; t < sch.tg.NumTasks(); t++ {
-		if sch.done[t] {
-			continue
-		}
-		ready := true
-		for _, pred := range sch.tg.Preds(model.TaskID(t)) {
-			if !sch.done[pred] {
-				ready = false
-				break
-			}
-		}
-		if read, ok := readOf[model.TaskID(t)]; ok && !sch.done[read] {
-			ready = false
-		}
-		if ready {
-			out = append(out, model.TaskID(t))
-		}
-	}
-	return out
-}
-
 // selectCandidate performs micro-steps À and Á: for every candidate keep
 // the Npf+1 processors of minimum pressure, then pick the candidate whose
 // best pressure is maximal (most urgent). Ties break towards the smaller
@@ -446,13 +366,12 @@ func (sch *scheduler) candidates() []model.TaskID {
 // processors and pressures are copied out of the scratch buffers for the
 // decision log.
 //
-// With the incremental engine, a candidate whose still-valid cached
-// pressures already prove it cannot beat the running winner is skipped
-// before its stale previews are recomputed (cache-aware selection). The
-// skip is exact — the candidate's selection key can only be at or below a
-// valid cached pressure, and the strict > comparison would have rejected
-// it anyway — so the decision log stays bit-identical to the reference
-// engine's.
+// A candidate whose still-valid cached pressures already prove it cannot
+// beat the running winner is skipped before its stale previews are
+// recomputed (cache-aware selection). The skip is exact — the
+// candidate's selection key can only be at or below a valid cached
+// pressure, and the strict > comparison would have rejected it anyway —
+// so the decision log stays bit-identical to a full rescan's.
 func (sch *scheduler) selectCandidate(cands []model.TaskID) (model.TaskID, []arch.ProcID, []float64, float64, error) {
 	bestTask := model.TaskID(-1)
 	bestUrgency := math.Inf(-1)
@@ -460,8 +379,7 @@ func (sch *scheduler) selectCandidate(cands []model.TaskID) (model.TaskID, []arc
 	var bestSigmas []float64
 	cur := 0
 	for _, t := range cands {
-		memWrite := sch.tg.Task(t).Role == model.MemWrite
-		if sch.cache != nil && !memWrite {
+		if sch.tg.Task(t).Role != model.MemWrite {
 			if sch.cache.screen(t, sch.fm.Replicas(), bestUrgency) {
 				continue
 			}
@@ -543,38 +461,22 @@ func (sch *scheduler) bestProcs(t model.TaskID, procs []arch.ProcID, sigmas []fl
 // replica pair onto non-adjacent processors, which no single in-budget
 // (processor, medium) crash can jointly kill or strand — the placement
 // half of the joint masking the combined sweep measures — even when
-// distribution constraints forbid the pressure-optimal partner. The pick
-// is deterministic and shared by both engines, so decision logs stay
-// engine-identical; the selection key (the minimum pressure over all
-// usable processors) is unaffected, so candidate ordering and the
-// cache-aware screen reason about the same quantity as the unbiased
-// heuristic. With Nmf = 0 the bias is off and the pick is bit-identical
-// to the seed's.
+// distribution constraints forbid the pressure-optimal partner. The
+// selection key (the minimum pressure over all usable processors) is
+// unaffected, so candidate ordering and the cache-aware screen reason
+// about the same quantity as the unbiased heuristic. With Nmf = 0 the
+// bias is off and the pick is bit-identical to the seed's.
+//
+// The sets are walked depth first in lexicographic order. A prefix whose
+// penalty already reaches the best complete set's is skipped — a further
+// replica can only add vulnerable pairs — and the walk stops at penalty
+// 0. No skipped set could strictly improve, so the walk returns the first
+// minimum in lexicographic order, as the test oracle's exhaustive
+// enumeration does.
 func (sch *scheduler) survivableProcs(all []procSigma, need int, procs []arch.ProcID, sigmas []float64) ([]arch.ProcID, []float64) {
 	idx := make([]int, need)
-	for i := range idx {
-		idx[i] = i
-	}
-	best := append([]int(nil), idx...)
-	bestPenalty := sch.setPenalty(all, idx)
-	for bestPenalty > 0 {
-		// Advance idx to the next combination in lexicographic order.
-		i := need - 1
-		for i >= 0 && idx[i] == len(all)-need+i {
-			i--
-		}
-		if i < 0 {
-			break
-		}
-		idx[i]++
-		for j := i + 1; j < need; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-		if p := sch.setPenalty(all, idx); p < bestPenalty {
-			bestPenalty = p
-			copy(best, idx)
-		}
-	}
+	best := make([]int, need)
+	sch.extendPick(all, idx, best, 0, 0, math.MaxInt)
 	for _, i := range best {
 		procs = append(procs, all[i].proc)
 		sigmas = append(sigmas, all[i].sigma)
@@ -582,18 +484,32 @@ func (sch *scheduler) survivableProcs(all []procSigma, need int, procs []arch.Pr
 	return procs, sigmas
 }
 
-// setPenalty counts the PairCutVulnerable pairs inside the replica set
-// indexed by idx.
-func (sch *scheduler) setPenalty(all []procSigma, idx []int) int {
-	penalty := 0
-	for i := 0; i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			if sch.vuln[all[idx[i]].proc][all[idx[j]].proc] {
-				penalty++
+// extendPick walks the completions of the prefix idx[:depth], whose
+// penalty is pen, in lexicographic order. Every complete set whose
+// penalty is strictly below bestPenalty is copied into best; the lowest
+// penalty reached is returned.
+func (sch *scheduler) extendPick(all []procSigma, idx, best []int, depth, pen, bestPenalty int) int {
+	if depth == len(idx) {
+		copy(best, idx)
+		return pen
+	}
+	from := 0
+	if depth > 0 {
+		from = idx[depth-1] + 1
+	}
+	for i := from; i <= len(all)-len(idx)+depth && bestPenalty > 0; i++ {
+		p := pen
+		for _, j := range idx[:depth] {
+			if sch.vuln[all[j].proc][all[i].proc] {
+				p++
 			}
 		}
+		if p < bestPenalty {
+			idx[depth] = i
+			bestPenalty = sch.extendPick(all, idx, best, depth+1, p, bestPenalty)
+		}
 	}
-	return penalty
+	return bestPenalty
 }
 
 // memWriteProcs pins a mem's write half to the processors hosting its read
@@ -624,15 +540,4 @@ func (sch *scheduler) memWriteProcs(t model.TaskID, procs []arch.ProcID, sigmas 
 		return procs, sigmas, sigmas[0], nil
 	}
 	return nil, nil, 0, fmt.Errorf("%w: %q is not a mem write", ErrInternal, task.Name)
-}
-
-// extraReplicas counts replicas beyond Npf+1 over all tasks.
-func (sch *scheduler) extraReplicas() int {
-	extra := 0
-	for t := 0; t < sch.tg.NumTasks(); t++ {
-		if n := sch.s.NumReplicas(model.TaskID(t)); n > sch.fm.Replicas() {
-			extra += n - sch.fm.Replicas()
-		}
-	}
-	return extra
 }

@@ -12,13 +12,14 @@ import (
 // Section 8): the ready queue that replaces the per-step candidate rescan,
 // and the revision-epoch pressure cache that replaces the per-step
 // recomputation of every candidate × processor preview. Both are exact:
-// the engine's decision log is bit-identical to the reference engine's.
+// the engine's decision log is bit-identical to the seed's rescan engine,
+// which the differential tests keep as their oracle (oracle_test.go).
 
 // readyQueue maintains the candidate set O_cand incrementally. A task is
 // ready when all its distinct predecessors are done, plus — for a mem's
 // write half — when its read half is done (the pinning rule of DESIGN.md
 // Section 4). The ready list is kept in ascending task id order so the
-// selection loop visits candidates exactly like the reference rescan.
+// selection loop visits candidates exactly like a full rescan.
 type readyQueue struct {
 	// indeg[t] counts the undone gating tasks of t: its distinct
 	// predecessors, plus the read half for a mem write not already

@@ -15,45 +15,14 @@ import (
 // undone wholesale (step Ï) and the replica is finally scheduled at its
 // S_best (step Ð).
 //
-// The undo has two implementations with identical semantics. The
-// reference engine keeps the seed mechanism: clone the schedule before
-// each speculative duplication and swap the clone back on regression. The
-// incremental engine takes an in-place checkpoint and rolls back instead,
-// which copies no replicas or comms and leaves the schedule object — and
-// therefore the stamp-keyed pressure cache — intact.
+// The undo is an in-place checkpoint and rollback, which copies no
+// replicas or comms and leaves the schedule object — and therefore the
+// stamp-keyed pressure cache — intact. The final commit reuses the newest
+// plan instead of replanning: the schedule state at the commit is exactly
+// the state that plan ran against, because the loop either breaks right
+// after planning or a failed speculation rolls the state back to it
+// bit-exact.
 func (sch *scheduler) placeMinimized(t model.TaskID, p arch.ProcID) error {
-	if sch.cache != nil {
-		return sch.placeMinimizedFused(t, p)
-	}
-	pl, details, err := sch.s.PreviewDetail(t, p)
-	if err != nil {
-		return err // step Ë: t cannot be scheduled on p
-	}
-	sWorst := pl.SWorst
-	for {
-		lip, ok := sch.findLIP(details, p)
-		if !ok {
-			break
-		}
-		improved, newDetails := sch.tryDuplication(t, p, lip, sWorst)
-		if math.IsInf(improved, 1) {
-			break // step Ï: the duplication was undone
-		}
-		sWorst = improved // step Ñ: improved; look for the new LIP
-		details = newDetails
-	}
-	_, err = sch.s.PlaceReplica(t, p) // step Ð: schedule at S_best
-	return err
-}
-
-// placeMinimizedFused is placeMinimized on the incremental engine, whose
-// final commit reuses the newest plan instead of replanning — a shortcut
-// the reference engine's clone-and-swap shape rules out. The schedule
-// state at the commit is exactly the state the newest plan ran against:
-// the loop either breaks right after planning, or a failed speculation
-// rolls the state back to it bit-exact. PlaceReplica's replan would
-// reproduce the held plan and is pure waste.
-func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
 	tok, err := sch.s.PlanPlacement(t, p)
 	if err != nil {
 		return err // step Ë: t cannot be scheduled on p
@@ -63,7 +32,7 @@ func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
 		if !ok {
 			break
 		}
-		newTok, improved := sch.tryDuplicationFused(t, p, lip, tok.Placement().SWorst)
+		newTok, improved := sch.tryDuplication(t, p, lip, tok.Placement().SWorst)
 		if !improved {
 			break // step Ï: the duplication was undone
 		}
@@ -74,17 +43,17 @@ func (sch *scheduler) placeMinimizedFused(t model.TaskID, p arch.ProcID) error {
 	return nil
 }
 
-// tryDuplicationFused speculatively duplicates lip onto p and keeps the
-// work only when it strictly reduces S_worst(t, p), returning the open
-// plan of (t, p) against the improved state. On a non-improving (or
-// impossible) duplication it rolls the schedule back and reports false.
-func (sch *scheduler) tryDuplicationFused(t model.TaskID, p arch.ProcID, lip model.TaskID,
+// tryDuplication speculatively duplicates lip onto p and keeps the work
+// only when it strictly reduces S_worst(t, p), returning the open plan of
+// (t, p) against the improved state. On a non-improving (or impossible)
+// duplication it rolls the schedule back and reports false.
+func (sch *scheduler) tryDuplication(t model.TaskID, p arch.ProcID, lip model.TaskID,
 	sWorst float64) (sched.PlannedPlacement, bool) {
 
 	cp := sch.getCheckpoint()
 	defer sch.putCheckpoint(cp)
 	sch.s.Checkpoint(cp)
-	if err := sch.placeMinimizedFused(lip, p); err != nil {
+	if err := sch.placeMinimized(lip, p); err != nil {
 		// The duplication itself is impossible; undo any partial work
 		// and stop improving.
 		sch.s.Rollback(cp)
@@ -97,28 +66,6 @@ func (sch *scheduler) tryDuplicationFused(t model.TaskID, p arch.ProcID, lip mod
 		return sched.PlannedPlacement{}, false
 	}
 	return newTok, true
-}
-
-// tryDuplication is the reference engine's speculation step: clone the
-// schedule, duplicate lip onto p, and swap the clone back unless S_worst
-// strictly improved. It returns the improved S_worst and arrival details,
-// or +Inf after undoing a non-improving (or impossible) duplication.
-func (sch *scheduler) tryDuplication(t model.TaskID, p arch.ProcID, lip model.TaskID,
-	sWorst float64) (float64, []sched.EdgeArrival) {
-
-	snapshot := sch.s.Clone()
-	if err := sch.placeMinimized(lip, p); err != nil {
-		// The duplication itself is impossible; undo any partial work
-		// and stop improving.
-		sch.s = snapshot
-		return math.Inf(1), nil
-	}
-	newPl, newDetails, err := sch.s.PreviewDetail(t, p)
-	if err != nil || newPl.SWorst >= sWorst-timeEps {
-		sch.s = snapshot // step Ï: undo all replications of Í
-		return math.Inf(1), nil
-	}
-	return newPl.SWorst, newDetails
 }
 
 // getCheckpoint pops a reusable checkpoint buffer; speculation nests, so

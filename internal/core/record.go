@@ -52,25 +52,13 @@ type PlaceRec struct {
 	End   float64      `json:"end"`
 }
 
-// optionsKey fingerprints the options that influence decisions. Engine
-// is excluded on purpose: the repo's standing invariant (enforced by the
-// differential suite) is that it never changes the decision log, only the
-// work profile.
+// optionsKey fingerprints the options that influence decisions, which is
+// every field of Options.
 func optionsKey(opts Options) string {
 	// The literal "legacy=false" stays: persisted v3 arena snapshots and
 	// drain handoffs key their records on these exact bytes.
 	return fmt.Sprintf("nodup=%t|tails=%t|legacy=false",
 		opts.NoDuplication, opts.TailsWithComms)
-}
-
-// recordable reports whether runs under opts may be recorded and warm
-// started. Only the incremental engine qualifies: its Minimize
-// speculation undoes in place, so the monotone media-touch mask also
-// covers discarded speculation, which the replay validity rule needs.
-// The reference engine's clone-and-swap undo drops those mask bits with
-// the clone.
-func recordable(opts Options) bool {
-	return opts.Engine == EngineIncremental
 }
 
 // finish freezes the record of a completed run: the decision log, the

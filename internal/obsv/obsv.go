@@ -12,7 +12,7 @@
 //     the caller decides at construction whether the metrics exist at
 //     all — the disabled hot path pays one nil check, no atomics, no
 //     allocations, which is what keeps the planner's 0-alloc preview
-//     gate and the scaling floor intact.
+//     gate and its speedup floor intact.
 //   - No dependencies. The Prometheus surface is the text exposition
 //     format written by hand (prom.go); nothing outside the standard
 //     library is imported anywhere in the package.

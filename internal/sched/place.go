@@ -456,19 +456,6 @@ func (s *Schedule) PreviewTouched(t model.TaskID, p arch.ProcID, bounds []Medium
 	return pl, bounds, err
 }
 
-// PreviewDetail is Preview plus the per-edge arrival breakdown, which
-// Minimize-start-time needs to locate the Latest Immediate Predecessor.
-func (s *Schedule) PreviewDetail(t model.TaskID, p arch.ProcID) (Placement, []EdgeArrival, error) {
-	sc := s.getScratch()
-	pl, err := s.plan(t, p, sc, true)
-	var details []EdgeArrival
-	if err == nil {
-		details = append(details, sc.details...)
-	}
-	s.putScratch(sc)
-	return pl, details, err
-}
-
 // PlannedPlacement is a plan held open for committing: PlanPlacement
 // computes the placement of (t, p) — with the per-edge arrival breakdown
 // Minimize-start-time needs — and keeps the planned comms instead of
