@@ -21,6 +21,22 @@ package arch
 // The placement heuristic uses this to prefer crash-separated replica
 // sets under a combined budget.
 func (a *Architecture) PairCutVulnerable(x, y ProcID) bool {
+	return a.pairCutVulnerable(x, y, newCutScratch(len(a.procs)))
+}
+
+// cutScratch is the breadth-first search state one PairCutMatrix reuses
+// across all its pair checks, so the searches allocate nothing.
+type cutScratch struct {
+	mark  []int // mark[v] == gen: v was reached by the current search
+	gen   int
+	queue []ProcID
+}
+
+func newCutScratch(nProcs int) *cutScratch {
+	return &cutScratch{mark: make([]int, nProcs), queue: make([]ProcID, 0, nProcs)}
+}
+
+func (a *Architecture) pairCutVulnerable(x, y ProcID, sc *cutScratch) bool {
 	if x == y {
 		return true
 	}
@@ -30,7 +46,7 @@ func (a *Architecture) PairCutVulnerable(x, y ProcID) bool {
 	}
 	for p := 0; p < nP; p++ {
 		for m := 0; m < nM; m++ {
-			if !a.pairSurvives(x, y, ProcID(p), MediumID(m)) {
+			if !a.pairSurvives(x, y, ProcID(p), MediumID(m), sc) {
 				return true
 			}
 		}
@@ -41,12 +57,12 @@ func (a *Architecture) PairCutVulnerable(x, y ProcID) bool {
 // pairSurvives reports whether, with processor p and medium m crashed,
 // some member of {x, y} is alive and reaches a processor outside the
 // pair over surviving media and processors.
-func (a *Architecture) pairSurvives(x, y, p ProcID, m MediumID) bool {
+func (a *Architecture) pairSurvives(x, y, p ProcID, m MediumID, sc *cutScratch) bool {
 	for _, z := range [2]ProcID{x, y} {
 		if z == p {
 			continue
 		}
-		if a.reachesOutside(z, x, y, p, m) {
+		if a.reachesOutside(z, x, y, p, m, sc) {
 			return true
 		}
 	}
@@ -54,27 +70,28 @@ func (a *Architecture) pairSurvives(x, y, p ProcID, m MediumID) bool {
 }
 
 // reachesOutside runs a breadth-first search from z over the surviving
-// topology (processor p and medium m crashed) and reports whether any
-// processor outside {x, y, p} is reachable.
-func (a *Architecture) reachesOutside(z, x, y, p ProcID, m MediumID) bool {
-	seen := make([]bool, len(a.procs))
-	seen[z] = true
-	queue := []ProcID{z}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for mi := 0; mi < len(a.media); mi++ {
-			if MediumID(mi) == m || !a.media[mi].Connects(u) {
+// topology (processor p and medium m crashed), following each reached
+// processor's own media, and reports whether any processor outside
+// {x, y, p} is reachable.
+func (a *Architecture) reachesOutside(z, x, y, p ProcID, m MediumID, sc *cutScratch) bool {
+	sc.gen++
+	sc.mark[z] = sc.gen
+	// Every processor enters the queue at most once, so the preallocated
+	// capacity never grows.
+	queue := append(sc.queue[:0], z)
+	for head := 0; head < len(queue); head++ {
+		for _, mi := range a.mediaOf[queue[head]] {
+			if mi == m {
 				continue
 			}
 			for _, v := range a.media[mi].Endpoints {
-				if v == p || seen[v] {
+				if v == p || sc.mark[v] == sc.gen {
 					continue
 				}
 				if v != x && v != y {
 					return true
 				}
-				seen[v] = true
+				sc.mark[v] = sc.gen
 				queue = append(queue, v)
 			}
 		}
@@ -88,14 +105,16 @@ func (a *Architecture) reachesOutside(z, x, y, p ProcID, m MediumID) bool {
 // after AddMedium (Revision moves).
 func (a *Architecture) PairCutMatrix() [][]bool {
 	nP := len(a.procs)
+	cells := make([]bool, nP*nP)
 	out := make([][]bool, nP)
-	for x := 0; x < nP; x++ {
-		out[x] = make([]bool, nP)
+	for x := range out {
+		out[x] = cells[x*nP : (x+1)*nP]
 		out[x][x] = true
 	}
+	sc := newCutScratch(nP)
 	for x := 0; x < nP; x++ {
 		for y := x + 1; y < nP; y++ {
-			v := a.PairCutVulnerable(ProcID(x), ProcID(y))
+			v := a.pairCutVulnerable(ProcID(x), ProcID(y), sc)
 			out[x][y], out[y][x] = v, v
 		}
 	}

@@ -200,3 +200,117 @@ func TestComponentsMatchRoutes(t *testing.T) {
 		}
 	}
 }
+
+// oraclePairCutVulnerable is PairCutVulnerable before PairCutMatrix
+// shared one search scratch, kept verbatim as the differential oracle:
+// every search allocates its own seen set and queue and scans every
+// medium per reached processor.
+func (a *Architecture) oraclePairCutVulnerable(x, y ProcID) bool {
+	if x == y {
+		return true
+	}
+	nP, nM := len(a.procs), len(a.media)
+	if nP <= 2 {
+		return true
+	}
+	for p := 0; p < nP; p++ {
+		for m := 0; m < nM; m++ {
+			if !a.oraclePairSurvives(x, y, ProcID(p), MediumID(m)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (a *Architecture) oraclePairSurvives(x, y, p ProcID, m MediumID) bool {
+	for _, z := range [2]ProcID{x, y} {
+		if z == p {
+			continue
+		}
+		if a.oracleReachesOutside(z, x, y, p, m) {
+			return true
+		}
+	}
+	return false
+}
+
+func (a *Architecture) oracleReachesOutside(z, x, y, p ProcID, m MediumID) bool {
+	seen := make([]bool, len(a.procs))
+	seen[z] = true
+	queue := []ProcID{z}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for mi := 0; mi < len(a.media); mi++ {
+			if MediumID(mi) == m || !a.media[mi].Connects(u) {
+				continue
+			}
+			for _, v := range a.media[mi].Endpoints {
+				if v == p || seen[v] {
+					continue
+				}
+				if v != x && v != y {
+					return true
+				}
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return false
+}
+
+// generatedTopologies builds every layout the generator produces
+// (gen.Topology's architecture switch) at 1–12 processors, the seeded
+// random-geometric one at its default radius and at a sparse radius that
+// forces component stitching, over four placement seeds.
+func generatedTopologies() map[string]*Architecture {
+	out := make(map[string]*Architecture)
+	for n := 1; n <= 12; n++ {
+		for name, build := range map[string]func(int) *Architecture{
+			"full": FullyConnected, "bus": Bus, "ring": Ring, "star": Star, "dualbus": DualBus,
+			"mesh": Mesh, "torus": Torus, "hypercube": Hypercube,
+		} {
+			out[fmt.Sprintf("%s%d", name, n)] = build(n)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			out[fmt.Sprintf("geom%d-seed%d", n, seed)] = Geometric(n, 0, seed)
+			out[fmt.Sprintf("geom%d-seed%d-r0.3", n, seed)] = Geometric(n, 0.3, seed)
+		}
+	}
+	return out
+}
+
+// TestPairCutMatrixMatchesOracle holds PairCutMatrix and PairCutVulnerable
+// to the per-search allocating walk on every generated topology.
+func TestPairCutMatrixMatchesOracle(t *testing.T) {
+	for name, a := range generatedTopologies() {
+		m := a.PairCutMatrix()
+		for x := range m {
+			for y := range m[x] {
+				want := a.oraclePairCutVulnerable(ProcID(x), ProcID(y))
+				if m[x][y] != want {
+					t.Errorf("%s: matrix[%d][%d] = %t, oracle %t", name, x, y, m[x][y], want)
+				}
+				if got := a.PairCutVulnerable(ProcID(x), ProcID(y)); got != want {
+					t.Errorf("%s: PairCutVulnerable(%d, %d) = %t, oracle %t", name, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPairCutMatrixAllocs pins the matrix's allocations to its output (the
+// cells and the row headers) and one search scratch (marks and queue),
+// independent of how many searches it runs.
+func TestPairCutMatrixAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	for _, a := range []*Architecture{Torus(9), Mesh(9), Geometric(8, 0, 1), Ring(28)} {
+		if got := testing.AllocsPerRun(5, func() { a.PairCutMatrix() }); got != 4 {
+			t.Errorf("%d processors, %d media: %.0f allocations per matrix, want 4", a.NumProcs(), a.NumMedia(), got)
+		}
+	}
+}

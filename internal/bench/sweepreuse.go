@@ -37,8 +37,8 @@ type SweepReuseConfig struct {
 }
 
 // DefaultSweepReuse returns the standard configuration, sized so the
-// tracked cell exercises prefix replay, slab recycling and the cold
-// fallback in one sweep.
+// tracked cell exercises full replay, slab recycling and cold runs in
+// one sweep.
 func DefaultSweepReuse() SweepReuseConfig {
 	return SweepReuseConfig{
 		Tasks: 50, Procs: 4, CCR: 1, Npf: 1,
@@ -117,9 +117,9 @@ func sweepReuseFamily(kind string, p *spec.Problem, baseLen float64, cfg SweepRe
 	case "failures":
 		// The single-failure sweep: a reschedule per surviving-component
 		// scenario, recurring over Rounds successive deadline revisions —
-		// round one meets fresh problems (crash reschedules search in
-		// full, medium reschedules prefix-replay), later rounds differ
-		// from it only in Rtc and replay whole decision logs.
+		// round one meets fresh problems (every crash and medium
+		// reschedule searches in full), later rounds differ from it only
+		// in Rtc and replay whole decision logs.
 		var scenarios []sim.Scenario
 		for q := 0; q < p.Arc.NumProcs(); q++ {
 			scenarios = append(scenarios, sim.Scenario{Failures: []sim.Failure{sim.Permanent(arch.ProcID(q), 0)}})

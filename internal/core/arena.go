@@ -1,12 +1,11 @@
 // This file implements the cross-run reuse layer (DESIGN.md Section 15):
 // RunArena, an owner of retired schedule slabs and recorded decision
-// logs that warm-starts runs whose problem is one known mutation away
-// from a recorded one. The hard constraint throughout is bit-identity —
-// a warm-started run must produce exactly the decision log and schedule
-// a cold run would — so every reuse path either proves its decisions
-// (replay validity stamps, the media-touch mask) or verifies them
-// placement by placement and falls back to a cold run on the first
-// deviation.
+// logs. It has one reuse rule: a problem equal to a recorded one up to
+// its real-time constraints replays that record whole, and every other
+// problem runs cold on a recycled slab and is recorded. The hard
+// constraint is bit-identity — a warm-started run must produce exactly
+// the decision log and schedule a cold run would — so a replay verifies
+// every placement and falls back to a cold run on the first deviation.
 package core
 
 import (
@@ -25,9 +24,9 @@ const (
 	// capacity optimisation, not a correctness feature, so a small pool
 	// suffices.
 	arenaMaxDonors = 4
-	// arenaDiffProbe bounds how many recent records RunAuto diffs an
-	// unrecognised problem against before giving up and running cold.
-	arenaDiffProbe = 4
+	// arenaProbe bounds how many recent records Run compares an unknown
+	// problem against (spec.SameExceptRtc) before running it cold.
+	arenaProbe = 4
 )
 
 // RunArena owns the cross-run reuse state: a bounded, LRU-evicted store
@@ -117,13 +116,9 @@ func (a *RunArena) lookup(key, okey string) *RunRecord {
 	return nil
 }
 
-// insert stores a finished record at the front, evicting the least
-// recently used record beyond the bound. Incomplete records (a run that
-// was never recorded) are dropped.
+// insert stores a record at the front, evicting the least recently used
+// record beyond the bound.
 func (a *RunArena) insert(rec *RunRecord) {
-	if !rec.complete() {
-		return
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i, r := range a.recs {
@@ -141,33 +136,33 @@ func (a *RunArena) insert(rec *RunRecord) {
 	}
 }
 
-// diffRecent probes the most recent records for one whose problem is a
-// single recognised mutation away from p (spec.Diff).
-func (a *RunArena) diffRecent(p *spec.Problem, okey string) (*RunRecord, spec.Delta) {
+// probe returns one of the most recent records whose problem equals p up
+// to its real-time constraints, nil when none does.
+func (a *RunArena) probe(p *spec.Problem, okey string) *RunRecord {
 	a.mu.Lock()
-	cands := make([]*RunRecord, 0, arenaDiffProbe)
+	cands := make([]*RunRecord, 0, arenaProbe)
 	for _, r := range a.recs {
 		if r.OptsKey == okey {
 			cands = append(cands, r)
-			if len(cands) == arenaDiffProbe {
+			if len(cands) == arenaProbe {
 				break
 			}
 		}
 	}
 	a.mu.Unlock()
 	for _, r := range cands {
-		if d, ok := spec.Diff(r.Problem, p); ok {
-			return r, d
+		if spec.SameExceptRtc(r.Problem, p) {
+			return r
 		}
 	}
-	return nil, spec.Delta{}
+	return nil
 }
 
-// Run schedules p through the arena, reusing whatever recorded state
-// applies: an exact record replays in full, a problem one recognised
-// mutation away from a recent record warm-starts (RunAuto semantics),
-// and everything else runs cold — on a recycled slab when one fits —
-// and is recorded for the future. The result is always bit-identical to
+// Run schedules p through the arena: a problem equal to a recorded one up
+// to its real-time constraints — found by content key, or by comparing
+// it with the most recent records — replays that record whole, and
+// everything else runs cold, on a recycled slab when one fits, and is
+// recorded for the future. The result is always bit-identical to
 // core.Run(p, opts).
 func (a *RunArena) Run(p *spec.Problem, opts Options) (*Result, error) {
 	if a == nil {
@@ -178,19 +173,23 @@ func (a *RunArena) Run(p *spec.Problem, opts Options) (*Result, error) {
 		return Run(p, opts)
 	}
 	okey := optionsKey(opts)
-	if rec := a.lookup(key, okey); rec != nil {
-		return a.replay(rec, p, len(rec.Steps), key, okey, opts)
+	rec := a.lookup(key, okey)
+	if rec == nil {
+		rec = a.probe(p, okey)
 	}
-	if rec, d := a.diffRecent(p, okey); rec != nil {
-		return a.runDelta(rec, p, d, key, okey, opts)
+	if rec != nil {
+		return a.replay(rec, p, key, okey, opts)
 	}
-	return a.coldRun(p, opts, key, okey, 0)
+	return a.coldRun(p, a.takeDonor(p), opts, key, okey, 0)
 }
 
-// RunDerived schedules a problem built by spec.Derive, using the Delta
-// to find the parent record and pick the reuse strategy directly —
-// no content diffing needed. Falls back to a recorded cold run when the
-// parent is unknown.
+// RunDerived schedules a problem built by spec.Derive. An identical or
+// Rtc-only derivation replays its parent's record, found by the Delta's
+// parent key without comparing problems; every other mutation — and a
+// parent the arena does not know — runs cold and is recorded. A crashed
+// processor shifts the mean-time tails of every task, and a forbidden
+// medium or a new fault budget changes what every decision may choose,
+// so none of their parent's decisions is known to hold.
 func (a *RunArena) RunDerived(p *spec.Problem, d spec.Delta, opts Options) (*Result, error) {
 	if a == nil {
 		return Run(p, opts)
@@ -202,146 +201,57 @@ func (a *RunArena) RunDerived(p *spec.Problem, d spec.Delta, opts Options) (*Res
 		return Run(p, opts)
 	}
 	okey := optionsKey(opts)
-	if d.Kind == spec.MutIdentical {
-		// The child's content equals the parent's: an exact record may
-		// already exist under the child's own key.
-		if rec := a.lookup(key, okey); rec != nil {
-			return a.replay(rec, p, len(rec.Steps), key, okey, opts)
+	if d.Kind == spec.MutIdentical || d.Kind == spec.MutRtc {
+		if rec := a.lookup(d.ParentKey, okey); rec != nil {
+			return a.replay(rec, p, key, okey, opts)
 		}
 	}
-	if rec := a.lookup(d.ParentKey, okey); rec != nil {
-		return a.runDelta(rec, p, d, key, okey, opts)
-	}
-	return a.coldRun(p, opts, key, okey, 0)
+	return a.coldRun(p, a.takeDonor(p), opts, key, okey, 0)
 }
 
-// runDelta picks the reuse strategy for a problem one known mutation
-// away from a recorded parent. The matrix (DESIGN.md Section 15):
-//
-//   - identical / rtc: full replay. The decision procedure never reads
-//     Rtc (it is checked post hoc), so the parent's entire log holds.
-//   - forbid-medium: prefix replay up to the first decision whose
-//     media-touch mask included the medium, then resume the live search.
-//     Sound only when the mask was tracked, the budget has no medium
-//     failures (the Nmf planner's fan tie-breaks resist the mask
-//     argument) and the tails exclude comm times (otherwise forbidding
-//     a medium shifts every S̄, hence every σ).
-//   - crash-proc / faults: no replay. Crashing a processor changes mean
-//     execution times, which shifts the S̄ tails globally; changing the
-//     budget changes every replica count. Both invalidate the log from
-//     decision one — the honest account — so only the slab is reused.
-func (a *RunArena) runDelta(rec *RunRecord, p *spec.Problem, d spec.Delta, key, okey string, opts Options) (*Result, error) {
-	switch d.Kind {
-	case spec.MutIdentical, spec.MutRtc:
-		return a.replay(rec, p, len(rec.Steps), key, okey, opts)
-	case spec.MutForbidMedium:
-		if rec.Masked && p.FaultModel().Nmf == 0 && !opts.TailsWithComms {
-			return a.replay(rec, p, rec.prefixFor(d.Medium), key, okey, opts)
-		}
-	}
-	return a.coldRun(p, opts, key, okey, 0)
-}
-
-// coldRun is the no-reuse path: a full search, on a recycled slab when
-// one fits, recorded for future warm starts. fallbacks counts replays
-// that were abandoned on the way here.
-func (a *RunArena) coldRun(p *spec.Problem, opts Options, key, okey string, fallbacks int) (*Result, error) {
-	s, err := sched.NewScheduleReusing(p, a.takeDonor(p))
+// coldRun is the no-reuse path: a full search on a schedule that
+// recycles donor's slab when it fits, recorded for future warm starts.
+// fallbacks counts replays that were abandoned on the way here.
+func (a *RunArena) coldRun(p *spec.Problem, donor *sched.Schedule, opts Options, key, okey string, fallbacks int) (*Result, error) {
+	s, err := sched.NewScheduleReusing(p, donor)
 	if err != nil {
 		return nil, err
 	}
-	return a.coldRunOn(s, p, opts, key, okey, fallbacks)
-}
-
-// coldRunOn is coldRun on an already-built empty schedule (the replay
-// fallback rebuilds its abandoned schedule into one).
-func (a *RunArena) coldRunOn(s *sched.Schedule, p *spec.Problem, opts Options, key, okey string, fallbacks int) (*Result, error) {
-	rec := &RunRecord{Key: key, OptsKey: okey, Problem: p}
-	res, err := runOn(p, opts, s, nil, rec)
+	res, err := runOn(p, opts, s)
 	if err != nil {
 		return nil, err
 	}
 	res.Planner.ReplayFallbacks = fallbacks
-	a.insert(rec)
+	a.insert(newRecord(key, okey, p, res))
 	return res, nil
 }
 
-// replay warm-starts a run from the first k decisions of a recorded
-// parent: it re-commits the recorded placements of those steps in slab
-// commit order, verifying each against its recorded times, and — when
-// k covers the whole log — returns the rebuilt schedule with the
-// recorded decision log, or otherwise resumes the live search from the
-// cut. Any verification failure abandons the replay entirely and falls
-// back to a cold run (no partial trust in a stale log). k = 0 is the
-// cold path with slab reuse.
-func (a *RunArena) replay(rec *RunRecord, p *spec.Problem, k int, key, okey string, opts Options) (*Result, error) {
-	if k <= 0 {
-		return a.coldRun(p, opts, key, okey, 0)
-	}
+// replay warm-starts a run from a whole recorded log: it re-commits the
+// recorded placements in slab commit order, verifying each against its
+// recorded times, and returns the rebuilt schedule with the recorded
+// decision log verbatim. Only the Rtc check re-runs — it is the one
+// output that may differ between problems equal up to Rtc. Any
+// verification failure abandons the replay and falls back to a cold run
+// on the salvaged slab (no partial trust in a stale log).
+func (a *RunArena) replay(rec *RunRecord, p *spec.Problem, key, okey string, opts Options) (*Result, error) {
 	s, err := sched.NewScheduleReusing(p, a.takeDonor(p))
 	if err != nil {
 		// The problem itself is unbuildable; a cold run would fail the
 		// same way.
 		return nil, err
 	}
-	nPlace := int(rec.StepPlaces[k-1])
-	for i := 0; i < nPlace; i++ {
-		pr := &rec.Places[i]
-		r, perr := s.PlaceReplica(pr.Task, pr.Proc)
-		if perr != nil || r.Start != pr.Start || r.End != pr.End {
-			// Stale log: a decision failed its validity check mid-replay.
-			// Abandon the whole replay and restart cold, recycling the
-			// half-built schedule's slab.
-			s2, serr := sched.NewScheduleReusing(p, s)
-			if serr != nil {
-				return nil, serr
-			}
-			return a.coldRunOn(s2, p, opts, key, okey, 1)
-		}
+	if !replayPlaces(s, rec.Places) {
+		// Stale log: a decision failed its validity check mid-replay.
+		// Restart cold, recycling the half-built schedule's slab.
+		return a.coldRun(p, s, opts, key, okey, 1)
 	}
-	if k == len(rec.Steps) {
-		// Full replay: the schedule is rebuilt and the decision log is
-		// the record's, verbatim. Only the Rtc check re-runs — it is the
-		// one output that may differ under an Rtc-only derivation.
-		res := &Result{
-			Schedule:      s,
-			Steps:         rec.Steps,
-			ExtraReplicas: extraReplicasOf(s, p.FaultModel()),
-		}
-		res.Planner.WarmStarts = 1
-		res.Planner.ReplayedDecisions = k
-		res.Planner.SigmaRowsCarried = rec.sigmaRows(k)
-		ok, rtcErr := s.MeetsRtc()
-		res.MeetsRtc = ok
-		if rtcErr != nil {
-			res.RtcViolation = rtcErr.Error()
-		}
-		if key != rec.Key {
-			a.insert(rec.aliasFor(key, p))
-		}
-		return res, nil
-	}
-	// Prefix replay: seed the child's media mask with the parent's at the
-	// cut (the replay re-committed only surviving plans, not the rejected
-	// previews the first k decisions were weighed against), then resume
-	// the live search. The suffix is provably the cold run's: the prefix
-	// state is bit-identical and the engine machinery is exact.
-	s.OrMediaTouched(rec.MaskAfter[k-1])
-	childRec := &RunRecord{
-		Key:        key,
-		OptsKey:    okey,
-		Problem:    p,
-		StepPlaces: append(make([]int32, 0, len(rec.Steps)), rec.StepPlaces[:k]...),
-		MaskAfter:  append(make([]uint64, 0, len(rec.Steps)), rec.MaskAfter[:k]...),
-	}
-	res, err := runOn(p, opts, s, rec.Steps[:k], childRec)
-	if err != nil {
-		return nil, err
-	}
+	res := newResult(s, rec.Steps, p.FaultModel())
 	res.Planner.WarmStarts = 1
-	res.Planner.ReplayedDecisions = k
-	res.Planner.SigmaRowsCarried = rec.sigmaRows(k)
-	a.insert(childRec)
+	res.Planner.ReplayedDecisions = len(rec.Steps)
+	res.Planner.SigmaRowsCarried = rec.sigmaRows()
+	if key != rec.Key {
+		a.insert(rec.aliasFor(key, p))
+	}
 	return res, nil
 }
 
@@ -358,9 +268,11 @@ func (a *RunArena) ExportRecords() []*RunRecord {
 }
 
 // ImportRecords restores previously exported records (oldest last, as
-// ExportRecords emits them), dropping incomplete entries and anything
-// beyond the bound. Records whose keys lie (a corrupted snapshot) are
-// harmless: replay verification rejects them at first use.
+// ExportRecords emits them), keeping at most the bound, and returns how
+// many it stored. Imported records come from outside the process — a
+// snapshot file, a peer's drain handoff — so each must first rebuild a
+// valid schedule of its own problem (trusted); the rest are dropped, and
+// their problems start cold.
 func (a *RunArena) ImportRecords(recs []*RunRecord) int {
 	if a == nil {
 		return 0
@@ -368,8 +280,8 @@ func (a *RunArena) ImportRecords(recs []*RunRecord) int {
 	n := 0
 	// Insert in reverse so the first exported record ends up most recent.
 	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].complete() {
-			a.insert(recs[i])
+		if rec := trusted(recs[i]); rec != nil {
+			a.insert(rec)
 			n++
 		}
 	}

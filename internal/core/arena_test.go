@@ -1,12 +1,12 @@
 package core
 
 // Differential suite for the cross-run reuse layer (DESIGN.md Section
-// 15): every warm-started run — full replay, prefix replay, or
-// slab-only reuse — must be bit-identical to the cold run on the same
-// problem. The property is exercised on the paper's worked example and
-// seeded problems across every topology and fault budget, over the
-// whole Derive mutation family, plus the mid-replay stale-log fallback
-// and the zero-allocs-per-replayed-decision gate.
+// 15): every arena run — full replay or a cold run on a recycled slab —
+// must be bit-identical to the cold run on the same problem. The property
+// is exercised on the paper's worked example and seeded problems across
+// every topology and fault budget, over the whole Derive mutation family,
+// plus the mid-replay stale-log fallback and the
+// zero-allocs-per-replayed-decision gate.
 
 import (
 	"fmt"
@@ -147,9 +147,9 @@ func TestArenaWarmBitIdentical(t *testing.T) {
 			assertWarmMatchesCold(t, c, opts, w, "rtc")
 			a.Recycle(w.Schedule)
 
-			// Forbid-medium derivations: prefix replay when the mask
-			// allows, cold otherwise — identical either way. Try every
-			// medium that leaves a valid problem.
+			// Forbid-medium derivations: a cold run on a recycled slab,
+			// identical to a plain one. Try every medium that leaves a
+			// valid problem.
 			for m := 0; m < p.Arc.NumMedia(); m++ {
 				c, d, err = p.Derive(spec.Mutation{Kind: spec.MutForbidMedium, Medium: arch.MediumID(m)})
 				if err != nil {

@@ -126,18 +126,12 @@ func Run(p *spec.Problem, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOn(p, opts, s, nil, nil)
+	return runOn(p, opts, s)
 }
 
-// runOn runs the heuristic on an existing (possibly donor-recycled)
-// schedule. A non-empty prefix primes the scheduler as if those decisions
-// had just been taken: the caller has already replayed their placements
-// onto s (arena.go), so only done-marking, ready-queue catch-up and the
-// decision log need reconstructing — the σ cache starts cold and exact,
-// which keeps the resumed suffix bit-identical to the suffix of a cold
-// run. A non-nil rec captures the run's decision record for future
-// replays.
-func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec *RunRecord) (*Result, error) {
+// runOn runs the heuristic on an existing empty (possibly
+// donor-recycled) schedule.
+func runOn(p *spec.Problem, opts Options, s *sched.Schedule) (*Result, error) {
 	tg := s.Tasks()
 	sch := &scheduler{
 		s:     s,
@@ -148,7 +142,6 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		tails: Tails(p, tg, opts.TailsWithComms),
 		done:  make([]bool, tg.NumTasks()),
 		rq:    newReadyQueue(tg),
-		rec:   rec,
 	}
 	sch.cache = newSigmaCache(sch)
 	if sch.fm.Nmf > 0 {
@@ -157,34 +150,27 @@ func runOn(p *spec.Problem, opts Options, s *sched.Schedule, prefix []Step, rec 
 		// (processor, medium) crash can wipe out or strand.
 		sch.vuln = p.Arc.PairCutMatrix()
 	}
-	if len(prefix) > 0 {
-		sch.steps = append(make([]Step, 0, tg.NumTasks()), prefix...)
-		for _, st := range prefix {
-			sch.done[st.Task] = true
-			sch.rq.commit(st.Task)
-		}
-	}
 	if err := sch.run(); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Schedule:      sch.s,
-		Steps:         sch.steps,
-		ExtraReplicas: extraReplicasOf(sch.s, sch.fm),
-	}
+	res := newResult(sch.s, sch.steps, sch.fm)
 	res.Planner.PreviewsComputed = int(sch.cache.computed)
 	res.Planner.PreviewsScreened = int(sch.cache.skipped)
 	res.Planner.SigmaReuses = int(sch.cache.reused)
 	res.Planner.Rounds = sch.rounds
-	ok, rtcErr := sch.s.MeetsRtc()
+	return res, nil
+}
+
+// newResult wraps a finished schedule and its decision log, counting the
+// extra replicas and checking the real-time constraints.
+func newResult(s *sched.Schedule, steps []Step, fm spec.FaultModel) *Result {
+	res := &Result{Schedule: s, Steps: steps, ExtraReplicas: extraReplicasOf(s, fm)}
+	ok, rtcErr := s.MeetsRtc()
 	res.MeetsRtc = ok
 	if rtcErr != nil {
 		res.RtcViolation = rtcErr.Error()
 	}
-	if sch.rec != nil {
-		sch.rec.finish(sch.s, res)
-	}
-	return res, nil
+	return res
 }
 
 // Basic runs the paper's non-fault-tolerant baseline (Section 4.4): the
@@ -281,12 +267,6 @@ type scheduler struct {
 	evalBuf   []procSigma
 	procsBuf  [2][]arch.ProcID
 	sigmasBuf [2][]float64
-	// rec, when set, captures the run's decision record (record.go): one
-	// placement-count and media-mask snapshot per committed step, plus the
-	// finished placement log. Capture is observational — it reads counters
-	// the commit path already maintains — so recorded runs stay
-	// bit-identical to unrecorded ones.
-	rec *RunRecord
 }
 
 // procSigma is one (processor, pressure) evaluation.
@@ -296,13 +276,7 @@ type procSigma struct {
 }
 
 func (sch *scheduler) run() error {
-	remaining := 0
-	for _, d := range sch.done {
-		if !d {
-			remaining++
-		}
-	}
-	for remaining > 0 {
+	for remaining := len(sch.done); remaining > 0; remaining-- {
 		cands := sch.rq.candidates()
 		if len(cands) == 0 {
 			return fmt.Errorf("%w: %d tasks unschedulable", ErrInternal, remaining)
@@ -316,7 +290,6 @@ func (sch *scheduler) run() error {
 		if err := sch.commitStep(best, procs, sigmas, urgency); err != nil {
 			return err
 		}
-		remaining--
 	}
 	return nil
 }
@@ -347,15 +320,6 @@ func (sch *scheduler) commitStep(best model.TaskID, procs []arch.ProcID, sigmas 
 	sch.steps = append(sch.steps, Step{
 		Task: best, Procs: procs, Sigmas: sigmas, Urgency: urgency,
 	})
-	if sch.rec != nil {
-		// Snapshot taken after the step's placements: the placement count
-		// is the replay cut for this step, and the media mask — monotone,
-		// so it covers every preview this round priced before committing —
-		// is the bound the delta-invalidation rule checks (DESIGN.md
-		// Section 15).
-		sch.rec.StepPlaces = append(sch.rec.StepPlaces, int32(sch.s.TotalReplicas()))
-		sch.rec.MaskAfter = append(sch.rec.MaskAfter, sch.s.MediaTouched())
-	}
 	return nil
 }
 

@@ -10,11 +10,10 @@ import (
 )
 
 // RunRecord is the replayable snapshot of one finished scheduling run:
-// the decision log, the surviving placements in slab commit order, and
-// the per-step validity data the delta-invalidation rule consults
-// (DESIGN.md Section 15). A record is immutable once finished; replayers
-// only read it, so one record may serve concurrent warm starts. The JSON
-// tags make records persistable alongside the service's schedule cache.
+// the decision log and the surviving placements in slab commit order
+// (DESIGN.md Section 15). A record is immutable once built; replayers only
+// read it, so one record may serve concurrent warm starts. The JSON tags
+// make records persistable alongside the service's schedule cache.
 type RunRecord struct {
 	// Key is the content address of Problem (spec.ContentKey) and OptsKey
 	// the fingerprint of the decision-relevant options — a record may only
@@ -26,19 +25,11 @@ type RunRecord struct {
 	// are immutable by convention).
 	Steps []Step `json:"steps"`
 	// Places lists the surviving replicas in slab commit order. Replaying
-	// them through PlaceReplica against an identical prefix reproduces the
-	// schedule bit for bit: each plan is deterministic in the schedule
-	// state, and rollback-discarded speculation left no trace in the
-	// surviving state (sched.Rollback restores it exactly).
+	// them through PlaceReplica onto an empty schedule of an equal problem
+	// reproduces the schedule bit for bit: each plan is deterministic in
+	// the schedule state, and rollback-discarded speculation left no trace
+	// in the surviving state (sched.Rollback restores it exactly).
 	Places []PlaceRec `json:"places"`
-	// StepPlaces[i] is the total placement count after step i — the cut a
-	// prefix replay stops at. MaskAfter[i] is the media-touch mask after
-	// step i (monotone, so it covers every preview that priced rounds up
-	// to and including i); Masked reports whether the mask was tracked at
-	// all (at most 64 media).
-	StepPlaces []int32  `json:"step_places"`
-	MaskAfter  []uint64 `json:"mask_after"`
-	Masked     bool     `json:"masked"`
 }
 
 // PlaceRec is one recorded replica placement: where it went and the
@@ -61,73 +52,96 @@ func optionsKey(opts Options) string {
 		opts.NoDuplication, opts.TailsWithComms)
 }
 
-// finish freezes the record of a completed run: the decision log, the
-// surviving placement log and the mask-tracking flag. The per-step
-// columns (StepPlaces, MaskAfter) were captured live by commitStep.
-func (rec *RunRecord) finish(s *sched.Schedule, res *Result) {
-	rec.Steps = res.Steps
-	n := s.TotalReplicas()
-	rec.Places = make([]PlaceRec, n)
-	for i := 0; i < n; i++ {
+// newRecord builds the record of a finished cold run from its result.
+func newRecord(key, okey string, p *spec.Problem, res *Result) *RunRecord {
+	s := res.Schedule
+	places := make([]PlaceRec, s.TotalReplicas())
+	for i := range places {
 		r := s.ReplicaByOrder(i)
-		rec.Places[i] = PlaceRec{Task: r.Task, Proc: r.Proc, Start: r.Start, End: r.End}
+		places[i] = PlaceRec{Task: r.Task, Proc: r.Proc, Start: r.Start, End: r.End}
 	}
-	rec.Masked = s.MediaMaskTracked()
+	return &RunRecord{Key: key, OptsKey: okey, Problem: p, Steps: res.Steps, Places: places}
 }
 
-// complete reports whether the record carries a replayable run.
-func (rec *RunRecord) complete() bool {
-	return rec != nil && len(rec.Steps) > 0 &&
-		len(rec.StepPlaces) == len(rec.Steps) && len(rec.MaskAfter) == len(rec.Steps)
-}
-
-// prefixFor returns how many leading decisions stay valid when medium m
-// is forbidden: the longest prefix of steps whose media-touch mask never
-// included m. No plan arithmetic in those rounds read m's busy-end as a
-// claim, and a rejected medium only loses its comparisons harder once
-// forbidden, so the first prefixFor decisions of a cold run on the
-// mutated problem are provably identical (DESIGN.md Section 15). The
-// mask is monotone, hence the binary search.
-func (rec *RunRecord) prefixFor(m arch.MediumID) int {
-	if !rec.Masked || int(m) >= 64 {
-		return 0
-	}
-	bit := uint64(1) << uint(m)
-	lo, hi := 0, len(rec.MaskAfter)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rec.MaskAfter[mid]&bit == 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// replayPlaces re-commits recorded placements onto s in order and reports
+// whether every one reproduced its recorded times.
+func replayPlaces(s *sched.Schedule, places []PlaceRec) bool {
+	for i := range places {
+		pr := &places[i]
+		r, err := s.PlaceReplica(pr.Task, pr.Proc)
+		if err != nil || r.Start != pr.Start || r.End != pr.End {
+			return false
 		}
 	}
-	return lo
+	return true
 }
 
-// sigmaRows counts the σ vectors of the first k recorded decisions — the
-// rows a replay carries over instead of recomputing.
-func (rec *RunRecord) sigmaRows(k int) int {
+// trusted returns rec keyed by its problem's recomputed content address,
+// or nil when rec does not rebuild a valid schedule of that problem. It
+// guards the records that cross a trust boundary (ImportRecords: snapshot
+// files, drain handoffs): every task and processor index a replay would
+// follow is range-checked, the log must decide each task exactly once,
+// and one replay onto the record's own problem must pass Validate. A
+// corrupt or forged record is dropped, so its problem starts cold instead
+// of panicking a replay or serving a broken schedule.
+func trusted(rec *RunRecord) *RunRecord {
+	if rec == nil || rec.Problem == nil {
+		return nil
+	}
+	p := rec.Problem
+	tg, err := p.Compile()
+	if err != nil {
+		return nil
+	}
+	key, err := p.ContentKey()
+	if err != nil {
+		return nil
+	}
+	nTasks, nProcs := tg.NumTasks(), p.Arc.NumProcs()
+	if len(rec.Steps) != nTasks {
+		return nil
+	}
+	decided := make([]bool, nTasks)
+	for _, st := range rec.Steps {
+		if st.Task < 0 || int(st.Task) >= nTasks || decided[st.Task] {
+			return nil
+		}
+		decided[st.Task] = true
+		for _, q := range st.Procs {
+			if q < 0 || int(q) >= nProcs {
+				return nil
+			}
+		}
+	}
+	for _, pr := range rec.Places {
+		if pr.Task < 0 || int(pr.Task) >= nTasks || pr.Proc < 0 || int(pr.Proc) >= nProcs {
+			return nil
+		}
+	}
+	s, err := sched.NewSchedule(p)
+	if err != nil || !replayPlaces(s, rec.Places) || s.Validate() != nil {
+		return nil
+	}
+	if rec.Key != key {
+		rec = rec.aliasFor(key, p)
+	}
+	return rec
+}
+
+// sigmaRows counts the σ vectors of the recorded decisions — the rows a
+// replay carries over instead of recomputing.
+func (rec *RunRecord) sigmaRows() int {
 	n := 0
-	for i := 0; i < k; i++ {
+	for i := range rec.Steps {
 		n += len(rec.Steps[i].Sigmas)
 	}
 	return n
 }
 
 // aliasFor returns a record for a problem whose decision data is shared
-// with rec — the full-replay case (identical content or an Rtc-only
-// derivation, which the decision procedure never reads). Only the
-// identity changes; every log column is aliased.
+// with rec — identical content, or a problem equal up to Rtc, which the
+// decision procedure never reads. Only the identity changes; the log
+// columns are aliased.
 func (rec *RunRecord) aliasFor(key string, p *spec.Problem) *RunRecord {
-	return &RunRecord{
-		Key:        key,
-		OptsKey:    rec.OptsKey,
-		Problem:    p,
-		Steps:      rec.Steps,
-		Places:     rec.Places,
-		StepPlaces: rec.StepPlaces,
-		MaskAfter:  rec.MaskAfter,
-		Masked:     rec.Masked,
-	}
+	return &RunRecord{Key: key, OptsKey: rec.OptsKey, Problem: p, Steps: rec.Steps, Places: rec.Places}
 }

@@ -152,20 +152,6 @@ func (s *Schedule) getScratch() *planScratch {
 	return sc
 }
 
-func (s *Schedule) putScratch(sc *planScratch) {
-	// Fold the plan's claimed media into the schedule's monotone touch
-	// mask (see Schedule.mediaTouched). Every plan path — committed
-	// placements, rejected selection previews, Minimize speculation —
-	// releases its scratch here, so the mask covers every medium whose
-	// busy-end any decision arithmetic read as a claim.
-	if s.maskTracked {
-		for i := range sc.bounds {
-			s.mediaTouched |= 1 << uint(sc.bounds[i].Medium)
-		}
-	}
-	s.scratch.put(sc)
-}
-
 // plan computes the placement of one replica of task t on processor p
 // against the current schedule state, planning (without committing) every
 // communication it implies into sc.plans. When needDetails is set the
@@ -433,7 +419,7 @@ func (s *Schedule) earliestRepsInto(dst []repID, t model.TaskID, n int) []repID 
 func (s *Schedule) Preview(t model.TaskID, p arch.ProcID) (Placement, error) {
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, false)
-	s.putScratch(sc)
+	s.scratch.put(sc)
 	return pl, err
 }
 
@@ -452,7 +438,7 @@ func (s *Schedule) PreviewTouched(t model.TaskID, p arch.ProcID, bounds []Medium
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, false)
 	bounds = append(bounds, sc.bounds...)
-	s.putScratch(sc)
+	s.scratch.put(sc)
 	return pl, bounds, err
 }
 
@@ -477,7 +463,7 @@ func (s *Schedule) PlanPlacement(t model.TaskID, p arch.ProcID) (PlannedPlacemen
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, true)
 	if err != nil {
-		s.putScratch(sc)
+		s.scratch.put(sc)
 		return PlannedPlacement{}, err
 	}
 	return PlannedPlacement{s: s, sc: sc, pl: pl}, nil
@@ -505,7 +491,7 @@ func (pp *PlannedPlacement) Commit() Replica {
 	s.procRev[p] = s.nextStamp()
 	s.taskRev[t] = s.nextStamp()
 	s.invalidateView()
-	s.putScratch(sc)
+	s.scratch.put(sc)
 	pp.sc = nil
 	return r
 }
@@ -514,7 +500,7 @@ func (pp *PlannedPlacement) Commit() Replica {
 // already committed or discarded, and on the zero token.
 func (pp *PlannedPlacement) Discard() {
 	if pp.sc != nil {
-		pp.s.putScratch(pp.sc)
+		pp.s.scratch.put(pp.sc)
 		pp.sc = nil
 	}
 }
@@ -530,13 +516,13 @@ func (s *Schedule) PlaceReplica(t model.TaskID, p arch.ProcID) (Replica, error) 
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, false)
 	if err != nil {
-		s.putScratch(sc)
+		s.scratch.put(sc)
 		return Replica{}, err
 	}
 	for i := range sc.plans {
 		s.commitComm(&sc.plans[i])
 	}
-	s.putScratch(sc)
+	s.scratch.put(sc)
 	r := Replica{Task: t, Index: int(s.slab.taskRepN[t]), Proc: p, Start: pl.SBest, End: pl.End}
 	s.slab.appendReplica(int(t), int(p), pl.SBest, pl.End)
 	s.procEnd[p] = r.End

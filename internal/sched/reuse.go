@@ -8,34 +8,8 @@ import (
 
 // This file is the sched half of the cross-run reuse layer (DESIGN.md
 // Section 15): donor-backed construction that recycles a retired
-// schedule's slab storage, the media-touch mask accessors the replay
-// validity rule reads, and the commit-order replica accessor the decision
-// recorder walks.
-
-// MediaTouched returns the monotone bitmask of media any plan on this
-// schedule claimed a comm slot on (bit m set = medium m). It
-// over-approximates the media the run's decisions read: a medium whose
-// bit is clear was never bound by any preview or commit, so forbidding it
-// cannot change any of the decisions taken so far. Meaningful only when
-// MediaMaskTracked reports true.
-func (s *Schedule) MediaTouched() uint64 { return s.mediaTouched }
-
-// MediaMaskTracked reports whether the media-touch mask is maintained:
-// architectures with more than 64 media are not representable and every
-// medium must be assumed touched.
-func (s *Schedule) MediaMaskTracked() bool { return s.maskTracked }
-
-// OrMediaTouched folds extra bits into the media-touch mask. A warm
-// start that replays a recorded prefix seeds the fresh schedule with the
-// parent run's mask at the cut: the replay re-commits only the surviving
-// plans, not the rejected previews the parent's decisions were weighed
-// against, so without the seed the child's own record would
-// under-approximate its decisions' media dependencies.
-func (s *Schedule) OrMediaTouched(mask uint64) {
-	if s.maskTracked {
-		s.mediaTouched |= mask
-	}
-}
+// schedule's slab storage, and the commit-order replica accessor the
+// decision recorder walks.
 
 // ReplicaByOrder returns replica i in global commit order (0 ≤ i <
 // TotalReplicas) by value, without materialising the pointer view. The
@@ -83,7 +57,6 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 		mediumRev:    zeroUints(donor.mediumRev),
 		taskRev:      zeroUints(donor.taskRev),
 		stampCounter: donor.stampCounter, // monotone: stamps are never reused
-		maskTracked:  nMedia <= 64,
 	}
 	if donor.problem.Arc == p.Arc {
 		// Derive shares the architecture by pointer, so the direct-media

@@ -123,18 +123,6 @@ type Schedule struct {
 	// schedule may build it, hence the lock.
 	view   atomic.Pointer[scheduleView]
 	viewMu sync.Mutex
-
-	// mediaTouched accumulates, as a bitmask, every medium any plan on this
-	// schedule put a comm on — winners and rejected previews alike (the
-	// bits are folded from each plan's MediumBound set when its scratch is
-	// released). The mask is monotone: rollbacks do not clear it, so it
-	// over-approximates, never under-approximates, the media the run's
-	// decisions depended on. Cross-run reuse consults it to decide how far
-	// a recorded decision log stays valid when a medium is forbidden
-	// (DESIGN.md Section 15). Only tracked on architectures of at most 64
-	// media (maskTracked); larger ones report every medium as touched.
-	mediaTouched uint64
-	maskTracked  bool
 }
 
 // NewSchedule returns an empty schedule for the problem. It validates the
@@ -159,7 +147,6 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 		mediumRev:    make([]uint64, nMedia),
 		taskRev:      make([]uint64, tasks.NumTasks()),
 		stampCounter: new(uint64),
-		maskTracked:  nMedia <= 64,
 	}
 	s.slab.init(tasks.NumTasks(), nProcs, nMedia)
 	return s, nil
@@ -391,8 +378,6 @@ func (s *Schedule) Clone() *Schedule {
 		mediumRev:    append([]uint64(nil), s.mediumRev...),
 		taskRev:      append([]uint64(nil), s.taskRev...),
 		stampCounter: s.stampCounter,
-		mediaTouched: s.mediaTouched,
-		maskTracked:  s.maskTracked,
 	}
 	c.slab.copyFrom(&s.slab)
 	return c

@@ -115,8 +115,9 @@ func (ap *arenaPool) export() []*core.RunRecord {
 
 // restore routes previously exported records back to their shapes'
 // arenas and returns how many were kept. Records without a problem (a
-// hand-edited snapshot) are dropped; a lying record is harmless anyway —
-// replay verification rejects it at first use.
+// hand-edited snapshot) are dropped here; the arena drops every other
+// record that does not rebuild a valid schedule of its own problem
+// (core.RunArena.ImportRecords).
 func (ap *arenaPool) restore(recs []*core.RunRecord) int {
 	if ap == nil {
 		return 0

@@ -24,7 +24,8 @@ import (
 // the arena pool's warm-start decision logs (Records); the entry format
 // is unchanged, so version 2 files still load (entries only — the arenas
 // just start cold). Loading an UNKNOWN version stays an error: records
-// are self-verifying on replay, but responses are served verbatim.
+// are checked on import (one replay must rebuild a valid schedule of the
+// record's own problem), but responses are served verbatim.
 const snapshotVersion = 3
 
 // oldestLoadableVersion is the earliest snapshot version LoadCacheFile

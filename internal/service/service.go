@@ -100,6 +100,9 @@ type Service struct {
 	// the scheduler; tests use it to hold workers and fill the queue
 	// deterministically.
 	computeHook func()
+	// resultHook, when set, sees every successful run before its schedule
+	// is recycled; tests use it to validate what the service serves.
+	resultHook func(*core.Result)
 }
 
 // plannerMetrics aggregates the core engine's per-run work profile
@@ -224,9 +227,9 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 		return nil, wire.Wrap(wire.CodeInvalidProblem, err)
 	}
 	s.schedulerRuns.Inc()
-	// Run through the shape's arena: identical or near-identical problems
-	// warm-start from recorded decision logs (a nil arena — pool disabled
-	// — degrades to a plain cold run). The schedule is recycled into the
+	// Run through the shape's arena: a problem equal to a recorded one up
+	// to its real-time constraints replays that record (a nil arena — pool
+	// disabled — degrades to a plain cold run). The schedule is recycled into the
 	// arena's donor pool at the end: the response carries only marshalled
 	// copies, never the live schedule.
 	arena := s.arenas.get(req.Problem)
@@ -235,6 +238,9 @@ func (s *Service) compute(req *ScheduleRequest) (*ScheduleResponse, error) {
 		return nil, wire.Wrap(wire.CodeValidationFailed, err)
 	}
 	s.planner.add(res.Planner)
+	if s.resultHook != nil {
+		s.resultHook(res)
+	}
 	data, err := res.Schedule.MarshalJSON()
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftbar/internal/gen"
+	"ftbar/internal/model"
 	"ftbar/internal/spec"
 )
 
@@ -27,21 +28,25 @@ func TestScenarioProblem(t *testing.T) {
 
 	// One permanent processor failure → crash-proc.
 	child, d, ok, err = ScenarioProblem(p, Scenario{Failures: []Failure{Permanent(2, 0)}})
-	if err != nil || !ok || d.Kind != spec.MutCrashProc || d.Proc != 2 {
+	if err != nil || !ok || d.Kind != spec.MutCrashProc {
 		t.Fatalf("permanent crash: delta=%+v ok=%t err=%v", d, ok, err)
 	}
-	if child.Exec.Allowed(0, 2) {
-		t.Errorf("crashed processor still allowed")
+	for op := 0; op < p.Alg.NumOps(); op++ {
+		if child.Exec.Allowed(model.OpID(op), 2) {
+			t.Errorf("op %d still allowed on the crashed processor", op)
+		}
 	}
 
 	// One permanent medium failure → forbid-medium (when the topology
 	// survives it; a full point-to-point mesh does).
 	child, d, ok, err = ScenarioProblem(p, Scenario{MediumFailures: []MediumFailure{PermanentLink(1, 0)}})
-	if err != nil || !ok || d.Kind != spec.MutForbidMedium || d.Medium != 1 {
+	if err != nil || !ok || d.Kind != spec.MutForbidMedium {
 		t.Fatalf("permanent link death: delta=%+v ok=%t err=%v", d, ok, err)
 	}
-	if child.Comm.Allowed(0, 1) {
-		t.Errorf("dead medium still allowed")
+	for e := 0; e < p.Alg.NumEdges(); e++ {
+		if child.Comm.Allowed(model.EdgeID(e), 1) {
+			t.Errorf("edge %d still allowed on the dead medium", e)
+		}
 	}
 
 	// Transient and compound scenarios are not one static mutation.

@@ -5,10 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"ftbar/internal/arch"
-	"ftbar/internal/model"
 )
 
 // MutationKind names the single-step mutations Derive understands. The
@@ -67,15 +65,13 @@ type Mutation struct {
 }
 
 // Delta describes how a derived problem relates to its parent. It is the
-// contract between Derive and a cross-run reuse layer: Kind (plus the
-// mutated Proc/Medium) tells the consumer which cached state survives the
-// mutation, and ParentKey is the parent's content address, so a cache can
-// find the parent's artefacts without holding the parent itself.
+// contract between Derive and a cross-run reuse layer: Kind tells the
+// consumer which cached state survives the mutation, and ParentKey is the
+// parent's content address, so a cache can find the parent's artefacts
+// without holding the parent itself.
 type Delta struct {
-	Kind      MutationKind  `json:"kind"`
-	Proc      arch.ProcID   `json:"proc,omitempty"`
-	Medium    arch.MediumID `json:"medium,omitempty"`
-	ParentKey string        `json:"parent_key"`
+	Kind      MutationKind `json:"kind"`
+	ParentKey string       `json:"parent_key"`
 }
 
 // Derive builds a child problem by applying one mutation to p, returning
@@ -136,7 +132,6 @@ func (p *Problem) Derive(m Mutation) (*Problem, Delta, error) {
 			ex.t[op*ex.nProcs+int(m.Proc)] = Forbidden
 		}
 		child.Exec = ex
-		d.Proc = m.Proc
 		if err := child.Validate(); err != nil {
 			return nil, Delta{}, err
 		}
@@ -149,7 +144,6 @@ func (p *Problem) Derive(m Mutation) (*Problem, Delta, error) {
 			cm.t[e*cm.nMedia+int(m.Medium)] = Forbidden
 		}
 		child.Comm = cm
-		d.Medium = m.Medium
 		if err := child.Validate(); err != nil {
 			return nil, Delta{}, err
 		}
@@ -173,7 +167,8 @@ func (p *Problem) Derive(m Mutation) (*Problem, Delta, error) {
 // keys in a disjoint "+"-suffixed namespace. The cost of the shortcut
 // is only missed sharing: a content-equal problem built another way
 // (two mutation orders, a wire round-trip) hashes to a different key,
-// which a reuse layer recovers from by diffing, never by misbehaving.
+// which a reuse layer recovers from by comparing problems
+// (SameExceptRtc), never by misbehaving.
 func derivedKey(parent string, m Mutation) string {
 	switch m.Kind {
 	case MutIdentical:
@@ -205,7 +200,7 @@ func derivedKey(parent string, m Mutation) string {
 // through the same path yields equal keys, the property the service
 // cache relies on; across paths (a derived child versus its wire
 // round-trip) keys may differ, and reuse layers fall back to structural
-// diffing.
+// comparison.
 // Like the compiled task graph, the key is memoised on first use under
 // the package convention that a problem is immutable once it starts
 // being scheduled; a caller that mutates tables afterwards keeps the
@@ -223,57 +218,35 @@ func (p *Problem) ContentKey() (string, error) {
 	return p.ckey, nil
 }
 
-// Diff recognises whether child is one Derive step away from parent and
-// returns the corresponding Delta. It is the recovery path for callers
-// that did not build the child through Derive (a service receiving two
-// wire requests, say): when Diff succeeds, the child may be treated
-// exactly as if Derive had produced it. The second result is false when
-// the problems differ structurally or by more than one mutation.
-func Diff(parent, child *Problem) (Delta, bool) {
-	if parent == nil || child == nil || parent.Alg == nil || child.Alg == nil {
-		return Delta{}, false
+// SameExceptRtc reports whether two problems are equal up to their
+// real-time constraints: the same fault budget, bit-identical exec and
+// comm tables, and the same algorithm graph and architecture. The
+// decision procedure never reads Rtc — it is checked against the
+// finished schedule — so a run recorded for one replays whole onto the
+// other. It is the recovery path for callers that did not build the
+// problem through Derive (a service receiving two wire requests, say).
+// The cheap comparisons run first, so unrelated problems of one shape
+// rarely reach the structure marshal.
+func SameExceptRtc(a, b *Problem) bool {
+	if a == nil || b == nil || a.Alg == nil || b.Alg == nil {
+		return false
 	}
-	if parent.Exec == nil || child.Exec == nil || parent.Comm == nil || child.Comm == nil {
-		return Delta{}, false
+	if a.Exec == nil || b.Exec == nil || a.Comm == nil || b.Comm == nil {
+		return false
 	}
-	if parent.Exec.nOps != child.Exec.nOps || parent.Exec.nProcs != child.Exec.nProcs ||
-		parent.Comm.nEdges != child.Comm.nEdges || parent.Comm.nMedia != child.Comm.nMedia {
-		return Delta{}, false
+	if a.Exec.nOps != b.Exec.nOps || a.Exec.nProcs != b.Exec.nProcs ||
+		a.Comm.nEdges != b.Comm.nEdges || a.Comm.nMedia != b.Comm.nMedia {
+		return false
 	}
-	if !sameStructure(parent, child) {
-		return Delta{}, false
-	}
-	execEq := tablesEqual(parent.Exec.t, child.Exec.t)
-	commEq := tablesEqual(parent.Comm.t, child.Comm.t)
-	rtcEq := rtcEqual(parent.Rtc, child.Rtc)
-	faultsEq := parent.FaultModel() == child.FaultModel()
-	key, err := parent.ContentKey()
-	if err != nil {
-		return Delta{}, false
-	}
-	switch {
-	case execEq && commEq && rtcEq && faultsEq:
-		return Delta{Kind: MutIdentical, ParentKey: key}, true
-	case execEq && commEq && faultsEq: // only Rtc differs
-		return Delta{Kind: MutRtc, ParentKey: key}, true
-	case execEq && commEq && rtcEq: // only the budget differs
-		return Delta{Kind: MutFaults, ParentKey: key}, true
-	case !execEq && commEq && rtcEq && faultsEq:
-		if q, ok := crashedColumn(parent.Exec.t, child.Exec.t, parent.Exec.nProcs); ok {
-			return Delta{Kind: MutCrashProc, Proc: arch.ProcID(q), ParentKey: key}, true
-		}
-	case execEq && !commEq && rtcEq && faultsEq:
-		if m, ok := crashedColumn(parent.Comm.t, child.Comm.t, parent.Comm.nMedia); ok {
-			return Delta{Kind: MutForbidMedium, Medium: arch.MediumID(m), ParentKey: key}, true
-		}
-	}
-	return Delta{}, false
+	return a.FaultModel() == b.FaultModel() &&
+		tablesEqual(a.Exec.t, b.Exec.t) && tablesEqual(a.Comm.t, b.Comm.t) &&
+		sameStructure(a, b)
 }
 
 // sameStructure reports whether the two problems share an algorithm graph
 // and architecture: pointer identity (the Derive guarantee) or, failing
 // that, equal canonical JSON — two same-shaped but different DAGs must
-// not be declared one mutation apart.
+// not be declared equal.
 func sameStructure(a, b *Problem) bool {
 	if a.Alg != b.Alg {
 		ja, erra := json.Marshal(a.Alg)
@@ -304,57 +277,4 @@ func tablesEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// crashedColumn reports whether child differs from parent exactly by one
-// column being entirely Forbidden: every row r has child[r][q] = ∞ for a
-// single q while all other entries match, and parent allowed q somewhere
-// (otherwise the tables would be equal). Returns that column.
-func crashedColumn(parent, child []float64, cols int) (int, bool) {
-	q := -1
-	for i := range parent {
-		if parent[i] == child[i] {
-			continue
-		}
-		c := i % cols
-		// The only admissible difference is "became forbidden", all in
-		// one column.
-		if !isInf(child[i]) || (q >= 0 && c != q) {
-			return 0, false
-		}
-		q = c
-	}
-	if q < 0 {
-		return 0, false
-	}
-	// Every entry of column q must be forbidden in the child, including
-	// the ones the parent already forbade.
-	for r := 0; r*cols+q < len(child); r++ {
-		if !isInf(child[r*cols+q]) {
-			return 0, false
-		}
-	}
-	return q, true
-}
-
-func isInf(v float64) bool { return math.IsInf(v, 1) }
-
-// rtcEqual compares two real-time constraint sets.
-func rtcEqual(a, b Rtc) bool {
-	if a.Deadline != b.Deadline || len(a.OpDeadlines) != len(b.OpDeadlines) {
-		return false
-	}
-	for op, d := range a.OpDeadlines {
-		if bd, ok := b.OpDeadlines[op]; !ok || bd != d {
-			return false
-		}
-	}
-	return true
-}
-
-// CompiledTasks returns the memoised task graph when the problem has been
-// compiled, nil otherwise. Reuse layers use it to detect that two
-// problems share a compiled structure without forcing compilation.
-func (p *Problem) CompiledTasks() *model.TaskGraph {
-	return p.tasks
 }
