@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // ProcID indexes a processor inside its Architecture, densely from 0.
@@ -70,11 +71,19 @@ type Architecture struct {
 	// derived routing data key on it: an unchanged revision guarantees an
 	// unchanged graph, so cached routes stay exact.
 	rev uint64
+	// fanNet and cuts memoise the disjoint-fan flow skeleton
+	// (disjoint.go) and the PairCutMatrix (jointcut.go) of the revision
+	// they carry. Each is built on first use after a mutation and never
+	// modified once stored; concurrent readers of an unchanging
+	// architecture may race to build one, and every racer builds the
+	// same value.
+	fanNet atomic.Pointer[fanSkeleton]
+	cuts   atomic.Pointer[pairCuts]
 }
 
 // Revision returns the topology revision: a counter bumped by every
-// AddProcessor/AddMedium. Route caches (FanCache) use it to detect that
-// their precomputed routes went stale.
+// AddProcessor/AddMedium. Route caches (FanCache) and the architecture's
+// own memos use it to detect that their precomputed data went stale.
 func (a *Architecture) Revision() uint64 { return a.rev }
 
 // New returns an empty architecture.

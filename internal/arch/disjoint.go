@@ -2,7 +2,7 @@ package arch
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file implements the disjoint-route search of the Nmf-aware delivery
@@ -19,64 +19,167 @@ import (
 // a greedy first path can never paint the search into a corner the way
 // sequential shortest-path-with-removal does on rings).
 
-// flowArc is one directed arc of the disjoint-route flow network. Arcs are
-// stored in pairs: arc 2k is the forward arc, arc 2k+1 its residual
-// reverse (capacity 0, cost negated).
-type flowArc struct {
-	to   int
-	cap  int
-	cost float64
-	// medium is the traversed medium for the medium-internal arc, -1
-	// elsewhere.
-	medium MediumID
+// fanSkeleton is the flow network every disjoint-fan search over one
+// architecture revision starts from, built once per Revision and shared
+// read-only (Architecture.fanNetwork). Node ids: processors 0..nP-1,
+// medium m's in/out nodes nP+2m and nP+2m+1, the super-source last. Arcs
+// come in pairs, arc 2k forward and arc 2k+1 its residual reverse
+// (capacity 0, cost negated). Processor p owns the reserved source pair
+// (2p, 2p+1), closed at capacity 0; every medium's arcs follow in medium
+// order: its in→out arc, then for each endpoint p (ascending) the pairs
+// p→in and out→p. A search opens its sources' pairs, writes the media
+// weights and relay charges, and closes an unusable medium's forward
+// arcs; a pair with both capacities 0 is never relaxed, consumed or
+// walked, so every node meets its effective arcs in the order a network
+// built per search would list them.
+type fanSkeleton struct {
+	rev uint64
+	nP  int
+	// to[i] is arc i's head node and cap[i] the capacity every search
+	// starts from; every arc starts at cost 0.
+	to  []int32
+	cap []int32
+	// adj[start[u]:start[u+1]] lists the arcs leaving node u in the
+	// residual graph, in arc order.
+	start []int32
+	adj   []int32
+	// mediumArc[m] is medium m's in→out arc. Its endpoint i's entry arc
+	// p→in is mediumArc[m]+2+4i, and the medium's arcs end at
+	// mediumArc[m+1].
+	mediumArc []int32
 }
 
-// fanNet is the flow network of one DisjointFan call.
-type fanNet struct {
-	arcs []flowArc
-	adj  [][]int32 // arc indices leaving each node, in insertion order
+// fanNetwork returns the architecture's flow skeleton, building it on
+// first use after a topology mutation.
+func (a *Architecture) fanNetwork() *fanSkeleton {
+	if sk := a.fanNet.Load(); sk != nil && sk.rev == a.rev {
+		return sk
+	}
+	sk := a.buildFanSkeleton()
+	a.fanNet.Store(sk)
+	return sk
 }
 
-// fanScratch carries the reusable buffers of the disjoint-fan search: the
-// arc slab, the per-node adjacency lists (truncated, not freed, between
-// calls), and the Bellman-Ford distance/predecessor arrays. One scratch
-// serves any number of sequential searches over any architecture; it is
-// not safe for concurrent use. Reuse changes no observable behaviour —
-// arcs are rebuilt in the same insertion order every call, and the
-// relaxation never reads a cell it has not written this call.
-type fanScratch struct {
-	net     fanNet
-	sorted  []ProcID
+func (a *Architecture) buildFanSkeleton() *fanSkeleton {
+	nP, nM := len(a.procs), len(a.media)
+	nArcs := 2 * nP
+	for _, m := range a.media {
+		nArcs += 2 + 4*len(m.Endpoints)
+	}
+	nodes := nP + 2*nM + 1
+	sk := &fanSkeleton{
+		rev:       a.rev,
+		nP:        nP,
+		to:        make([]int32, 0, nArcs),
+		cap:       make([]int32, 0, nArcs),
+		start:     make([]int32, nodes+1),
+		adj:       make([]int32, nArcs),
+		mediumArc: make([]int32, nM+1),
+	}
+	from := make([]int32, 0, nArcs)
+	add := func(u, v int, c int32) {
+		from = append(from, int32(u), int32(v))
+		sk.to = append(sk.to, int32(v), int32(u))
+		sk.cap = append(sk.cap, c, 0)
+	}
+	src := nodes - 1
+	for p := 0; p < nP; p++ {
+		add(src, p, 0)
+	}
+	for m, med := range a.media {
+		in, out := nP+2*m, nP+2*m+1
+		sk.mediumArc[m] = int32(len(sk.to))
+		add(in, out, 1)
+		for _, p := range med.Endpoints {
+			add(int(p), in, 1)
+			add(out, int(p), 1)
+		}
+	}
+	sk.mediumArc[nM] = int32(len(sk.to))
+	// Bucket the arcs by tail, stably: each node lists its arcs in arc
+	// order, which is the order a per-search build appends them in.
+	for _, u := range from {
+		sk.start[u+1]++
+	}
+	for u := 0; u < nodes; u++ {
+		sk.start[u+1] += sk.start[u]
+	}
+	next := append([]int32(nil), sk.start[:nodes]...)
+	for ai, u := range from {
+		sk.adj[next[u]] = int32(ai)
+		next[u]++
+	}
+	return sk
+}
+
+// FanScratch holds the reusable state of disjoint-fan searches: one
+// search's arc capacities and costs, the Bellman-Ford arrays and the
+// routes being decomposed. One scratch serves any number of sequential
+// searches over any architecture; it is not safe for concurrent use. The
+// zero value is ready to use. Reuse changes no observable behaviour:
+// every search starts from the skeleton's capacities and zero costs, and
+// reads no cell it has not written.
+type FanScratch struct {
+	cap     []int32
+	cost    []float64
 	dist    []float64
 	prevArc []int32
+	dirty   []bool
+	relay   []float64
+	canon   []ProcID
+	// hops holds the decomposed routes back to back; source i's route is
+	// hops[spans[2i]:spans[2i+1]], empty when it went unserved.
+	hops  []Hop
+	spans []int32
 }
 
-// reset prepares the scratch for a search over `nodes` flow nodes.
-func (sc *fanScratch) reset(nodes int) {
-	sc.net.arcs = sc.net.arcs[:0]
-	if cap(sc.net.adj) < nodes {
-		sc.net.adj = make([][]int32, nodes)
+// relayCosts returns the scratch's per-processor relay-charge buffer.
+func (sc *FanScratch) relayCosts(nP int) []float64 {
+	if cap(sc.relay) < nP {
+		sc.relay = make([]float64, nP)
 	}
-	sc.net.adj = sc.net.adj[:nodes]
-	for i := range sc.net.adj {
-		sc.net.adj[i] = sc.net.adj[i][:0]
+	sc.relay = sc.relay[:nP]
+	return sc.relay
+}
+
+// load starts a search over sk for n sources.
+func (sc *FanScratch) load(sk *fanSkeleton, n int) {
+	sc.cap = append(sc.cap[:0], sk.cap...)
+	if cap(sc.cost) < len(sk.cap) {
+		sc.cost = make([]float64, len(sk.cap))
 	}
+	sc.cost = sc.cost[:len(sk.cap)]
+	clear(sc.cost)
+	nodes := len(sk.start) - 1
 	if cap(sc.dist) < nodes {
 		sc.dist = make([]float64, nodes)
 		sc.prevArc = make([]int32, nodes)
+		sc.dirty = make([]bool, nodes)
 	}
-	sc.dist = sc.dist[:nodes]
-	sc.prevArc = sc.prevArc[:nodes]
+	sc.dist, sc.prevArc, sc.dirty = sc.dist[:nodes], sc.prevArc[:nodes], sc.dirty[:nodes]
+	if cap(sc.spans) < 2*n {
+		sc.spans = make([]int32, 2*n)
+	}
+	sc.spans = sc.spans[:2*n]
+	clear(sc.spans)
+	sc.hops = sc.hops[:0]
 }
 
-// addArc appends a forward arc and its residual reverse. Each node's
-// adjacency lists exactly the arcs leaving it in the residual graph: the
-// forward arc under from, the reverse under to.
-func (n *fanNet) addArc(from, to int, cap int, cost float64, m MediumID) {
-	n.adj[from] = append(n.adj[from], int32(len(n.arcs)))
-	n.arcs = append(n.arcs, flowArc{to: to, cap: cap, cost: cost, medium: m})
-	n.adj[to] = append(n.adj[to], int32(len(n.arcs)))
-	n.arcs = append(n.arcs, flowArc{to: from, cap: 0, cost: -cost, medium: m})
+// routes copies the last search's routes out of the scratch, aligned with
+// its sources: one []Route and one hop array that every route is a
+// capacity-capped window of.
+func (sc *FanScratch) routes() []Route {
+	out := make([]Route, len(sc.spans)/2)
+	if len(sc.hops) == 0 {
+		return out
+	}
+	hops := append([]Hop(nil), sc.hops...)
+	for i := range out {
+		if lo, hi := sc.spans[2*i], sc.spans[2*i+1]; hi > lo {
+			out[i] = hops[lo:hi:hi]
+		}
+	}
+	return out
 }
 
 // DisjointFan routes one delivery from each source processor towards dst
@@ -104,58 +207,57 @@ func (a *Architecture) DisjointFan(srcs []ProcID, dst ProcID, weight func(Medium
 // which finite costs cannot reduce). A nil relayCost is free everywhere and
 // makes the search identical to DisjointFan, arc for arc.
 func (a *Architecture) DisjointFanRelay(srcs []ProcID, dst ProcID, weight func(MediumID) float64, relayCost func(ProcID) float64) []Route {
-	return a.disjointFanRelay(new(fanScratch), srcs, dst, weight, relayCost)
+	sc := new(FanScratch)
+	var relay []float64
+	if relayCost != nil {
+		relay = sc.relayCosts(len(a.procs))
+		for p := range relay {
+			relay[p] = relayCost(ProcID(p))
+		}
+	}
+	a.fan(sc, srcs, dst, weight, relay)
+	return sc.routes()
 }
 
-// disjointFanRelay is DisjointFanRelay over caller-owned scratch buffers,
-// the allocation-free form FanCache uses for its cold computes. Only the
-// returned routes escape; everything else lives in sc.
-func (a *Architecture) disjointFanRelay(sc *fanScratch, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relayCost func(ProcID) float64) []Route {
-	out := make([]Route, len(srcs))
+// fan runs one disjoint-fan search on the architecture's skeleton, leaving
+// the routes in sc (aligned with srcs) and returning how many sources it
+// served. relay[p] is processor p's relay charge; nil charges nothing.
+func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relay []float64) int {
+	sk := a.fanNetwork()
+	sc.load(sk, len(srcs))
 	if len(srcs) == 0 {
-		return out
+		return 0
 	}
-	if weight == nil {
-		weight = func(MediumID) float64 { return 1 }
-	}
-	nP, nM := len(a.procs), len(a.media)
-	// Node ids: processors 0..nP-1, medium m in/out nP+2m / nP+2m+1,
-	// super-source nP+2nM.
-	src := nP + 2*nM
-	nodes := src + 1
-	sc.reset(nodes)
-	net := &sc.net
-	// Sorted source order keeps the arc list — and with it every
-	// tie-break — independent of the caller's ordering.
-	sorted := append(sc.sorted[:0], srcs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	sc.sorted = sorted
-	for _, sp := range sorted {
-		if sp != dst {
-			net.addArc(src, int(sp), 1, 0, -1)
+	for m := range a.media {
+		w := 1.0
+		if weight != nil {
+			w = weight(MediumID(m))
 		}
-	}
-	for m := 0; m < nM; m++ {
-		w := weight(MediumID(m))
+		ai, end := sk.mediumArc[m], sk.mediumArc[m+1]
 		if math.IsInf(w, 1) || math.IsNaN(w) || w < 0 {
+			for ; ai < end; ai += 2 {
+				sc.cap[ai] = 0
+			}
 			continue
 		}
-		in, outN := nP+2*m, nP+2*m+1
-		net.addArc(in, outN, 1, w, MediumID(m))
-		for _, p := range a.media[m].Endpoints {
-			enter := 0.0
-			if relayCost != nil {
-				enter = relayCost(p)
+		sc.cost[ai], sc.cost[ai+1] = w, -w
+		if relay != nil {
+			for i, p := range a.media[m].Endpoints {
+				e := ai + 2 + 4*int32(i)
+				sc.cost[e], sc.cost[e+1] = relay[p], -relay[p]
 			}
-			net.addArc(int(p), in, 1, enter, -1)
-			net.addArc(outN, int(p), 1, 0, -1)
+		}
+	}
+	for _, sp := range srcs {
+		if sp != dst {
+			sc.cap[2*sp] = 1
 		}
 	}
 	// Successive shortest augmenting paths (Bellman-Ford handles the
 	// negative residual costs without potentials; the network is tiny).
-	dist, prevArc := sc.dist, sc.prevArc
+	src := len(sk.start) - 2
 	for served := 0; served < len(srcs); served++ {
-		if !net.shortestPath(src, int(dst), dist, prevArc) {
+		if !sc.shortestPath(sk, src, int(dst)) {
 			break
 		}
 		// The predecessor graph is a tree (relaxation improves only past
@@ -164,34 +266,38 @@ func (a *Architecture) disjointFanRelay(sc *fanScratch, srcs []ProcID, dst ProcI
 		// defensive fail-safe that surrenders the whole fan — callers
 		// treat nil routes as unserved — rather than corrupt the flow.
 		for v, steps := int(dst), 0; v != src; steps++ {
-			if steps > len(net.arcs) {
-				return make([]Route, len(srcs))
+			if steps > len(sc.cap) {
+				clear(sc.spans)
+				return 0
 			}
-			ai := prevArc[v]
-			net.arcs[ai].cap--
-			net.arcs[ai^1].cap++
-			v = net.arcs[ai^1].to
+			ai := sc.prevArc[v]
+			sc.cap[ai]--
+			sc.cap[ai^1]++
+			v = int(sk.to[ai^1])
 		}
 	}
 	// Decompose the flow into one route per served source. Decomposition
 	// consumes arcs, and two routes crossing the same relay processor are
 	// paired by consumption order — so walking in canonical (ascending
 	// source id) order, not caller order, keeps each source's route
-	// independent of how the caller ordered the set. The walks' results
-	// are then realigned to the caller's ordering.
-	for _, sp := range sorted {
-		if sp == dst || !net.consumed(src, int(sp)) {
+	// independent of how the caller ordered the set. A source is served
+	// when its source arc carries flow (forward capacity exhausted,
+	// residual reverse positive).
+	served := 0
+	for p := 0; p < sk.nP; p++ {
+		if sc.cap[2*p] != 0 || sc.cap[2*p+1] <= 0 {
 			continue
 		}
-		route := net.walkRoute(a, int(sp), int(dst))
-		for i, osp := range srcs {
-			if osp == sp {
-				out[i] = route
-				break
-			}
+		lo := int32(len(sc.hops))
+		if !sc.walkRoute(sk, p, int(dst)) {
+			sc.hops = sc.hops[:lo]
+			continue
 		}
+		i := slices.Index(srcs, ProcID(p))
+		sc.spans[2*i], sc.spans[2*i+1] = lo, int32(len(sc.hops))
+		served++
 	}
-	return out
+	return served
 }
 
 // fanCostEps is the relative float tolerance of the shortest-path
@@ -205,32 +311,46 @@ func (a *Architecture) disjointFanRelay(sc *fanScratch, srcs []ProcID, dst ProcI
 const fanCostEps = 1e-9
 
 // shortestPath runs Bellman-Ford over the residual network from s to t,
-// filling dist and prevArc; it reports whether t is reachable. Relaxation
-// order follows arc insertion order and improves only on distances
-// smaller beyond the float tolerance, so the predecessor tree — and the
-// augmenting path — is deterministic and acyclic.
-func (n *fanNet) shortestPath(s, t int, dist []float64, prevArc []int32) bool {
+// filling dist and prevArc; it reports whether t is reachable. Passes
+// visit the nodes in ascending order, each node's arcs in arc order, and
+// improve only on distances smaller beyond the float tolerance, so the
+// predecessor tree — and the augmenting path — is deterministic and
+// acyclic.
+//
+// A pass scans only the nodes whose distance changed since their last
+// scan (dirty). That skips no improvement: capacities and costs are fixed
+// during the search and distances only fall, so each arc of an unchanged
+// node either set its head to the same nd already or failed
+// nd < dist − eps·(1+|nd|), and its head has only fallen since. Scanning
+// every node with a finite distance relaxes the same arcs in the same
+// order, to the same dist and prevArc (DESIGN.md Section 11).
+func (sc *FanScratch) shortestPath(sk *fanSkeleton, s, t int) bool {
+	dist, prevArc, dirty := sc.dist, sc.prevArc, sc.dirty
+	capacity, cost, to, adj, start := sc.cap, sc.cost, sk.to, sk.adj, sk.start
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prevArc[i] = -1
+		dirty[i] = false
 	}
-	dist[s] = 0
+	dist[s], dirty[s] = 0, true
 	for round := 0; round < len(dist); round++ {
 		changed := false
-		for u := 0; u < len(n.adj); u++ {
-			du := dist[u]
-			if math.IsInf(du, 1) {
+		for u := range dist {
+			if !dirty[u] {
 				continue
 			}
-			for _, ai := range n.adj[u] {
-				arc := &n.arcs[ai]
-				if arc.cap <= 0 {
+			dirty[u] = false
+			du := dist[u]
+			for _, ai := range adj[start[u]:start[u+1]] {
+				if capacity[ai] <= 0 {
 					continue
 				}
-				nd := du + arc.cost
-				if nd < dist[arc.to]-fanCostEps*(1+math.Abs(nd)) {
-					dist[arc.to] = nd
-					prevArc[arc.to] = ai
+				v := to[ai]
+				nd := du + cost[ai]
+				if nd < dist[v]-fanCostEps*(1+math.Abs(nd)) {
+					dist[v] = nd
+					prevArc[v] = ai
+					dirty[v] = true
 					changed = true
 				}
 			}
@@ -242,63 +362,46 @@ func (n *fanNet) shortestPath(s, t int, dist []float64, prevArc []int32) bool {
 	return prevArc[t] >= 0
 }
 
-// consumed reports whether the unit arc from -> to carries flow (forward
-// capacity exhausted, residual reverse positive).
-func (n *fanNet) consumed(from, to int) bool {
-	for _, ai := range n.adj[from] {
-		arc := &n.arcs[ai]
-		if ai%2 == 0 && arc.to == to && arc.cap == 0 && n.arcs[ai^1].cap > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // walkRoute follows the flow from processor node u to dst, consuming the
-// arcs it traverses and emitting one Hop per medium crossed.
-func (n *fanNet) walkRoute(a *Architecture, u, dst int) Route {
-	var route Route
+// arcs it traverses and appending one Hop per medium crossed to sc.hops.
+// It reports false on a broken decomposition, which a valid flow cannot
+// produce. Every step consumes a forward arc for good, so the walk ends.
+func (sc *FanScratch) walkRoute(sk *fanSkeleton, u, dst int) bool {
 	for u != dst {
-		ai, ok := n.takeFlowArc(u)
-		if !ok {
-			return nil // broken decomposition; cannot happen on a valid flow
+		ai := sc.takeFlowArc(sk, u)
+		if ai < 0 {
+			return false
 		}
-		in := n.arcs[ai].to // medium-in node
-		mi, ok := n.takeFlowArc(in)
-		if !ok {
-			return nil
+		in := int(sk.to[ai]) // medium-in node
+		mi := sc.takeFlowArc(sk, in)
+		if mi < 0 {
+			return false
 		}
-		m := n.arcs[mi].medium
-		out := n.arcs[mi].to
-		po, ok := n.takeFlowArc(out)
-		if !ok {
-			return nil
+		po := sc.takeFlowArc(sk, int(sk.to[mi]))
+		if po < 0 {
+			return false
 		}
-		v := n.arcs[po].to
-		route = append(route, Hop{Medium: m, From: ProcID(u), To: ProcID(v)})
-		if len(route) > len(n.arcs) {
-			return nil
-		}
+		v := int(sk.to[po])
+		sc.hops = append(sc.hops, Hop{Medium: MediumID((in - sk.nP) / 2), From: ProcID(u), To: ProcID(v)})
 		u = v
 	}
-	return route
+	return true
 }
 
 // takeFlowArc consumes and returns the first forward arc leaving u that
-// carries flow.
-func (n *fanNet) takeFlowArc(u int) (int32, bool) {
-	for _, ai := range n.adj[u] {
+// carries flow, or -1.
+func (sc *FanScratch) takeFlowArc(sk *fanSkeleton, u int) int32 {
+	for _, ai := range sk.adj[sk.start[u]:sk.start[u+1]] {
 		if ai%2 != 0 {
 			continue // residual reverse arcs never carry decomposed flow
 		}
-		arc := &n.arcs[ai]
-		if arc.cap == 0 && n.arcs[ai^1].cap > 0 {
-			n.arcs[ai].cap++
-			n.arcs[ai^1].cap--
-			return ai, true
+		if sc.cap[ai] == 0 && sc.cap[ai^1] > 0 {
+			sc.cap[ai]++
+			sc.cap[ai^1]--
+			return ai
 		}
 	}
-	return -1, false
+	return -1
 }
 
 // MaxDisjointRoutes returns how many pairwise media-disjoint routes reach
@@ -306,21 +409,18 @@ func (n *fanNet) takeFlowArc(u int) (int32, bool) {
 // accepts every medium). It is the feasibility count behind the spec-level
 // media-diversity validation: by Menger's theorem a count below Nmf+1
 // means some Nmf media form a cut between every source and the receiver,
-// so no schedule on this architecture can mask the budget.
-func (a *Architecture) MaxDisjointRoutes(srcs []ProcID, dst ProcID, usable func(MediumID) bool) int {
-	routes := a.DisjointFan(srcs, dst, func(m MediumID) float64 {
+// so no schedule on this architecture can mask the budget. sc is the
+// search scratch (nil allocates one); the count allocates no routes.
+func (a *Architecture) MaxDisjointRoutes(srcs []ProcID, dst ProcID, usable func(MediumID) bool, sc *FanScratch) int {
+	if sc == nil {
+		sc = new(FanScratch)
+	}
+	return a.fan(sc, srcs, dst, func(m MediumID) float64 {
 		if usable == nil || usable(m) {
 			return 1
 		}
 		return math.Inf(1)
-	})
-	count := 0
-	for _, r := range routes {
-		if r != nil {
-			count++
-		}
-	}
-	return count
+	}, nil)
 }
 
 // FanCache memoises DisjointFan results for one weight function over one
@@ -342,9 +442,10 @@ type FanCache struct {
 	// relay outweighs any all-media detour while staying finite (an
 	// avoided relay is a preference, never a feasibility cut).
 	penalty float64
-	// scratch backs the cold computes, so a miss allocates only the routes
-	// it caches. Sharing it is what makes the cache single-writer.
-	scratch fanScratch
+	// scratch backs the searches, so a miss allocates only the routes it
+	// caches. The caches of one clone family share it (NewFanCache), which
+	// is what makes them single-writer.
+	scratch *FanScratch
 }
 
 type fanKey struct {
@@ -353,9 +454,14 @@ type fanKey struct {
 	dst   ProcID
 }
 
-// NewFanCache returns an empty cache over a and weight.
-func NewFanCache(a *Architecture, weight func(MediumID) float64) *FanCache {
-	return &FanCache{a: a, weight: weight, rev: a.Revision(), fans: make(map[fanKey][]Route)}
+// NewFanCache returns an empty cache over a and weight whose searches run
+// on sc; caches that one goroutine uses may share a scratch. A nil sc
+// gives the cache its own.
+func NewFanCache(a *Architecture, weight func(MediumID) float64, sc *FanScratch) *FanCache {
+	if sc == nil {
+		sc = new(FanScratch)
+	}
+	return &FanCache{a: a, weight: weight, rev: a.Revision(), fans: make(map[fanKey][]Route), scratch: sc}
 }
 
 // relayPenalty returns (computing once) the relay charge for avoided
@@ -420,12 +526,12 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 		c.fans = make(map[fanKey][]Route)
 		// The penalty is a function of the media set; recompute it after
 		// AddMedium so a newly added heavy medium cannot make a clean
-		// detour cost more than an avoided relay. Reset before the cost
-		// closure below captures it.
+		// detour cost more than an avoided relay.
 		c.penalty = 0
 	}
 	if c.a.NumProcs() > 64 {
-		return c.a.disjointFanRelay(&c.scratch, srcs, dst, c.weight, c.relayCostFor(avoid))
+		c.a.fan(c.scratch, srcs, dst, c.weight, c.relayCosts(avoid))
+		return c.scratch.routes()
 	}
 	key := fanKey{avoid: avoid, dst: dst}
 	for _, sp := range srcs {
@@ -435,27 +541,32 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 	if !ok {
 		// The result aligns with its input, and the cached slice must be
 		// in canonical order for every ordering of the same source set.
-		canon := append([]ProcID(nil), srcs...)
-		sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-		routes = c.a.disjointFanRelay(&c.scratch, canon, dst, c.weight, c.relayCostFor(avoid))
+		canon := append(c.scratch.canon[:0], srcs...)
+		slices.Sort(canon)
+		c.scratch.canon = canon
+		c.a.fan(c.scratch, canon, dst, c.weight, c.relayCosts(avoid))
+		routes = c.scratch.routes()
 		c.fans[key] = routes
 	}
 	return routes
 }
 
-// relayCostFor builds the relay-cost function of an avoid mask (nil for
-// the empty mask, keeping the zero-avoid path arc-identical to Fan).
-func (c *FanCache) relayCostFor(avoid uint64) func(ProcID) float64 {
+// relayCosts fills the scratch's relay charges for an avoid mask: the
+// penalty on every avoided processor, 0 elsewhere, and nil for the empty
+// mask, keeping the zero-avoid search arc-identical to Fan.
+func (c *FanCache) relayCosts(avoid uint64) []float64 {
 	if avoid == 0 {
 		return nil
 	}
 	penalty := c.relayPenalty()
-	return func(p ProcID) float64 {
+	relay := c.scratch.relayCosts(c.a.NumProcs())
+	for p := range relay {
+		relay[p] = 0
 		if p < 64 && avoid&(1<<uint(p)) != 0 {
-			return penalty
+			relay[p] = penalty
 		}
-		return 0
 	}
+	return relay
 }
 
 // RouteFrom returns the route of fan that starts at processor sp, or nil

@@ -97,19 +97,19 @@ func TestDisjointFanRing(t *testing.T) {
 // carry one chain.
 func TestDisjointFanStarAndBus(t *testing.T) {
 	star := Star(4)
-	if got := star.MaxDisjointRoutes([]ProcID{1, 3}, 2, nil); got != 1 {
+	if got := star.MaxDisjointRoutes([]ProcID{1, 3}, 2, nil, nil); got != 1 {
 		t.Errorf("star spoke disjoint routes = %d, want 1 (single link cut)", got)
 	}
 	bus := Bus(4)
-	if got := bus.MaxDisjointRoutes([]ProcID{0, 1}, 3, nil); got != 1 {
+	if got := bus.MaxDisjointRoutes([]ProcID{0, 1}, 3, nil, nil); got != 1 {
 		t.Errorf("bus disjoint routes = %d, want 1 (single medium)", got)
 	}
 	dual := DualBus(4)
-	if got := dual.MaxDisjointRoutes([]ProcID{0, 1}, 3, nil); got != 2 {
+	if got := dual.MaxDisjointRoutes([]ProcID{0, 1}, 3, nil, nil); got != 2 {
 		t.Errorf("dualbus disjoint routes = %d, want 2", got)
 	}
 	full := FullyConnected(5)
-	if got := full.MaxDisjointRoutes([]ProcID{0, 1, 2}, 4, nil); got != 3 {
+	if got := full.MaxDisjointRoutes([]ProcID{0, 1, 2}, 4, nil, nil); got != 3 {
 		t.Errorf("full disjoint routes = %d, want 3 (one direct link each)", got)
 	}
 }
@@ -224,7 +224,7 @@ func TestDisjointFanProperties(t *testing.T) {
 // invalidates the whole cache so new media become routable.
 func TestFanCache(t *testing.T) {
 	a := Star(4)
-	c := NewFanCache(a, nil)
+	c := NewFanCache(a, nil, nil)
 	first := c.Fan([]ProcID{1, 3}, 2)
 	if got := len(serving(first)); got != 1 {
 		t.Fatalf("star fan served %d, want 1", got)
@@ -320,7 +320,7 @@ func TestDisjointFanRelayChargeNeverDropsSources(t *testing.T) {
 // when the mask matters, and LookupAvoiding only hits its own mask.
 func TestFanCacheAvoidKeying(t *testing.T) {
 	a := Ring(4)
-	fc := NewFanCache(a, nil)
+	fc := NewFanCache(a, nil, nil)
 	srcs := []ProcID{2}
 	plain := fc.FanAvoiding(srcs, 0, 0)
 	if _, ok := fc.LookupAvoiding(srcs, 0, 1<<1); ok {
@@ -338,14 +338,14 @@ func TestFanCacheAvoidKeying(t *testing.T) {
 	}
 }
 
-// TestDisjointFanScratchReuse pins that the pooled-scratch form is
-// observably identical to a fresh computation: a single scratch threaded
-// through many searches over many architectures yields route-for-route
-// the same fans as the allocating entry point, so FanCache's buffer reuse
+// TestDisjointFanScratchReuse pins that a shared search scratch is
+// observably identical to a fresh one: a single scratch threaded through
+// many searches over many architectures yields route-for-route the same
+// fans as the allocating entry point, so a clone family's shared scratch
 // can never leak one search's state into the next.
 func TestDisjointFanScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	sc := new(fanScratch)
+	sc := new(FanScratch)
 	for trial := 0; trial < 200; trial++ {
 		a := randomArch(rng)
 		n := a.NumProcs()
@@ -361,12 +361,17 @@ func TestDisjointFanScratchReuse(t *testing.T) {
 		}
 		weight := func(m MediumID) float64 { return 1 + float64(m%3) }
 		var relay func(ProcID) float64
+		var charges []float64
 		if rng.Intn(2) == 0 {
 			relay = func(p ProcID) float64 { return float64(p % 2) }
+			charges = sc.relayCosts(n)
+			for p := range charges {
+				charges[p] = relay(ProcID(p))
+			}
 		}
 		fresh := a.DisjointFanRelay(srcs, dst, weight, relay)
-		pooled := a.disjointFanRelay(sc, srcs, dst, weight, relay)
-		if !reflect.DeepEqual(fresh, pooled) {
+		a.fan(sc, srcs, dst, weight, charges)
+		if pooled := sc.routes(); !reflect.DeepEqual(fresh, pooled) {
 			t.Fatalf("trial %d: pooled scratch diverged:\nfresh:  %v\npooled: %v",
 				trial, fresh, pooled)
 		}
@@ -381,7 +386,7 @@ func TestFanCacheWarmLookupAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	a := Ring(6)
-	c := NewFanCache(a, nil)
+	c := NewFanCache(a, nil, nil)
 	srcs := []ProcID{1, 3, 4}
 	c.Fan(srcs, 0) // warm
 	if avg := testing.AllocsPerRun(100, func() { c.Fan(srcs, 0) }); avg != 0 {
@@ -390,5 +395,54 @@ func TestFanCacheWarmLookupAllocs(t *testing.T) {
 	c.FanAvoiding(srcs, 0, 1<<2)
 	if avg := testing.AllocsPerRun(100, func() { c.FanAvoiding(srcs, 0, 1<<2) }); avg != 0 {
 		t.Errorf("warm FanAvoiding allocates %v per op, want 0", avg)
+	}
+}
+
+// TestFanMissAllocs is the allocation gate of a fan cache miss on a warm
+// family: once the skeleton is built and the shared scratch has grown, a
+// miss allocates the []Route it caches and the one hop array its routes
+// are windows of, and nothing else, on every layout up to the 64
+// processors a cache keys. Each measured call's entry is deleted again,
+// so every call misses and the map never grows. It counts allocations,
+// not time, so a loaded machine cannot trip it.
+func TestFanMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured path")
+	}
+	sc := new(FanScratch)
+	for _, a := range []*Architecture{
+		Ring(8), FullyConnected(16), FullyConnected(64), Star(64), Bus(64), DualBus(12),
+		Mesh(64), Torus(36), Hypercube(64), Geometric(32, 0, 1),
+	} {
+		n := a.NumProcs()
+		fc := NewFanCache(a, func(m MediumID) float64 { return 1 + float64(m%5) }, sc)
+		for _, c := range []struct {
+			srcs  []ProcID
+			dst   ProcID
+			avoid uint64
+		}{
+			{[]ProcID{1}, 0, 0},
+			{[]ProcID{ProcID(n - 1), 2}, 0, 1},
+			{[]ProcID{3, ProcID(n / 2), 1}, ProcID(n - 2), 1<<3 | 1<<uint(n-2)},
+			{[]ProcID{0, ProcID(n - 1), 5, 2}, 4, 1<<4 | 1<<5},
+		} {
+			key := fanKey{avoid: c.avoid, dst: c.dst}
+			for _, sp := range c.srcs {
+				key.srcs |= 1 << uint(sp)
+			}
+			served := len(serving(fc.FanAvoiding(c.srcs, c.dst, c.avoid)))
+			delete(fc.fans, key)
+			if served == 0 {
+				t.Fatalf("%d processors: %v -> %d served nothing", n, c.srcs, c.dst)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				fc.FanAvoiding(c.srcs, c.dst, c.avoid)
+				delete(fc.fans, key)
+			})
+			if allocs > 2 {
+				t.Errorf("%d processors, %d media: %v -> %d avoid %#x: a miss allocates %.1f objects, want at most 2",
+					n, a.NumMedia(), c.srcs, c.dst, c.avoid, allocs)
+			}
+		}
 	}
 }

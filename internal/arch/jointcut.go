@@ -99,11 +99,29 @@ func (a *Architecture) reachesOutside(z, x, y, p ProcID, m MediumID, sc *cutScra
 	return false
 }
 
+// pairCuts is the PairCutMatrix of one architecture revision.
+type pairCuts struct {
+	rev uint64
+	m   [][]bool
+}
+
 // PairCutMatrix returns the PairCutVulnerable verdict for every processor
 // pair, indexed [x][y]. The diagonal is true (a pair needs two distinct
-// processors). The matrix reflects the topology at call time; recompute
-// after AddMedium (Revision moves).
+// processors). The matrix depends only on the topology, so it is built
+// once per Revision and every caller shares it: it is read-only. A call
+// after AddMedium or AddProcessor builds the new topology's matrix.
 func (a *Architecture) PairCutMatrix() [][]bool {
+	if c := a.cuts.Load(); c != nil && c.rev == a.rev {
+		return c.m
+	}
+	c := &pairCuts{rev: a.rev, m: a.pairCutMatrix()}
+	a.cuts.Store(c)
+	return c.m
+}
+
+// pairCutMatrix builds the matrix: the cells and their row headers, and
+// one search scratch shared by every pair check.
+func (a *Architecture) pairCutMatrix() [][]bool {
 	nP := len(a.procs)
 	cells := make([]bool, nP*nP)
 	out := make([][]bool, nP)

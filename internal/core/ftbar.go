@@ -253,6 +253,7 @@ type scheduler struct {
 	cache *sigmaCache
 	// vuln is the PairCutMatrix of the architecture when the
 	// crash-separated placement bias is active (Nmf >= 1), nil otherwise.
+	// The architecture memoises it for every run: read-only.
 	vuln [][]bool
 	// rounds feeds Result.Planner: the prepare/select rounds run.
 	rounds int

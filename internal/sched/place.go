@@ -90,10 +90,13 @@ type planScratch struct {
 // scratchList is the free list of planScratch buffers shared by a clone
 // family. It grows to the number of plans held open at once (at most a
 // few, under Minimize's nested plans) and never drops a buffer, so warm
-// plans allocate nothing.
+// plans allocate nothing. It also holds the one disjoint-fan search
+// scratch every FanCache of the family runs on (Schedule.fanFor), so a
+// fan miss allocates only the routes it caches.
 type scratchList struct {
 	nMedia int
 	free   []*planScratch
+	fans   arch.FanScratch
 }
 
 func (l *scratchList) get() *planScratch {

@@ -60,8 +60,10 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 	}
 	if donor.problem.Arc == p.Arc {
 		// Derive shares the architecture by pointer, so the direct-media
-		// index and the scratch list (whose buffers are sized by nMedia
-		// and carry no schedule state) transfer as-is.
+		// index and the scratch list (whose plan buffers are sized by
+		// nMedia, and whose fan search scratch serves every FanCache in
+		// the carried fan memo; none carries schedule state) transfer
+		// as-is.
 		s.directMedia = donor.directMedia
 		s.scratch = donor.scratch
 	} else {

@@ -98,7 +98,8 @@ type Schedule struct {
 	directMedia [][]arch.MediumID
 
 	// scratch recycles planScratch buffers across Preview/PlaceReplica
-	// calls (shared across clones: buffers carry no schedule state).
+	// calls and holds the disjoint-fan search scratch of every FanCache
+	// in fans (shared across clones: buffers carry no schedule state).
 	scratch *scratchList
 
 	// slab holds every replica and comm in flat columns (slab.go).
@@ -191,7 +192,7 @@ func (s *Schedule) fanFor(edge model.EdgeID, srcs []arch.ProcID, dst arch.ProcID
 		e, comm := edge, s.problem.Comm
 		fc = arch.NewFanCache(s.problem.Arc, func(m arch.MediumID) float64 {
 			return comm.Time(e, m)
-		})
+		}, &s.scratch.fans)
 		s.fans[edge] = fc
 	}
 	return fc.FanAvoiding(srcs, dst, avoid)

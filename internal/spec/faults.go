@@ -107,6 +107,7 @@ func (p *Problem) validateMediaDiversity(fm FaultModel) error {
 		return allowed[op]
 	}
 	seen := make([]bool, p.Arc.NumMedia())
+	var fans arch.FanScratch // one search scratch for every flow count below
 	for _, e := range p.Alg.Edges() {
 		srcs := procsOf(e.Src)
 		usable := func(m arch.MediumID) bool { return p.Comm.Allowed(e.ID, m) }
@@ -133,7 +134,7 @@ func (p *Problem) validateMediaDiversity(fm FaultModel) error {
 			if routes >= need {
 				continue
 			}
-			if flow := p.Arc.MaxDisjointRoutes(srcs, dp, usable); flow < need {
+			if flow := p.Arc.MaxDisjointRoutes(srcs, dp, usable, &fans); flow < need {
 				return fmt.Errorf("%w: %s towards %q has %d disjoint routes, Nmf+1 = %d",
 					ErrMediaDiversity, p.Alg.EdgeName(e.ID),
 					p.Arc.Proc(dp).Name, flow, need)
