@@ -82,10 +82,14 @@
 // delivery's endpoint tasks, and the Npf+1 replica pick prefers
 // crash-separated processor sets — sets no single in-budget
 // (processor, medium) crash can wipe out or strand (on a ring:
-// non-adjacent pairs). Schedule.ValidateJoint certifies the result per
-// delivery: no crash of at most Npf processors plus Nmf media disables
-// every delivery chain (exact up to 16 chains, sound greedy beyond;
-// void at Nmf = 0). CombinedFailureSweep measures the full grid —
+// non-adjacent pairs). Schedule.ValidateJoint checks the relays per
+// delivery: no crash of at most Npf relay processors plus Nmf media
+// disables every delivery chain (exact up to 16 chains, sound greedy
+// beyond; void at Nmf = 0). Its attacks leave out sender and receiver
+// processors, so passing it does not certify combined masking: on
+// dualbus4 {1,1} all 40 planned schedules of one probe pass it, yet 37
+// lose outputs under some (processor, medium) crash at time 0
+// (DESIGN.md Section 12). CombinedFailureSweep measures the full grid —
 // every processor subset up to Npf, every medium, every decisive crash
 // instant — with worker-invariant reports. Every sweep indexes the
 // schedule once and runs each crash scenario on reusable per-worker

@@ -182,46 +182,30 @@ func (sc *FanScratch) routes() []Route {
 	return out
 }
 
-// DisjointFan routes one delivery from each source processor towards dst
-// such that the served routes are pairwise media-disjoint, maximising
-// first the number of sources served and then minimising the total
-// traversal weight. The result is aligned with srcs: out[i] is the route
-// for srcs[i], nil when srcs[i] was left unserved (the disjoint budget of
-// the topology is exhausted) or when srcs[i] == dst. Media with +Inf or
-// NaN weight are unusable. Sources must be pairwise distinct. The search
-// is deterministic: equal-cost ties break towards lower processor and
-// medium ids.
-func (a *Architecture) DisjointFan(srcs []ProcID, dst ProcID, weight func(MediumID) float64) []Route {
-	return a.DisjointFanRelay(srcs, dst, weight, nil)
-}
-
-// DisjointFanRelay is DisjointFan with relay-processor costs: every time a
-// route enters a medium from processor p it additionally pays relayCost(p),
-// so routes prefer relay hops on cheap processors (DESIGN.md Section 12
-// charges processors hosting replicas of the delivery's sender or receiver,
-// decorrelating chain survival from replica survival under a joint
-// processor+medium crash). Costs must be finite and non-negative. Every
+// fan runs one disjoint-fan search on the architecture's skeleton: it
+// routes one delivery from each source processor towards dst such that
+// the served routes are pairwise media-disjoint, maximising first the
+// number of sources served and then minimising the total traversal
+// weight plus relay charges. It leaves the routes in sc, aligned with
+// srcs (sc.routes copies them out; a route is nil when its source went
+// unserved — the disjoint budget of the topology is exhausted — or is
+// dst), and returns how many sources it served. Media with +Inf, NaN or
+// negative weight are unusable; a nil weight costs 1 everywhere. Sources
+// must be pairwise distinct.
+//
+// relay[p] is processor p's relay charge, paid every time a route enters
+// a medium from p (DESIGN.md Section 12 charges the processors hosting
+// replicas of the delivery's sender or receiver, decorrelating chain
+// survival from replica survival under a joint processor+medium crash);
+// nil charges nothing. Charges must be finite and non-negative. Every
 // served route pays its own source's charge exactly once, a constant per
-// served set, so relay costs steer only which relays a route threads —
-// never how many sources are served (serving count is the flow maximum,
-// which finite costs cannot reduce). A nil relayCost is free everywhere and
-// makes the search identical to DisjointFan, arc for arc.
-func (a *Architecture) DisjointFanRelay(srcs []ProcID, dst ProcID, weight func(MediumID) float64, relayCost func(ProcID) float64) []Route {
-	sc := new(FanScratch)
-	var relay []float64
-	if relayCost != nil {
-		relay = sc.relayCosts(len(a.procs))
-		for p := range relay {
-			relay[p] = relayCost(ProcID(p))
-		}
-	}
-	a.fan(sc, srcs, dst, weight, relay)
-	return sc.routes()
-}
-
-// fan runs one disjoint-fan search on the architecture's skeleton, leaving
-// the routes in sc (aligned with srcs) and returning how many sources it
-// served. relay[p] is processor p's relay charge; nil charges nothing.
+// served set, so charges steer only which relays a route threads — never
+// how many sources are served (the serving count is the flow maximum,
+// which finite costs cannot reduce).
+//
+// The search is deterministic: equal-cost ties break towards lower
+// processor and medium ids, and each source's route is independent of how
+// the caller ordered srcs.
 func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relay []float64) int {
 	sk := a.fanNetwork()
 	sc.load(sk, len(srcs))
@@ -423,15 +407,15 @@ func (a *Architecture) MaxDisjointRoutes(srcs []ProcID, dst ProcID, usable func(
 	}, nil)
 }
 
-// FanCache memoises DisjointFan results for one weight function over one
-// architecture, keyed on the (source-set, destination) pair. Entries are
-// invalidated wholesale when the architecture's topology Revision moves,
-// so a cache held across AddMedium calls never serves stale routes. The
-// cache is not safe for concurrent use: the scheduler holds one per
-// data-dependency, shared by a clone family that one goroutine plans.
-// Source sets are encoded as processor bitmasks, so caching engages only
-// on architectures of at most 64 processors; larger ones fall through to
-// a direct computation.
+// FanCache memoises disjoint fans for one weight function over one
+// architecture, keyed on the (source set, avoid mask, destination)
+// triple. Entries are invalidated wholesale when the architecture's
+// topology Revision moves, so a cache held across AddMedium calls never
+// serves stale routes. The cache is not safe for concurrent use: the
+// scheduler holds one per data-dependency, shared by a clone family that
+// one goroutine plans. Source sets are encoded as processor bitmasks, so
+// caching engages only on architectures of at most 64 processors; larger
+// ones fall through to a direct computation.
 type FanCache struct {
 	a      *Architecture
 	weight func(MediumID) float64
@@ -482,44 +466,17 @@ func (c *FanCache) relayPenalty() float64 {
 	return c.penalty
 }
 
-// Lookup returns the cached fan for (srcs, dst) without computing or
-// mutating anything, missing when the entry is absent, the topology
-// revision moved, or the architecture is too large for bitmask keys.
-func (c *FanCache) Lookup(srcs []ProcID, dst ProcID) ([]Route, bool) {
-	return c.LookupAvoiding(srcs, dst, 0)
-}
-
-// LookupAvoiding is Lookup keyed additionally on the avoided-processor
-// bitmask of FanAvoiding.
-func (c *FanCache) LookupAvoiding(srcs []ProcID, dst ProcID, avoid uint64) ([]Route, bool) {
-	if c.a.NumProcs() > 64 || c.a.Revision() != c.rev {
-		return nil, false
-	}
-	key := fanKey{avoid: avoid, dst: dst}
-	for _, sp := range srcs {
-		key.srcs |= 1 << uint(sp)
-	}
-	routes, ok := c.fans[key]
-	return routes, ok
-}
-
-// Fan returns the disjoint fan for (srcs, dst), computing and caching it
-// on first use. The served routes are returned in canonical (ascending
-// source id) order, not aligned with srcs — look a source's route up with
+// FanAvoiding returns the media-disjoint fan from srcs towards dst,
+// computing and caching it on first use. Bit p of avoid marks processor p
+// as a dispreferred relay (it hosts a replica whose crash already
+// endangers the delivery): each relay hop through it is charged
+// relayPenalty, so the fan threads clean processors whenever the topology
+// offers any, falling back to avoided relays rather than dropping a
+// source. The served routes are returned in canonical (ascending source
+// id) order, not aligned with srcs — look a source's route up with
 // RouteFrom, which keys on the first hop. The slice aliases cache storage
-// and must not be mutated; one cache entry serves every ordering of the
-// same source set, and lookups allocate nothing.
-func (c *FanCache) Fan(srcs []ProcID, dst ProcID) []Route {
-	return c.FanAvoiding(srcs, dst, 0)
-}
-
-// FanAvoiding is Fan with relay avoidance: bit p of avoid marks processor
-// p as a dispreferred relay (it hosts a replica whose crash already
-// endangers the delivery), charged relayPenalty per avoided relay hop so
-// the fan threads clean processors whenever the topology offers any,
-// falling back to avoided relays rather than dropping a source. An avoid
-// mask of 0 is exactly Fan. Entries are cached per (source-set, avoid,
-// dst) triple.
+// and must not be mutated; one entry serves every ordering of the same
+// source set, and a hit allocates nothing.
 func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route {
 	if rev := c.a.Revision(); rev != c.rev {
 		c.rev = rev
@@ -553,7 +510,7 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 
 // relayCosts fills the scratch's relay charges for an avoid mask: the
 // penalty on every avoided processor, 0 elsewhere, and nil for the empty
-// mask, keeping the zero-avoid search arc-identical to Fan.
+// mask, whose search charges no relay at all.
 func (c *FanCache) relayCosts(avoid uint64) []float64 {
 	if avoid == 0 {
 		return nil
@@ -571,7 +528,8 @@ func (c *FanCache) relayCosts(avoid uint64) []float64 {
 
 // RouteFrom returns the route of fan that starts at processor sp, or nil
 // when sp was left unserved. Routes identify their source by their first
-// hop, so the lookup works on any DisjointFan/Fan result.
+// hop, so the lookup works on any FanAvoiding result, whatever order the
+// sources were given in.
 func RouteFrom(fan []Route, sp ProcID) Route {
 	for _, r := range fan {
 		if len(r) > 0 && r[0].From == sp {

@@ -51,6 +51,22 @@ func checkPairwiseDisjoint(t *testing.T, routes []Route) {
 	}
 }
 
+// disjointFan runs one search on a fresh scratch and copies its routes
+// out, aligned with srcs. relayCost charges each processor as a relay;
+// nil charges nothing.
+func disjointFan(a *Architecture, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relayCost func(ProcID) float64) []Route {
+	sc := new(FanScratch)
+	var relay []float64
+	if relayCost != nil {
+		relay = sc.relayCosts(a.NumProcs())
+		for p := range relay {
+			relay[p] = relayCost(ProcID(p))
+		}
+	}
+	a.fan(sc, srcs, dst, weight, relay)
+	return sc.routes()
+}
+
 // TestDisjointFanRing pins the headline topology: on a ring every
 // (sender-pair, receiver) triple has exactly two media-disjoint routes,
 // and the fan finds both — including the Suurballe trap where the
@@ -61,7 +77,7 @@ func TestDisjointFanRing(t *testing.T) {
 	// detours both have length 2, and the one through P2 steals P2's only
 	// direct link L1.2. Sequential greedy routing dead-ends here; the
 	// flow-based fan must serve both.
-	routes := a.DisjointFan([]ProcID{1, 2}, 0, nil)
+	routes := disjointFan(a, []ProcID{1, 2}, 0, nil, nil)
 	if routes[0] == nil || routes[1] == nil {
 		t.Fatalf("fan left a sender unserved: %v", routes)
 	}
@@ -78,7 +94,7 @@ func TestDisjointFanRing(t *testing.T) {
 						continue
 					}
 					srcs := []ProcID{ProcID(s1), ProcID(s2)}
-					routes := a.DisjointFan(srcs, ProcID(dst), nil)
+					routes := disjointFan(a, srcs, ProcID(dst), nil, nil)
 					for i, r := range routes {
 						if r == nil {
 							t.Fatalf("ring(%d) %v->%d: sender %v unserved", n, srcs, dst, srcs[i])
@@ -119,12 +135,12 @@ func TestDisjointFanStarAndBus(t *testing.T) {
 func TestDisjointFanUnusableMedia(t *testing.T) {
 	a := Ring(4)
 	forbidden := MediumID(0) // L1.2
-	routes := a.DisjointFan([]ProcID{1}, 0, func(m MediumID) float64 {
+	routes := disjointFan(a, []ProcID{1}, 0, func(m MediumID) float64 {
 		if m == forbidden {
 			return math.Inf(1)
 		}
 		return 1
-	})
+	}, nil)
 	if routes[0] == nil {
 		t.Fatal("detour around forbidden link not found")
 	}
@@ -184,7 +200,7 @@ func TestDisjointFanProperties(t *testing.T) {
 			continue
 		}
 		weight := func(m MediumID) float64 { return 1 + float64(m%3) }
-		routes := a.DisjointFan(srcs, dst, weight)
+		routes := disjointFan(a, srcs, dst, weight, nil)
 		if len(routes) != len(srcs) {
 			t.Fatalf("trial %d: %d routes for %d sources", trial, len(routes), len(srcs))
 		}
@@ -201,7 +217,7 @@ func TestDisjointFanProperties(t *testing.T) {
 			t.Errorf("trial %d: no source served on a connected architecture", trial)
 		}
 		// Deterministic across runs.
-		again := a.DisjointFan(srcs, dst, weight)
+		again := disjointFan(a, srcs, dst, weight, nil)
 		if !reflect.DeepEqual(routes, again) {
 			t.Fatalf("trial %d: fan not deterministic:\n%v\n%v", trial, routes, again)
 		}
@@ -210,7 +226,7 @@ func TestDisjointFanProperties(t *testing.T) {
 		for i, sp := range srcs {
 			rev[len(srcs)-1-i] = sp
 		}
-		flipped := a.DisjointFan(rev, dst, weight)
+		flipped := disjointFan(a, rev, dst, weight, nil)
 		for i, sp := range srcs {
 			if !reflect.DeepEqual(routes[i], RouteFrom(flipped, sp)) {
 				t.Fatalf("trial %d: route of %v depends on sender order", trial, sp)
@@ -225,17 +241,17 @@ func TestDisjointFanProperties(t *testing.T) {
 func TestFanCache(t *testing.T) {
 	a := Star(4)
 	c := NewFanCache(a, nil, nil)
-	first := c.Fan([]ProcID{1, 3}, 2)
+	first := c.FanAvoiding([]ProcID{1, 3}, 2, 0)
 	if got := len(serving(first)); got != 1 {
 		t.Fatalf("star fan served %d, want 1", got)
 	}
-	if again := c.Fan([]ProcID{3, 1}, 2); !reflect.DeepEqual(first, again) {
+	if again := c.FanAvoiding([]ProcID{3, 1}, 2, 0); !reflect.DeepEqual(first, again) {
 		t.Errorf("cache miss on permuted source set")
 	}
 	// Adding a bypass link bumps the revision; the stale single-route fan
 	// must not survive.
 	a.MustAddMedium("L3.4", 2, 3)
-	after := c.Fan([]ProcID{1, 3}, 2)
+	after := c.FanAvoiding([]ProcID{1, 3}, 2, 0)
 	if got := len(serving(after)); got != 2 {
 		t.Errorf("fan after topology change served %d, want 2 (revision invalidation)", got)
 	}
@@ -251,13 +267,14 @@ func serving(routes []Route) []Route {
 	return out
 }
 
-// TestDisjointFanRelayNilIdentical pins the compatibility contract: a nil
-// relay-cost function must reproduce DisjointFan arc for arc.
+// TestDisjointFanRelayNilIdentical pins the contract FanAvoiding's empty
+// mask relies on: no relay charges (nil) and zero charges everywhere give
+// the same fan, arc for arc.
 func TestDisjointFanRelayNilIdentical(t *testing.T) {
 	a := Ring(5)
 	srcs := []ProcID{1, 2, 3}
-	plain := a.DisjointFan(srcs, 0, nil)
-	relay := a.DisjointFanRelay(srcs, 0, nil, nil)
+	plain := disjointFan(a, srcs, 0, nil, nil)
+	relay := disjointFan(a, srcs, 0, nil, func(ProcID) float64 { return 0 })
 	if !reflect.DeepEqual(plain, relay) {
 		t.Errorf("nil relay cost diverged:\nplain %v\nrelay %v", plain, relay)
 	}
@@ -269,7 +286,7 @@ func TestDisjointFanRelayNilIdentical(t *testing.T) {
 func TestDisjointFanRelaySteersAwayFromChargedProc(t *testing.T) {
 	a := Ring(4) // P0-P1-P2-P3-P0
 	// P2 -> P0: via P1 or via P3, both two hops.
-	free := a.DisjointFanRelay([]ProcID{2}, 0, nil, nil)
+	free := disjointFan(a, []ProcID{2}, 0, nil, nil)
 	if len(free) != 1 || free[0] == nil {
 		t.Fatalf("unserved: %v", free)
 	}
@@ -287,7 +304,7 @@ func TestDisjointFanRelaySteersAwayFromChargedProc(t *testing.T) {
 	if !through(free, relayP) {
 		relayP = 3
 	}
-	charged := a.DisjointFanRelay([]ProcID{2}, 0, nil, func(p ProcID) float64 {
+	charged := disjointFan(a, []ProcID{2}, 0, nil, func(p ProcID) float64 {
 		if p == relayP {
 			return 100
 		}
@@ -307,7 +324,7 @@ func TestDisjointFanRelaySteersAwayFromChargedProc(t *testing.T) {
 func TestDisjointFanRelayChargeNeverDropsSources(t *testing.T) {
 	a := Ring(6)
 	srcs := []ProcID{2, 4}
-	charged := a.DisjointFanRelay(srcs, 0, nil, func(ProcID) float64 { return 1e6 })
+	charged := disjointFan(a, srcs, 0, nil, func(ProcID) float64 { return 1e6 })
 	for i, r := range charged {
 		if r == nil {
 			t.Errorf("source %d dropped under uniform charges", srcs[i])
@@ -317,23 +334,27 @@ func TestDisjointFanRelayChargeNeverDropsSources(t *testing.T) {
 
 // TestFanCacheAvoidKeying pins that the avoid mask is part of the cache
 // key: the same (srcs, dst) with different masks returns different routes
-// when the mask matters, and LookupAvoiding only hits its own mask.
+// when the mask matters, and each mask's entry holds its own fan.
 func TestFanCacheAvoidKeying(t *testing.T) {
 	a := Ring(4)
 	fc := NewFanCache(a, nil, nil)
 	srcs := []ProcID{2}
+	cached := func(avoid uint64) ([]Route, bool) {
+		routes, ok := fc.fans[fanKey{srcs: 1 << 2, avoid: avoid, dst: 0}]
+		return routes, ok
+	}
 	plain := fc.FanAvoiding(srcs, 0, 0)
-	if _, ok := fc.LookupAvoiding(srcs, 0, 1<<1); ok {
-		t.Error("lookup with a different avoid mask hit the zero-mask entry")
+	if _, ok := cached(1 << 1); ok {
+		t.Error("a different avoid mask found the zero-mask entry")
 	}
 	avoided := fc.FanAvoiding(srcs, 0, 1<<1) // disprefer P1 as relay
 	if reflect.DeepEqual(plain, avoided) {
 		t.Errorf("avoid mask had no effect on the 4-ring detour: %v", avoided)
 	}
-	if got, ok := fc.LookupAvoiding(srcs, 0, 1<<1); !ok || !reflect.DeepEqual(got, avoided) {
+	if got, ok := cached(1 << 1); !ok || !reflect.DeepEqual(got, avoided) {
 		t.Error("avoid-keyed entry not served back")
 	}
-	if got, ok := fc.LookupAvoiding(srcs, 0, 0); !ok || !reflect.DeepEqual(got, plain) {
+	if got, ok := cached(0); !ok || !reflect.DeepEqual(got, plain) {
 		t.Error("zero-mask entry lost after avoid-keyed fill")
 	}
 }
@@ -341,7 +362,7 @@ func TestFanCacheAvoidKeying(t *testing.T) {
 // TestDisjointFanScratchReuse pins that a shared search scratch is
 // observably identical to a fresh one: a single scratch threaded through
 // many searches over many architectures yields route-for-route the same
-// fans as the allocating entry point, so a clone family's shared scratch
+// fans as a fresh scratch per search, so a clone family's shared scratch
 // can never leak one search's state into the next.
 func TestDisjointFanScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -369,7 +390,7 @@ func TestDisjointFanScratchReuse(t *testing.T) {
 				charges[p] = relay(ProcID(p))
 			}
 		}
-		fresh := a.DisjointFanRelay(srcs, dst, weight, relay)
+		fresh := disjointFan(a, srcs, dst, weight, relay)
 		a.fan(sc, srcs, dst, weight, charges)
 		if pooled := sc.routes(); !reflect.DeepEqual(fresh, pooled) {
 			t.Fatalf("trial %d: pooled scratch diverged:\nfresh:  %v\npooled: %v",
@@ -379,8 +400,8 @@ func TestDisjointFanScratchReuse(t *testing.T) {
 }
 
 // TestFanCacheWarmLookupAllocs pins the warm path: once an entry is
-// cached, Fan and FanAvoiding are a key build plus a map hit and must not
-// allocate (the relay-cost closure is built only on a miss).
+// cached, FanAvoiding is a key build plus a map hit and must not allocate,
+// with or without an avoid mask (relay charges are filled only on a miss).
 func TestFanCacheWarmLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
@@ -388,9 +409,9 @@ func TestFanCacheWarmLookupAllocs(t *testing.T) {
 	a := Ring(6)
 	c := NewFanCache(a, nil, nil)
 	srcs := []ProcID{1, 3, 4}
-	c.Fan(srcs, 0) // warm
-	if avg := testing.AllocsPerRun(100, func() { c.Fan(srcs, 0) }); avg != 0 {
-		t.Errorf("warm Fan allocates %v per op, want 0", avg)
+	c.FanAvoiding(srcs, 0, 0) // warm
+	if avg := testing.AllocsPerRun(100, func() { c.FanAvoiding(srcs, 0, 0) }); avg != 0 {
+		t.Errorf("warm FanAvoiding without a mask allocates %v per op, want 0", avg)
 	}
 	c.FanAvoiding(srcs, 0, 1<<2)
 	if avg := testing.AllocsPerRun(100, func() { c.FanAvoiding(srcs, 0, 1<<2) }); avg != 0 {

@@ -339,7 +339,7 @@ type flowArc struct {
 	medium MediumID
 }
 
-// fanNet is the flow network of one DisjointFan call.
+// fanNet is the flow network of one oracle fan search.
 type fanNet struct {
 	arcs []flowArc
 	adj  [][]int32 // arc indices leaving each node, in insertion order
@@ -387,8 +387,9 @@ func (n *fanNet) addArc(from, to int, cap int, cost float64, m MediumID) {
 	n.arcs = append(n.arcs, flowArc{to: from, cap: 0, cost: -cost, medium: m})
 }
 
-// oracleDisjointFanRelay is DisjointFanRelay before the flow network was
-// built once per architecture, kept verbatim as the differential oracle:
+// oracleDisjointFanRelay is the fan search before the flow network was
+// built once per architecture (it was the public DisjointFanRelay, and
+// with nil relay costs DisjointFan), kept as the differential oracle:
 // every call rebuilds the network in sc, inserting only the open source
 // arcs and the usable media, and Bellman-Ford scans every node with a
 // finite distance in every round.
@@ -630,11 +631,11 @@ func (a *Architecture) oracleMaxDisjointRoutes(srcs []ProcID, dst ProcID, usable
 }
 
 // checkFanAgainstOracle runs one (sources, receiver, weights, avoid mask)
-// case through every fan entry point and the oracle: DisjointFan,
-// DisjointFanRelay charging the avoided processors, MaxDisjointRoutes on
-// the shared scratch sc, and fc.FanAvoiding cold then warm. Routes must
-// match route for route, unserved nils included. w == nil is the nil
-// weight function.
+// case through the search and every fan entry point, against the oracle:
+// the search (fan, then routes) on the shared scratch sc without relay
+// charges and charging the avoided processors, MaxDisjointRoutes on sc,
+// and fc.FanAvoiding cold then warm. Routes must match route for route,
+// unserved nils included. w == nil is the nil weight function.
 func checkFanAgainstOracle(t testing.TB, a *Architecture, fc *FanCache, sc *FanScratch, w []float64, srcs []ProcID, dst ProcID, avoid uint64) {
 	t.Helper()
 	var weight func(MediumID) float64
@@ -650,11 +651,17 @@ func checkFanAgainstOracle(t testing.TB, a *Architecture, fc *FanCache, sc *FanS
 		t.Fatalf("%d procs, %d media, weights %v, srcs %v -> %d, avoid %#x: %s = %v, oracle %v",
 			a.NumProcs(), a.NumMedia(), w, srcs, dst, avoid, what, got, want)
 	}
-	if got, want := a.DisjointFan(srcs, dst, weight), a.oracleDisjointFanRelay(new(oracleFanScratch), srcs, dst, weight, nil); !reflect.DeepEqual(got, want) {
-		fail("DisjointFan", got, want)
+	a.fan(sc, srcs, dst, weight, nil)
+	if got, want := sc.routes(), a.oracleDisjointFanRelay(new(oracleFanScratch), srcs, dst, weight, nil); !reflect.DeepEqual(got, want) {
+		fail("fan", got, want)
 	}
-	if got, want := a.DisjointFanRelay(srcs, dst, weight, relayCost), a.oracleDisjointFanRelay(new(oracleFanScratch), srcs, dst, weight, relayCost); !reflect.DeepEqual(got, want) {
-		fail("DisjointFanRelay", got, want)
+	relay := sc.relayCosts(a.NumProcs())
+	for p := range relay {
+		relay[p] = relayCost(ProcID(p))
+	}
+	a.fan(sc, srcs, dst, weight, relay)
+	if got, want := sc.routes(), a.oracleDisjointFanRelay(new(oracleFanScratch), srcs, dst, weight, relayCost); !reflect.DeepEqual(got, want) {
+		fail("fan with relay charges", got, want)
 	}
 	if got, want := a.MaxDisjointRoutes(srcs, dst, usable, sc), a.oracleMaxDisjointRoutes(srcs, dst, usable); got != want {
 		fail("MaxDisjointRoutes", got, want)
@@ -869,7 +876,7 @@ func TestArchMemosConcurrent(t *testing.T) {
 						errs <- fmt.Sprintf("MaxDisjointRoutes = %d, oracle %d", got, wantMax)
 						return
 					}
-					fan := NewFanCache(a, nil, sc).Fan(srcs, dst)
+					fan := NewFanCache(a, nil, sc).FanAvoiding(srcs, dst, 0)
 					for i, sp := range srcs {
 						if !reflect.DeepEqual(RouteFrom(fan, sp), wantFan[i]) {
 							errs <- fmt.Sprintf("fan route of %d differs from the oracle", sp)

@@ -35,7 +35,7 @@ func TestExecAgreesWithSimOnMasking(t *testing.T) {
 				t.Fatalf("seed %d: exec: %v", seed, err)
 			}
 			simOK := simRes.Iterations[0].OutputsOK
-			execOK := execRes.Complete(Outputs(s)) && !execRes.Stalled
+			execOK := execRes.Complete(s.Tasks().Outputs()) && !execRes.Stalled
 			if simOK != execOK {
 				t.Errorf("seed %d, crash P%d: sim masked=%v, exec masked=%v",
 					seed, proc+1, simOK, execOK)
@@ -68,7 +68,7 @@ func TestLaterIterationKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stalled || !r.Match() || !r.Complete(Outputs(s)) {
+	if r.Stalled || !r.Match() || !r.Complete(s.Tasks().Outputs()) {
 		t.Errorf("later-iteration kill not masked (stalled=%v)", r.Stalled)
 	}
 }

@@ -33,7 +33,7 @@ func TestFaultFreeMatchesReference(t *testing.T) {
 	if !res.Match() {
 		t.Errorf("outputs diverge from reference: %+v vs %+v", res.Outputs, res.Reference)
 	}
-	if !res.Complete(Outputs(s)) {
+	if !res.Complete(s.Tasks().Outputs()) {
 		t.Error("missing outputs in fault-free run")
 	}
 }
@@ -51,7 +51,7 @@ func TestKillAtStartIsMasked(t *testing.T) {
 		if !res.Match() {
 			t.Errorf("P%d dead from start: wrong outputs", p+1)
 		}
-		if !res.Complete(Outputs(s)) {
+		if !res.Complete(s.Tasks().Outputs()) {
 			t.Errorf("P%d dead from start: outputs missing", p+1)
 		}
 	}
@@ -75,7 +75,7 @@ func TestMidIterationKillIsMasked(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if res.Stalled || !res.Match() || !res.Complete(Outputs(s)) {
+		if res.Stalled || !res.Match() || !res.Complete(s.Tasks().Outputs()) {
 			t.Errorf("mid-iteration kill of P%d not masked (stalled=%v)", p+1, res.Stalled)
 		}
 	}
@@ -93,7 +93,7 @@ func TestTwoKillsExceedNpfAndFail(t *testing.T) {
 	}
 	// I cannot run on P3, so killing P1 and P2 must lose outputs: either
 	// the run stalls on blocked receives or outputs are missing.
-	if res.Complete(Outputs(s)) {
+	if res.Complete(s.Tasks().Outputs()) {
 		t.Error("two failures produced all outputs with Npf=1")
 	}
 }
@@ -163,7 +163,7 @@ func TestMemSurvivesCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		if res.Stalled || !res.Match() || !res.Complete(Outputs(schedRes.Schedule)) {
+		if res.Stalled || !res.Match() || !res.Complete(schedRes.Schedule.Tasks().Outputs()) {
 			t.Errorf("mem crash of P%d not masked (stalled=%v)", proc+1, res.Stalled)
 		}
 	}

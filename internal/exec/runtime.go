@@ -91,36 +91,33 @@ type message struct {
 	skip  bool
 }
 
-// runtime holds the channel fabric of one execution.
+// runtime holds the channel fabric of one execution. Comms and mailboxes
+// are addressed by the schedule's delivery index: comm ids, and one
+// mailbox per delivery.
 type runtime struct {
 	s     *sched.Schedule
 	tg    *model.TaskGraph
+	ix    *sched.DeliveryIndex
 	iters int
 
 	// handoff[iter][comm] carries the value from the producing replica
 	// (hop 0) or the previous hop into the comm's sending unit.
-	handoff []map[*sched.Comm]chan message
-	// mailbox[iter][key] collects deliveries for one (replica, edge);
-	// capacity equals the number of scheduled incoming comms, so senders
-	// never block.
-	mailbox []map[mbKey]chan Value
-	// outgoing[replica] lists the hop-0 comms fed by that replica.
-	outgoing map[*sched.Replica][]*sched.Comm
-	// next[comm] is the following hop of a multi-hop chain, nil at the
-	// last hop.
-	next map[*sched.Comm]*sched.Comm
-	// incomingN[key] is the number of scheduled deliveries per mailbox.
-	incomingN map[mbKey]int
+	handoff [][]chan message
+	// mailbox[iter][delivery] collects the copies of one (replica, edge)
+	// input; capacity equals the delivery's chain count, so senders never
+	// block.
+	mailbox [][]chan Value
+	// outgoing[repBase[t]+i] lists the hop-0 comms fed by replica i of t.
+	outgoing [][]int32
+	repBase  []int
+	// next[comm] is the following hop of a multi-hop chain, -1 at the
+	// last hop; deliver[comm] is the delivery a last hop feeds.
+	next    []int32
+	deliver []int32
 
 	dead    []chan struct{} // closed when processor dies
 	outputs []model.TaskID
 	results chan outputEvent
-}
-
-type mbKey struct {
-	task  model.TaskID
-	index int
-	edge  model.TaskEdgeID
 }
 
 type outputEvent struct {
@@ -227,61 +224,51 @@ type replicaIter struct {
 
 func newRuntime(s *sched.Schedule, iters int) *runtime {
 	tg := s.Tasks()
+	ix := s.Deliveries()
 	nP := s.Problem().Arc.NumProcs()
-	nM := s.Problem().Arc.NumMedia()
+	n := len(ix.Comms)
 	rt := &runtime{
-		s:         s,
-		tg:        tg,
-		iters:     iters,
-		outgoing:  make(map[*sched.Replica][]*sched.Comm),
-		next:      make(map[*sched.Comm]*sched.Comm),
-		incomingN: make(map[mbKey]int),
-		dead:      make([]chan struct{}, nP),
-		outputs:   outputTasks(tg),
+		s:       s,
+		tg:      tg,
+		ix:      ix,
+		iters:   iters,
+		repBase: make([]int, tg.NumTasks()+1),
+		next:    make([]int32, n),
+		deliver: make([]int32, n),
+		dead:    make([]chan struct{}, nP),
+		outputs: tg.Outputs(),
 	}
 	for p := range rt.dead {
 		rt.dead[p] = make(chan struct{})
 	}
-	// Chain and fan-in indexes.
-	type chainKey struct {
-		edge     model.TaskEdgeID
-		srcIndex int
-		dstIndex int
+	for t := 0; t < tg.NumTasks(); t++ {
+		rt.repBase[t+1] = rt.repBase[t] + len(s.Replicas(model.TaskID(t)))
 	}
-	chains := make(map[chainKey][]*sched.Comm)
-	for m := 0; m < nM; m++ {
-		for _, c := range s.MediumSeq(arch.MediumID(m)) {
-			chains[chainKey{c.Edge, c.SrcIndex, c.DstIndex}] = append(
-				chains[chainKey{c.Edge, c.SrcIndex, c.DstIndex}], c)
-		}
-	}
-	for _, hops := range chains {
-		byHop := make([]*sched.Comm, len(hops))
-		for _, c := range hops {
-			byHop[c.Hop] = c
-		}
-		first := byHop[0]
-		edge := tg.Edge(first.Edge)
-		src := s.Replicas(edge.Src)[first.SrcIndex]
-		rt.outgoing[src] = append(rt.outgoing[src], first)
-		for i := 0; i+1 < len(byHop); i++ {
-			rt.next[byHop[i]] = byHop[i+1]
-		}
-		last := byHop[len(byHop)-1]
-		rt.incomingN[mbKey{edge.Dst, last.DstIndex, last.Edge}]++
-	}
-	rt.handoff = make([]map[*sched.Comm]chan message, iters)
-	rt.mailbox = make([]map[mbKey]chan Value, iters)
-	for i := 0; i < iters; i++ {
-		rt.handoff[i] = make(map[*sched.Comm]chan message)
-		rt.mailbox[i] = make(map[mbKey]chan Value)
-		for m := 0; m < nM; m++ {
-			for _, c := range s.MediumSeq(arch.MediumID(m)) {
-				rt.handoff[i][c] = make(chan message, 1)
+	rt.outgoing = make([][]int32, rt.repBase[tg.NumTasks()])
+	for di, d := range ix.Deliveries {
+		src := tg.Edge(d.Edge).Src
+		for _, ch := range d.Chains {
+			hops := ch.Hops
+			r := rt.repBase[src] + ch.SrcIndex
+			rt.outgoing[r] = append(rt.outgoing[r], hops[0])
+			for i, id := range hops {
+				rt.next[id], rt.deliver[id] = -1, int32(di)
+				if i+1 < len(hops) {
+					rt.next[id] = hops[i+1]
+				}
 			}
 		}
-		for k, n := range rt.incomingN {
-			rt.mailbox[i][k] = make(chan Value, n)
+	}
+	rt.handoff = make([][]chan message, iters)
+	rt.mailbox = make([][]chan Value, iters)
+	for i := 0; i < iters; i++ {
+		rt.handoff[i] = make([]chan message, n)
+		for id := range rt.handoff[i] {
+			rt.handoff[i][id] = make(chan message, 1)
+		}
+		rt.mailbox[i] = make([]chan Value, len(ix.Deliveries))
+		for di, d := range ix.Deliveries {
+			rt.mailbox[i][di] = make(chan Value, len(d.Chains))
 		}
 	}
 	nOut := 0
@@ -290,33 +277,6 @@ func newRuntime(s *sched.Schedule, iters int) *runtime {
 	}
 	rt.results = make(chan outputEvent, nOut*iters+1)
 	return rt
-}
-
-// outputTasks mirrors the simulator's output definition: extio sinks, else
-// non-mem sinks, else all sinks.
-func outputTasks(tg *model.TaskGraph) []model.TaskID {
-	var extio, nonMem, all []model.TaskID
-	for _, t := range tg.Sinks() {
-		all = append(all, t)
-		if tg.Task(t).Kind == model.ExtIO {
-			extio = append(extio, t)
-		}
-		if tg.Task(t).Role != model.MemWrite {
-			nonMem = append(nonMem, t)
-		}
-	}
-	if len(extio) > 0 {
-		return extio
-	}
-	if len(nonMem) > 0 {
-		return nonMem
-	}
-	return all
-}
-
-// Outputs exposes the output task set used for completeness checks.
-func Outputs(s *sched.Schedule) []model.TaskID {
-	return outputTasks(s.Tasks())
 }
 
 // runNode is one processor's static program: execute the replica sequence
@@ -339,10 +299,9 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 			var inputs []edgeValue
 			blocked := false
 			for _, eid := range rt.tg.In(r.Task) {
-				key := mbKey{r.Task, r.Index, eid}
-				if rt.incomingN[key] > 0 {
+				if d := rt.ix.Find(r.Task, r.Index, eid); d >= 0 {
 					select {
-					case v := <-rt.mailbox[iter][key]:
+					case v := <-rt.mailbox[iter][d]:
 						inputs = append(inputs, edgeValue{eid, v})
 					case <-ctx.Done():
 						blocked = true
@@ -364,7 +323,7 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 				memState[task.Op] = newState
 			}
 			local[r.Task] = v
-			for _, c := range rt.outgoing[r] {
+			for _, c := range rt.outgoing[rt.repBase[r.Task]+r.Index] {
 				rt.handoff[iter][c] <- message{value: v}
 			}
 			if rt.isOutput(r.Task) {
@@ -389,22 +348,21 @@ func (rt *runtime) isOutput(t model.TaskID) bool {
 // never waits on a silent processor (the paper's "no timeout" property
 // holds because the data is replicated, not because senders are awaited).
 func (rt *runtime) runMedium(ctx context.Context, m arch.MediumID) {
-	seq := rt.s.MediumSeq(m)
+	lo, hi := rt.ix.MediumStart[m], rt.ix.MediumStart[m+1]
 	for iter := 0; iter < rt.iters; iter++ {
-		for _, c := range seq {
+		for c := lo; c < hi; c++ {
 			msg, ok := rt.takeHandoff(ctx, iter, c)
 			if !ok {
 				return // cancelled
 			}
-			if next := rt.next[c]; next != nil {
+			if next := rt.next[c]; next >= 0 {
 				rt.handoff[iter][next] <- msg
 				continue
 			}
 			if msg.skip {
 				continue
 			}
-			edge := rt.tg.Edge(c.Edge)
-			rt.mailbox[iter][mbKey{edge.Dst, c.DstIndex, c.Edge}] <- msg.value
+			rt.mailbox[iter][rt.deliver[c]] <- msg.value
 		}
 	}
 }
@@ -412,13 +370,13 @@ func (rt *runtime) runMedium(ctx context.Context, m arch.MediumID) {
 // takeHandoff waits for the hop's input value, resolving dead producers as
 // skips. Values already handed off by a processor that died later are still
 // preferred over the death signal.
-func (rt *runtime) takeHandoff(ctx context.Context, iter int, c *sched.Comm) (message, bool) {
+func (rt *runtime) takeHandoff(ctx context.Context, iter int, c int32) (message, bool) {
 	ch := rt.handoff[iter][c]
 	// Hop 0 waits on the producing processor; later hops always receive a
 	// message (possibly a skip) from the previous medium.
 	var deadCh chan struct{}
-	if c.Hop == 0 {
-		deadCh = rt.dead[c.From]
+	if comm := rt.ix.Comms[c]; comm.Hop == 0 {
+		deadCh = rt.dead[comm.From]
 	}
 	select {
 	case msg := <-ch:

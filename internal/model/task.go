@@ -275,6 +275,29 @@ func (tg *TaskGraph) Sinks() []TaskID {
 	return out
 }
 
+// Outputs returns the tasks whose production defines failure masking, in
+// id order: the extio sinks when there are any, otherwise every sink
+// except mem writes, otherwise every sink.
+func (tg *TaskGraph) Outputs() []TaskID {
+	var extio, nonMem, all []TaskID
+	for _, t := range tg.Sinks() {
+		all = append(all, t)
+		if tg.tasks[t].Kind == ExtIO {
+			extio = append(extio, t)
+		}
+		if tg.tasks[t].Role != MemWrite {
+			nonMem = append(nonMem, t)
+		}
+	}
+	if len(extio) > 0 {
+		return extio
+	}
+	if len(nonMem) > 0 {
+		return nonMem
+	}
+	return all
+}
+
 // taskIDHeap is a tiny min-heap of TaskIDs used for deterministic Kahn
 // ordering.
 type taskIDHeap struct{ a []TaskID }

@@ -33,24 +33,23 @@ const timeEps = 1e-9
 //     Nmf+1 chains over pairwise-disjoint media sets, so no Nmf medium
 //     crashes form a single point of failure for any input (DESIGN.md
 //     Section 10).
-func (s *Schedule) Validate() error {
-	if err := s.validateReplicas(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.validateMems(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.validateSequences(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.validateComms(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.validateCoverage(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.validateDiversity(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
+func (s *Schedule) Validate() error { return s.validate(s.Deliveries()) }
+
+// checks lists Validate's checks in order; the hop-chain, coverage and
+// diversity checks read their chains and deliveries off ix.
+func (s *Schedule) checks(ix *DeliveryIndex) []func() error {
+	return []func() error{s.validateReplicas, s.validateMems, s.validateSequences, s.validateComms,
+		func() error { return s.validateHopChains(ix) },
+		func() error { return s.validateCoverage(ix) },
+		func() error { return s.validateDiversity(ix) }}
+}
+
+// validate runs Validate's checks in order on one delivery index.
+func (s *Schedule) validate(ix *DeliveryIndex) error {
+	for _, check := range s.checks(ix) {
+		if err := check(); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
 	}
 	return nil
 }
@@ -168,78 +167,52 @@ func (s *Schedule) validateComms() error {
 			}
 		}
 	}
-	return s.validateHopChains()
+	return nil
 }
 
-// validateHopChains checks multi-hop deliveries are contiguous in space and
-// time.
-func (s *Schedule) validateHopChains() error {
-	type chainKey struct {
-		edge     model.TaskEdgeID
-		srcIndex int
-		dstIndex int
-	}
-	chains := make(map[chainKey][]*Comm)
-	for m := 0; m < s.slab.nMedia; m++ {
-		for _, c := range s.MediumSeq(arch.MediumID(m)) {
-			k := chainKey{c.Edge, c.SrcIndex, c.DstIndex}
-			chains[k] = append(chains[k], c)
-		}
-	}
-	for k, hops := range chains {
-		byHop := make([]*Comm, len(hops))
-		for _, c := range hops {
-			if c.Hop < 0 || c.Hop >= len(hops) || byHop[c.Hop] != nil {
-				return fmt.Errorf("comm chain %v: bad hop numbering", k)
+// validateHopChains checks every chain is numbered 0..n-1 in Hop order,
+// contiguous in space and time, and ends on a last hop.
+func (s *Schedule) validateHopChains(ix *DeliveryIndex) error {
+	for _, d := range ix.Deliveries {
+		for _, ch := range d.Chains {
+			hops := ch.Hops
+			for i, id := range hops {
+				if ix.Comms[id].Hop != i {
+					return fmt.Errorf("comm chain {%d %d %d}: bad hop numbering", d.Edge, ch.SrcIndex, d.Index)
+				}
 			}
-			byHop[c.Hop] = c
-		}
-		for i := 1; i < len(byHop); i++ {
-			if byHop[i].From != byHop[i-1].To {
-				return fmt.Errorf("comm chain %v: hop %d discontinuous", k, i)
+			for i := 1; i < len(hops); i++ {
+				prev, c := ix.Comms[hops[i-1]], ix.Comms[hops[i]]
+				if c.From != prev.To {
+					return fmt.Errorf("comm chain {%d %d %d}: hop %d discontinuous", d.Edge, ch.SrcIndex, d.Index, i)
+				}
+				if c.Start < prev.End-timeEps {
+					return fmt.Errorf("comm chain {%d %d %d}: hop %d starts before hop %d ends",
+						d.Edge, ch.SrcIndex, d.Index, i, i-1)
+				}
 			}
-			if byHop[i].Start < byHop[i-1].End-timeEps {
-				return fmt.Errorf("comm chain %v: hop %d starts before hop %d ends", k, i, i-1)
+			if !ix.Comms[hops[len(hops)-1]].LastHop {
+				return fmt.Errorf("comm chain {%d %d %d}: missing last hop", d.Edge, ch.SrcIndex, d.Index)
 			}
-		}
-		if !byHop[len(byHop)-1].LastHop {
-			return fmt.Errorf("comm chain %v: missing last hop", k)
 		}
 	}
 	return nil
 }
 
 // validateCoverage checks the Figure 3 rule and data availability for every
-// replica.
-func (s *Schedule) validateCoverage() error {
-	// arrivals[task][index][edge] collects last-hop delivery times.
-	arrivals := make(map[model.TaskID]map[int]map[model.TaskEdgeID][]float64)
-	for m := 0; m < s.slab.nMedia; m++ {
-		for _, c := range s.MediumSeq(arch.MediumID(m)) {
-			if !c.LastHop {
-				continue
-			}
-			edge := s.tasks.Edge(c.Edge)
-			byIdx, ok := arrivals[edge.Dst]
-			if !ok {
-				byIdx = make(map[int]map[model.TaskEdgeID][]float64)
-				arrivals[edge.Dst] = byIdx
-			}
-			byEdge, ok := byIdx[c.DstIndex]
-			if !ok {
-				byEdge = make(map[model.TaskEdgeID][]float64)
-				byIdx[c.DstIndex] = byEdge
-			}
-			byEdge[c.Edge] = append(byEdge[c.Edge], c.End)
-		}
-	}
+// replica: an input's copies are its delivery's last-hop comms.
+func (s *Schedule) validateCoverage(ix *DeliveryIndex) error {
+	var arrivals []int32
 	for t := 0; t < s.tasks.NumTasks(); t++ {
 		tid := model.TaskID(t)
 		for _, r := range s.Replicas(tid) {
-			for _, eid := range s.tasks.In(tid) {
+			for _, eid := range s.tasks.InView(tid) {
 				edge := s.tasks.Edge(eid)
-				ends := arrivals[tid][r.Index][eid]
-				if len(ends) == 0 {
+				arrivals = arrivals[:0]
+				if d := ix.Find(tid, r.Index, eid); d >= 0 {
+					arrivals = ix.AppendArrivals(arrivals, ix.Deliveries[d])
+				}
+				if len(arrivals) == 0 {
 					// The static executive reads this input locally; a
 					// co-located predecessor replica must exist and have
 					// finished first. (A predecessor duplicated onto the
@@ -260,13 +233,13 @@ func (s *Schedule) validateCoverage() error {
 				if have := len(s.Replicas(edge.Src)); have < want {
 					want = have
 				}
-				if len(ends) < want {
+				if len(arrivals) < want {
 					return fmt.Errorf("replica %q#%d: edge %s has %d incoming comms, want %d",
-						s.tasks.Task(tid).Name, r.Index, s.problem.Alg.EdgeName(edge.Orig), len(ends), want)
+						s.tasks.Task(tid).Name, r.Index, s.problem.Alg.EdgeName(edge.Orig), len(arrivals), want)
 				}
 				first := math.Inf(1)
-				for _, e := range ends {
-					first = math.Min(first, e)
+				for _, id := range arrivals {
+					first = math.Min(first, ix.Comms[id].End)
 				}
 				if r.Start < first-timeEps {
 					return fmt.Errorf("replica %q#%d starts %g before first input of %s at %g",
@@ -290,42 +263,27 @@ func (s *Schedule) validateCoverage() error {
 // citizens, not penalised for their length. Locally-served edges are
 // exempt: intra-processor data never touches a medium. With Nmf = 0 the
 // check is void.
-func (s *Schedule) validateDiversity() error {
+func (s *Schedule) validateDiversity(ix *DeliveryIndex) error {
 	if s.faults.Nmf == 0 {
 		return nil
 	}
 	need := s.faults.Nmf + 1
-	// chains[dst][dstIndex][edge][srcIndex] collects the media of every
-	// delivery chain, one entry per hop.
-	type chainKey struct {
-		dst      model.TaskID
-		dstIndex int
-		edge     model.TaskEdgeID
-		srcIndex int
-	}
-	chains := make(map[chainKey][]arch.MediumID)
-	for m := 0; m < s.slab.nMedia; m++ {
-		for _, c := range s.MediumSeq(arch.MediumID(m)) {
-			k := chainKey{s.tasks.Edge(c.Edge).Dst, c.DstIndex, c.Edge, c.SrcIndex}
-			chains[k] = append(chains[k], c.Medium)
+	var sets [][]arch.MediumID
+	var ids []int32
+	for _, d := range ix.Deliveries {
+		sets = sets[:0]
+		for _, ch := range d.Chains {
+			ids = walkOrder(ids, ch)
+			media := make([]arch.MediumID, len(ids))
+			for i, id := range ids {
+				media[i] = ix.Comms[id].Medium
+			}
+			sets = append(sets, media)
 		}
-	}
-	type deliveryKey struct {
-		dst      model.TaskID
-		dstIndex int
-		edge     model.TaskEdgeID
-	}
-	deliveries := make(map[deliveryKey][][]arch.MediumID)
-	for k, media := range chains {
-		dk := deliveryKey{k.dst, k.dstIndex, k.edge}
-		deliveries[dk] = append(deliveries[dk], media)
-	}
-	for dk, sets := range deliveries {
-		disjoint := maxDisjointChains(sets, need)
-		if disjoint < need {
+		if disjoint := maxDisjointChains(sets, need); disjoint < need {
 			return fmt.Errorf("replica %q#%d: edge %s has %d media-disjoint deliveries, Nmf+1 = %d",
-				s.tasks.Task(dk.dst).Name, dk.dstIndex,
-				s.problem.Alg.EdgeName(s.tasks.Edge(dk.edge).Orig), disjoint, need)
+				s.tasks.Task(d.Task).Name, d.Index,
+				s.problem.Alg.EdgeName(s.tasks.Edge(d.Edge).Orig), disjoint, need)
 		}
 	}
 	return nil

@@ -31,9 +31,11 @@ func validSchedule(t *testing.T) *Schedule {
 	return s
 }
 
-// wantInvalid asserts Validate fails mentioning the given fragment.
+// wantInvalid asserts Validate fails mentioning the given fragment, at the
+// rule the map-keyed oracle (oracle_test.go) fails first.
 func wantInvalid(t *testing.T, s *Schedule, fragment string) {
 	t.Helper()
+	checkAgainstOracle(t, s)
 	err := s.Validate()
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Validate = %v, want ErrInvalid", err)
@@ -102,6 +104,7 @@ func TestValidateCatchesMediumOverlap(t *testing.T) {
 	moved.From, moved.To = comms[0].From, comms[0].To
 	moved.Start, moved.End = comms[0].Start, comms[0].End
 	v.mediumSeq[dstMedium] = append(v.mediumSeq[dstMedium], &moved)
+	checkAgainstOracle(t, s)
 	if err := s.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Validate = %v, want ErrInvalid", err)
 	}
@@ -216,6 +219,7 @@ func TestValidateCatchesMemPairDislocation(t *testing.T) {
 		t.Fatalf("fixture invalid: %v", err)
 	}
 	s.Replicas(write)[0].Proc = 2
+	checkAgainstOracle(t, s)
 	if err := s.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Validate = %v, want ErrInvalid (mem pair broken)", err)
 	}

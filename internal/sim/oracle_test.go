@@ -98,7 +98,7 @@ func newExecutor(s *sched.Schedule, sc Scenario) *executor {
 		}
 	}
 	ex.indexComms()
-	ex.outputs = outputTasks(ex.tg)
+	ex.outputs = ex.tg.Outputs()
 	return ex
 }
 

@@ -29,11 +29,13 @@ type plan struct {
 	// taskOff[t]..taskOff[t+1] are the replica ids of task t.
 	taskOff []int32
 	procSeq [][]int32 // replica ids per processor, in program order
-	medSeq  [][]int32 // comm ids per medium, in the static total order
-	ins     []planInput
-	deliv   []int32        // last-hop comm ids, in ranges named by ins
-	outputs []model.TaskID // the tasks whose production defines masking
-	total   int            // replicas plus comms: the items of an iteration
+	// medStart[m]..medStart[m+1] are the comm ids of medium m, in the
+	// static total order.
+	medStart []int32
+	ins      []planInput
+	deliv    []int32        // last-hop comm ids, in ranges named by ins
+	outputs  []model.TaskID // the tasks whose production defines masking
+	total    int            // replicas plus comms: the items of an iteration
 }
 
 type planReplica struct {
@@ -65,12 +67,14 @@ type planComm struct {
 	dur      float64
 }
 
-// newPlan indexes the schedule: hop chains, the deliveries of every
-// (replica, input edge), and the per-unit sequences.
+// newPlan densifies the schedule's delivery index: hop chains, the
+// deliveries of every (replica, input edge), and the per-unit sequences.
+// Comm ids are the index's.
 func newPlan(s *sched.Schedule) *plan {
 	tg := s.Tasks()
 	a := s.Problem().Arc
-	pl := &plan{s: s, nP: a.NumProcs(), nM: a.NumMedia(), outputs: outputTasks(tg)}
+	ix := s.Deliveries()
+	pl := &plan{s: s, nP: a.NumProcs(), nM: a.NumMedia(), medStart: ix.MediumStart, outputs: tg.Outputs()}
 	nT := tg.NumTasks()
 	pl.taskOff = make([]int32, nT+1)
 	for t := 0; t < nT; t++ {
@@ -85,56 +89,23 @@ func newPlan(s *sched.Schedule) *plan {
 		return -1
 	}
 
-	// Comms, and the hop chains keyed like the replaced executor's.
-	type chainKey struct {
-		edge     model.TaskEdgeID
-		srcIndex int
-		dstIndex int
-	}
-	var all []*sched.Comm
-	chains := make(map[chainKey][]int32)
-	pl.medSeq = make([][]int32, pl.nM)
-	for m := range pl.medSeq {
-		seq := s.MediumSeq(arch.MediumID(m))
-		pl.medSeq[m] = make([]int32, len(seq))
-		for i, c := range seq {
-			id := int32(len(all))
-			all = append(all, c)
-			pl.medSeq[m][i] = id
-			k := chainKey{c.Edge, c.SrcIndex, c.DstIndex}
-			chains[k] = append(chains[k], id)
-		}
-	}
-	type incomingKey struct {
-		task  model.TaskID
-		index int
-		edge  model.TaskEdgeID
-	}
-	incoming := make(map[incomingKey][]int32)
-	pl.comms = make([]planComm, len(all))
-	for id, c := range all {
+	// Comms, and the previous hop of every later hop of a chain.
+	pl.comms = make([]planComm, len(ix.Comms))
+	for id, c := range ix.Comms {
 		pc := &pl.comms[id]
 		*pc = planComm{src: -1, hop0: c.Hop == 0, direct: c.Hop == 0 && c.LastHop,
 			from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
 		if c.Hop == 0 {
 			pc.src = pl.taskOff[tg.Edge(c.Edge).Src] + int32(c.SrcIndex)
 		}
-		if c.LastHop {
-			k := incomingKey{tg.Edge(c.Edge).Dst, c.DstIndex, c.Edge}
-			incoming[k] = append(incoming[k], int32(id))
-		}
 	}
-	for _, hops := range chains {
-		byHop := make([]int32, len(hops))
-		for i := range byHop {
-			byHop[i] = -1
-		}
-		for _, id := range hops {
-			byHop[all[id].Hop] = id
-		}
-		for i := 1; i < len(byHop); i++ {
-			if byHop[i] >= 0 {
-				pl.comms[byHop[i]].src = byHop[i-1]
+	for _, d := range ix.Deliveries {
+		for _, ch := range d.Chains {
+			for i := 1; i < len(ch.Hops); i++ {
+				prev, id := ch.Hops[i-1], ch.Hops[i]
+				if c := ix.Comms[id]; c.Hop > 0 && ix.Comms[prev].Hop == c.Hop-1 {
+					pl.comms[id].src = prev
+				}
 			}
 		}
 	}
@@ -149,10 +120,13 @@ func newPlan(s *sched.Schedule) *plan {
 				dur: r.End - r.Start, in0: int32(len(pl.ins))}
 			for _, eid := range tg.InView(r.Task) {
 				in := planInput{lo: int32(len(pl.deliv)), local: -1, edge: eid}
-				if ids := incoming[incomingKey{r.Task, r.Index, eid}]; len(ids) > 0 {
-					pl.deliv = append(pl.deliv, ids...)
-				} else if local := s.ReplicaOn(tg.Edge(eid).Src, r.Proc); local != nil {
-					in.local = repID(local)
+				if d := ix.Find(r.Task, r.Index, eid); d >= 0 {
+					pl.deliv = ix.AppendArrivals(pl.deliv, ix.Deliveries[d])
+				}
+				if int(in.lo) == len(pl.deliv) {
+					if local := s.ReplicaOn(tg.Edge(eid).Src, r.Proc); local != nil {
+						in.local = repID(local)
+					}
 				}
 				in.hi = int32(len(pl.deliv))
 				pl.ins = append(pl.ins, in)
@@ -439,10 +413,10 @@ func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, er
 // advanceMedium resolves as many comms as possible on medium m and returns
 // how many it resolved.
 func (st *state) advanceMedium(k, m int) int {
-	seq := st.pl.medSeq[m]
+	lo, hi := st.pl.medStart[m], st.pl.medStart[m+1]
 	resolved := 0
-	for ; st.medIdx[m] < len(seq); st.medIdx[m]++ {
-		c := seq[st.medIdx[m]]
+	for ; lo+int32(st.medIdx[m]) < hi; st.medIdx[m]++ {
+		c := lo + int32(st.medIdx[m])
 		pc := &st.pl.comms[c]
 		var src replicaState
 		switch {

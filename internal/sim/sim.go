@@ -120,27 +120,3 @@ func Run(s *sched.Schedule, sc Scenario) (*Result, error) {
 	}
 	return res, nil
 }
-
-// outputTasks returns the tasks whose completion defines failure masking:
-// extio sinks when present, otherwise every sink except mem writes,
-// otherwise all sinks.
-func outputTasks(tg *model.TaskGraph) []model.TaskID {
-	var extio, nonMem, all []model.TaskID
-	for _, t := range tg.Sinks() {
-		all = append(all, t)
-		task := tg.Task(t)
-		if task.Kind == model.ExtIO {
-			extio = append(extio, t)
-		}
-		if task.Role != model.MemWrite {
-			nonMem = append(nonMem, t)
-		}
-	}
-	if len(extio) > 0 {
-		return extio
-	}
-	if len(nonMem) > 0 {
-		return nonMem
-	}
-	return all
-}

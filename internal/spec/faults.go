@@ -24,14 +24,13 @@ var (
 // medium (link or bus) failures. Each operation keeps Npf+1 replicas on
 // distinct processors, and the Npf+1 copies of every inter-processor
 // dependency include at least Nmf+1 delivery chains over pairwise-disjoint
-// media. A schedule passing sched.Validate under this budget therefore
-// masks any npf <= Npf processor crashes and, separately, any nmf <= Nmf
-// medium crashes; mixed (processor + medium) crashes are additionally
-// masked with npf + nmf <= Npf wherever each copy travels its own medium,
-// which is automatic on point-to-point layouts (DESIGN.md Section 10) and
-// which the joint planner's crash-separated placement plus the
-// sched.ValidateJoint certificate extend to relayed layouts like rings
-// (DESIGN.md Section 12).
+// media. A schedule passing sched.Validate under this budget masks any
+// nmf <= Nmf medium crashes, and any npf <= Npf processor crashes where
+// its copies do not share relays (DESIGN.md Sections 10–11). Mixed
+// (processor + medium) crashes are measured, not guaranteed: the
+// sched.ValidateJoint rule attacks relay processors and media but leaves
+// sender and receiver processors out, so passing it does not certify
+// combined masking either (DESIGN.md Section 12).
 // The zero value (Npf = Nmf = 0) asks for a plain non-fault-tolerant
 // schedule; Nmf may never exceed Npf, since there are only Npf+1 copies
 // to spread.
