@@ -19,8 +19,13 @@ var (
 
 // Kill is a fault-injection directive: processor Proc dies right before
 // executing replica (Task, Index) of iteration Iteration. Death is
-// fail-silent: the goroutine stops computing and sending; values it already
-// handed to communication units are still delivered.
+// fail-silent: the goroutine stops computing and sending, and the hops it
+// relays pass nothing on from then; values it already handed to
+// communication units are still delivered. A medium checks a relay when
+// the previous hop's message arrives, so which of the hops it relays in
+// earlier iterations still pass depends on goroutine timing: the relay
+// rule is exact only for KillAtStart. Every copy such a kill can drop is
+// one the processor's death from the start drops too.
 type Kill struct {
 	Proc      arch.ProcID
 	Task      model.TaskID
@@ -50,12 +55,18 @@ type Result struct {
 	// Reference is the sequential oracle for the same iterations.
 	Reference []map[model.TaskID]Value
 	// Stalled reports that the run timed out with processors blocked —
-	// expected when more than Npf processors were killed.
+	// expected when more than Npf processors were killed. A run that masks
+	// its crashes can stall too: a replica whose every input copy died
+	// blocks the rest of its processor's program, in this iteration and
+	// every later one, also on a branch that feeds no output; the
+	// simulator does the same.
 	Stalled bool
 }
 
 // Match reports whether every produced output of every iteration equals the
-// sequential reference and every output was produced.
+// sequential reference, every iteration produced one, and the run did not
+// stall. A run that masks its crashes (Complete) fails Match when it
+// stalls on a branch that feeds no output.
 func (r *Result) Match() bool {
 	for iter := range r.Outputs {
 		for task, want := range r.Reference[iter] {
@@ -91,9 +102,9 @@ type message struct {
 	skip  bool
 }
 
-// runtime holds the channel fabric of one execution. Comms and mailboxes
-// are addressed by the schedule's delivery index: comm ids, and one
-// mailbox per delivery.
+// runtime holds the channel fabric of one execution, addressed by the
+// schedule's delivery index: one handoff channel per comm id and one
+// mailbox per comm-served replica input.
 type runtime struct {
 	s     *sched.Schedule
 	tg    *model.TaskGraph
@@ -103,17 +114,15 @@ type runtime struct {
 	// handoff[iter][comm] carries the value from the producing replica
 	// (hop 0) or the previous hop into the comm's sending unit.
 	handoff [][]chan message
-	// mailbox[iter][delivery] collects the copies of one (replica, edge)
-	// input; capacity equals the delivery's chain count, so senders never
-	// block.
+	// mailbox[iter][input] collects the copies of one comm-served input;
+	// capacity equals its arrival count, so senders never block.
 	mailbox [][]chan Value
-	// outgoing[repBase[t]+i] lists the hop-0 comms fed by replica i of t.
+	// outgoing[replica] lists the hop-0 comms the replica feeds.
 	outgoing [][]int32
-	repBase  []int
-	// next[comm] is the following hop of a multi-hop chain, -1 at the
-	// last hop; deliver[comm] is the delivery a last hop feeds.
-	next    []int32
-	deliver []int32
+	// next[comm] is the following hop of a chain, -1 at the last hop;
+	// feeds[comm] is the input a last hop delivers to, -1 for none.
+	next  []int32
+	feeds []int32
 
 	dead    []chan struct{} // closed when processor dies
 	outputs []model.TaskID
@@ -225,38 +234,37 @@ type replicaIter struct {
 func newRuntime(s *sched.Schedule, iters int) *runtime {
 	tg := s.Tasks()
 	ix := s.Deliveries()
-	nP := s.Problem().Arc.NumProcs()
 	n := len(ix.Comms)
 	rt := &runtime{
-		s:       s,
-		tg:      tg,
-		ix:      ix,
-		iters:   iters,
-		repBase: make([]int, tg.NumTasks()+1),
-		next:    make([]int32, n),
-		deliver: make([]int32, n),
-		dead:    make([]chan struct{}, nP),
-		outputs: tg.Outputs(),
+		s:        s,
+		tg:       tg,
+		ix:       ix,
+		iters:    iters,
+		outgoing: make([][]int32, len(ix.Replicas)),
+		next:     make([]int32, n),
+		feeds:    make([]int32, n),
+		dead:     make([]chan struct{}, s.Problem().Arc.NumProcs()),
+		outputs:  tg.Outputs(),
 	}
 	for p := range rt.dead {
 		rt.dead[p] = make(chan struct{})
 	}
-	for t := 0; t < tg.NumTasks(); t++ {
-		rt.repBase[t+1] = rt.repBase[t] + len(s.Replicas(model.TaskID(t)))
+	for id := range ix.Comms {
+		rt.next[id], rt.feeds[id] = -1, -1
 	}
-	rt.outgoing = make([][]int32, rt.repBase[tg.NumTasks()])
-	for di, d := range ix.Deliveries {
-		src := tg.Edge(d.Edge).Src
-		for _, ch := range d.Chains {
-			hops := ch.Hops
-			r := rt.repBase[src] + ch.SrcIndex
-			rt.outgoing[r] = append(rt.outgoing[r], hops[0])
-			for i, id := range hops {
-				rt.next[id], rt.deliver[id] = -1, int32(di)
-				if i+1 < len(hops) {
-					rt.next[id] = hops[i+1]
-				}
-			}
+	for id, r := range ix.Sender {
+		if r >= 0 {
+			rt.outgoing[r] = append(rt.outgoing[r], int32(id))
+		}
+	}
+	for id, prev := range ix.Prev {
+		if prev >= 0 {
+			rt.next[prev] = int32(id)
+		}
+	}
+	for i, in := range ix.Inputs {
+		for _, c := range in.Arrivals {
+			rt.feeds[c] = int32(i)
 		}
 	}
 	rt.handoff = make([][]chan message, iters)
@@ -266,14 +274,16 @@ func newRuntime(s *sched.Schedule, iters int) *runtime {
 		for id := range rt.handoff[i] {
 			rt.handoff[i][id] = make(chan message, 1)
 		}
-		rt.mailbox[i] = make([]chan Value, len(ix.Deliveries))
-		for di, d := range ix.Deliveries {
-			rt.mailbox[i][di] = make(chan Value, len(d.Chains))
+		rt.mailbox[i] = make([]chan Value, len(ix.Inputs))
+		for j, in := range ix.Inputs {
+			if len(in.Arrivals) > 0 {
+				rt.mailbox[i][j] = make(chan Value, len(in.Arrivals))
+			}
 		}
 	}
 	nOut := 0
 	for _, t := range rt.outputs {
-		nOut += len(s.Replicas(t))
+		nOut += int(ix.RepStart[t+1] - ix.RepStart[t])
 	}
 	rt.results = make(chan outputEvent, nOut*iters+1)
 	return rt
@@ -287,43 +297,37 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 	for _, mp := range rt.tg.MemPairs() {
 		memState[mp.Op] = initValue(rt.s.Problem().Alg.Op(mp.Op).Name)
 	}
-	seq := rt.s.ProcSeq(p)
+	ix := rt.ix
 	for iter := 0; iter < rt.iters; iter++ {
-		local := make(map[model.TaskID]Value)
-		for _, r := range seq {
+		local := make(map[int32]Value) // by replica id; -1 reads the zero value
+		for _, id := range ix.Programs[p] {
+			r := ix.Replicas[id]
 			if kills[replicaIter{r.Task, r.Index, iter}] {
 				close(rt.dead[p])
 				return
 			}
 			task := rt.tg.Task(r.Task)
 			var inputs []edgeValue
-			blocked := false
-			for _, eid := range rt.tg.In(r.Task) {
-				if d := rt.ix.Find(r.Task, r.Index, eid); d >= 0 {
-					select {
-					case v := <-rt.mailbox[iter][d]:
-						inputs = append(inputs, edgeValue{eid, v})
-					case <-ctx.Done():
-						blocked = true
-					}
-				} else {
-					edge := rt.tg.Edge(eid)
-					inputs = append(inputs, edgeValue{eid, local[edge.Src]})
+			for j := ix.InputStart[id]; j < ix.InputStart[id+1]; j++ {
+				in := &ix.Inputs[j]
+				if len(in.Arrivals) == 0 {
+					inputs = append(inputs, edgeValue{in.Edge, local[in.Local]})
+					continue
 				}
-				if blocked {
-					break
+				select {
+				case v := <-rt.mailbox[iter][j]:
+					inputs = append(inputs, edgeValue{in.Edge, v})
+				case <-ctx.Done():
+					close(rt.dead[p])
+					return
 				}
-			}
-			if blocked {
-				close(rt.dead[p])
-				return
 			}
 			v, newState := evalTask(rt.tg, r.Task, iter, inputs, memState[task.Op])
 			if task.Role == model.MemWrite {
 				memState[task.Op] = newState
 			}
-			local[r.Task] = v
-			for _, c := range rt.outgoing[rt.repBase[r.Task]+r.Index] {
+			local[id] = v
+			for _, c := range rt.outgoing[id] {
 				rt.handoff[iter][c] <- message{value: v}
 			}
 			if rt.isOutput(r.Task) {
@@ -344,7 +348,7 @@ func (rt *runtime) isOutput(t model.TaskID) bool {
 
 // runMedium is one communication medium: it processes its static comm
 // sequence in order, for every iteration. A value is taken from the hop's
-// handoff; a dead producer resolves the handoff as a skip so the medium
+// handoff; a dead sender resolves the handoff as a skip so the medium
 // never waits on a silent processor (the paper's "no timeout" property
 // holds because the data is replicated, not because senders are awaited).
 func (rt *runtime) runMedium(ctx context.Context, m arch.MediumID) {
@@ -359,42 +363,33 @@ func (rt *runtime) runMedium(ctx context.Context, m arch.MediumID) {
 				rt.handoff[iter][next] <- msg
 				continue
 			}
-			if msg.skip {
-				continue
+			if in := rt.feeds[c]; in >= 0 && !msg.skip {
+				rt.mailbox[iter][in] <- msg.value
 			}
-			rt.mailbox[iter][rt.deliver[c]] <- msg.value
 		}
 	}
 }
 
-// takeHandoff waits for the hop's input value, resolving dead producers as
-// skips. Values already handed off by a processor that died later are still
-// preferred over the death signal.
+// takeHandoff waits for the hop's input value and applies the one failure
+// rule of the simulator to every hop: a hop whose sending processor is dead
+// passes a skip on. At hop 0 that processor is the producer, and a value it
+// handed off before dying is still preferred over the death signal. At a
+// later hop it is the relay, which forwards the previous medium's message,
+// value or skip, only if it is alive when that message arrives; death is
+// per processor, not per iteration, so a relay killed mid-run (Kill) may
+// also drop copies of iterations before its death.
 func (rt *runtime) takeHandoff(ctx context.Context, iter int, c int32) (message, bool) {
 	ch := rt.handoff[iter][c]
-	// Hop 0 waits on the producing processor; later hops always receive a
-	// message (possibly a skip) from the previous medium.
-	var deadCh chan struct{}
-	if comm := rt.ix.Comms[c]; comm.Hop == 0 {
-		deadCh = rt.dead[comm.From]
-	}
-	select {
-	case msg := <-ch:
-		return msg, true
-	default:
-	}
-	if deadCh != nil {
+	comm := rt.ix.Comms[c]
+	deadCh := rt.dead[comm.From]
+	if comm.Hop > 0 {
 		select {
 		case msg := <-ch:
-			return msg, true
-		case <-deadCh:
-			// The producer died; it may still have handed the value off
-			// just before dying.
 			select {
-			case msg := <-ch:
-				return msg, true
-			default:
+			case <-deadCh:
 				return message{skip: true}, true
+			default:
+				return msg, true
 			}
 		case <-ctx.Done():
 			return message{}, false
@@ -403,6 +398,15 @@ func (rt *runtime) takeHandoff(ctx context.Context, iter int, c int32) (message,
 	select {
 	case msg := <-ch:
 		return msg, true
+	case <-deadCh:
+		// The producer died; it may still have handed the value off
+		// just before dying.
+		select {
+		case msg := <-ch:
+			return msg, true
+		default:
+			return message{skip: true}, true
+		}
 	case <-ctx.Done():
 		return message{}, false
 	}

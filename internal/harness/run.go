@@ -158,12 +158,3 @@ func Check(s *Spec, out *Outcome) error {
 	}
 	return nil
 }
-
-// RunAndCheck runs the scenario and checks its floors in one call.
-func RunAndCheck(s *Spec) (*Outcome, error) {
-	out, err := Run(s)
-	if err != nil {
-		return nil, err
-	}
-	return out, Check(s, out)
-}

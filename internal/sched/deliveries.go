@@ -7,13 +7,15 @@ import (
 	"ftbar/internal/model"
 )
 
-// DeliveryIndex groups a schedule's comms as the paper's Figure 3 rule
-// reads them (DESIGN.md Section 7): the hops carrying one sender
-// replica's value to one receiver replica over one edge form a chain, and
-// the chains into one receiver replica over one in-edge form a delivery.
-// Both come in one canonical order — receiver task, receiver replica,
-// edge, sender replica, hop — so the validators, the simulator's plan and
-// the executive walk the same sequence, and a validator names the first
+// DeliveryIndex is a schedule's wiring: its replicas and comms numbered
+// once, each processor's program, and what every replica input and every
+// hop reads. It groups the comms as the paper's Figure 3 rule reads them
+// (DESIGN.md Section 7): the hops carrying one sender replica's value to
+// one receiver replica over one edge form a chain, and the chains into
+// one receiver replica over one in-edge form a delivery. Both come in one
+// canonical order — receiver task, receiver replica, edge, sender
+// replica, hop — so the validators, the simulator's plan and the
+// executive walk the same sequence, and a validator names the first
 // failing delivery in it. Comms are grouped by their fields as they
 // stand, so a corrupted view yields the broken chains the validators
 // reject. Every Deliveries call builds a new index; it must not be held
@@ -24,6 +26,38 @@ type DeliveryIndex struct {
 	Comms       []*Comm
 	MediumStart []int32
 	Deliveries  []Delivery
+	// Prev[c] is the comm before c in its chain: -1 at hop 0, and -1
+	// where the chain lacks hop Comms[c].Hop-1, so c never receives data.
+	// Sender[c] is the replica id a hop-0 comm reads, replica SrcIndex
+	// of its edge's source: -1 at a later hop and where SrcIndex names no
+	// replica.
+	Prev, Sender []int32
+
+	// Replicas lists every replica by id, task by task in index order:
+	// RepStart[t]+i names replica i of task t.
+	Replicas []*Replica
+	RepStart []int32
+	// Programs[p] lists the ids of the replicas processor p runs, in
+	// program order.
+	Programs [][]int32
+	// Inputs lists every replica's inputs, one per in-edge in
+	// TaskGraph.InView order: replica r reads
+	// Inputs[InputStart[r]:InputStart[r+1]].
+	Inputs     []Input
+	InputStart []int32
+}
+
+// Input is what one replica reads over one in-edge: the copies its
+// delivery brings, or else the source task's replica on its own
+// processor.
+type Input struct {
+	Edge model.TaskEdgeID
+	// Arrivals are the delivery's last-hop comms, in canonical order.
+	Arrivals []int32
+	// Local is, when Arrivals is empty, the replica of the edge's source
+	// that ReplicaOn finds on the reader's processor; -1 when there is
+	// none or when comms serve the input.
+	Local int32
 }
 
 // Delivery is one receiver replica's input over one in-edge.
@@ -67,7 +101,8 @@ func compareHopKeys(a, b hopKey) int {
 }
 
 // Deliveries builds the delivery index of the schedule's current view in
-// one pass over its medium sequences.
+// one pass over its medium sequences, one over its replicas and one over
+// their inputs.
 func (s *Schedule) Deliveries() *DeliveryIndex {
 	v := s.viewRO()
 	ix := &DeliveryIndex{MediumStart: make([]int32, len(v.mediumSeq)+1)}
@@ -75,19 +110,27 @@ func (s *Schedule) Deliveries() *DeliveryIndex {
 		ix.MediumStart[m+1] = ix.MediumStart[m] + int32(len(seq))
 	}
 	n := int(ix.MediumStart[len(v.mediumSeq)])
-	ix.Comms = make([]*Comm, 0, n)
+	ix.Replicas, ix.RepStart = v.byTask, v.repStart
+	ix.Comms, ix.Sender = make([]*Comm, 0, n), make([]int32, 0, n)
 	keys := make([]hopKey, 0, n)
 	for _, seq := range v.mediumSeq {
 		for _, c := range seq {
-			keys = append(keys, hopKey{task: s.tasks.Edge(c.Edge).Dst, edge: c.Edge,
+			edge := s.tasks.Edge(c.Edge)
+			keys = append(keys, hopKey{task: edge.Dst, edge: c.Edge,
 				dst: c.DstIndex, src: c.SrcIndex, hop: c.Hop, id: int32(len(ix.Comms))})
 			ix.Comms = append(ix.Comms, c)
+			sender := int32(-1)
+			if first := ix.RepStart[edge.Src]; c.Hop == 0 && c.SrcIndex >= 0 && first+int32(c.SrcIndex) < ix.RepStart[edge.Src+1] {
+				sender = first + int32(c.SrcIndex)
+			}
+			ix.Sender = append(ix.Sender, sender)
 		}
 	}
 	slices.SortFunc(keys, compareHopKeys)
-	// Chains and deliveries are windows of two arrays that never grow
-	// past n entries, so no append moves a window taken earlier.
+	// Chains, deliveries and arrivals are windows of arrays that never
+	// grow past n entries, so no append moves a window taken earlier.
 	hops, chains := make([]int32, n), make([]Chain, 0, n)
+	ix.Prev = make([]int32, n)
 	c0, h0 := 0, 0 // the current delivery's first chain, the current chain's first hop
 	for i, k := range keys {
 		hops[i] = k.id
@@ -97,47 +140,72 @@ func (s *Schedule) Deliveries() *DeliveryIndex {
 			ix.Deliveries = append(ix.Deliveries, Delivery{Task: k.task, Index: k.dst, Edge: k.edge})
 			c0 = len(chains)
 		}
-		if newDelivery || k.src != p.src {
+		newChain := newDelivery || k.src != p.src
+		if newChain {
 			chains = append(chains, Chain{SrcIndex: k.src})
 			h0 = i
 		}
 		chains[len(chains)-1].Hops = hops[h0 : i+1 : i+1]
 		ix.Deliveries[len(ix.Deliveries)-1].Chains = chains[c0:len(chains):len(chains)]
+		ix.Prev[k.id] = -1
+		if !newChain && k.hop > 0 && p.hop == k.hop-1 {
+			ix.Prev[k.id] = p.id
+		}
+	}
+
+	program := make([]int32, 0, len(v.reps))
+	ix.Programs = make([][]int32, len(v.procSeq))
+	for p, seq := range v.procSeq {
+		start := len(program)
+		for _, r := range seq {
+			program = append(program, ix.RepStart[r.Task]+int32(r.Index))
+		}
+		ix.Programs[p] = program[start:len(program):len(program)]
+	}
+
+	// Inputs come in the deliveries' order (task, replica, edge): Compile
+	// appends a task's in-edges in id order, so one cursor walks both.
+	arrivals := make([]int32, 0, n)
+	nIn := 0
+	for _, r := range ix.Replicas {
+		nIn += s.tasks.NumIn(r.Task)
+	}
+	ix.Inputs = make([]Input, 0, nIn)
+	ix.InputStart = make([]int32, len(ix.Replicas)+1)
+	d := 0
+	for r, rep := range ix.Replicas {
+		for _, e := range s.tasks.InView(rep.Task) {
+			for d < len(ix.Deliveries) && compareInput(ix.Deliveries[d], rep, e) < 0 {
+				d++
+			}
+			a0 := len(arrivals)
+			if d < len(ix.Deliveries) && compareInput(ix.Deliveries[d], rep, e) == 0 {
+				for _, ch := range ix.Deliveries[d].Chains {
+					for _, id := range ch.Hops {
+						if ix.Comms[id].LastHop {
+							arrivals = append(arrivals, id)
+						}
+					}
+				}
+			}
+			in := Input{Edge: e, Arrivals: arrivals[a0:len(arrivals):len(arrivals)], Local: -1}
+			if len(in.Arrivals) == 0 {
+				src := s.tasks.Edge(e).Src
+				if l := s.slab.repOn(int(src), int(rep.Proc)); l >= 0 {
+					in.Local = ix.RepStart[src] + s.slab.repIndex[l]
+				}
+			}
+			ix.Inputs = append(ix.Inputs, in)
+		}
+		ix.InputStart[r+1] = int32(len(ix.Inputs))
 	}
 	return ix
 }
 
-// Find returns the position in Deliveries of replica index of task t's
-// delivery over in-edge e, or -1 when no comm serves that input.
-func (ix *DeliveryIndex) Find(t model.TaskID, index int, e model.TaskEdgeID) int {
-	// The comparison carries the target itself, so the searched value is
-	// an empty placeholder.
-	i, ok := slices.BinarySearchFunc(ix.Deliveries, struct{}{}, func(d Delivery, _ struct{}) int {
-		switch {
-		case d.Task != t:
-			return cmp.Compare(d.Task, t)
-		case d.Index != index:
-			return cmp.Compare(d.Index, index)
-		}
-		return cmp.Compare(d.Edge, e)
-	})
-	if !ok {
-		return -1
-	}
-	return i
-}
-
-// AppendArrivals appends to dst the ids of d's last-hop comms: the copies
-// that reach the receiver, in canonical order.
-func (ix *DeliveryIndex) AppendArrivals(dst []int32, d Delivery) []int32 {
-	for _, ch := range d.Chains {
-		for _, id := range ch.Hops {
-			if ix.Comms[id].LastHop {
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst
+// compareInput orders delivery d against replica r's input over edge e in
+// the canonical order.
+func compareInput(d Delivery, r *Replica, e model.TaskEdgeID) int {
+	return cmp.Or(cmp.Compare(d.Task, r.Task), cmp.Compare(d.Index, r.Index), cmp.Compare(d.Edge, e))
 }
 
 // walkOrder returns c's hop ids in id order, the order in which a walk of

@@ -2,14 +2,19 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftbar/internal/arch"
+	"ftbar/internal/model"
 )
 
 // checkIndex asserts the delivery index of s groups every comm of the view
-// exactly once, in the canonical order, and that Find locates every
-// delivery.
+// exactly once, in the canonical order, and wires it as the pointer view
+// reads: replicas as Replicas numbers them, programs as ProcSeq lists
+// them, every input to its delivery's last hops or else to ReplicaOn's
+// replica, every hop 0 to its sender replica and every later hop to the
+// one before it.
 func checkIndex(t *testing.T, s *Schedule) {
 	t.Helper()
 	ix := s.Deliveries()
@@ -30,11 +35,15 @@ func checkIndex(t *testing.T, s *Schedule) {
 	seen := make([]bool, len(ix.Comms))
 	var prev hopKey
 	for di, d := range ix.Deliveries {
-		if got := ix.Find(d.Task, d.Index, d.Edge); got != di {
-			t.Fatalf("Find(%d, %d, %d) = %d, want %d", d.Task, d.Index, d.Edge, got, di)
-		}
 		for ci, ch := range d.Chains {
 			for hi, id := range ch.Hops {
+				wantPrev := int32(-1)
+				if hi > 0 && ix.Comms[id].Hop > 0 && ix.Comms[ch.Hops[hi-1]].Hop == ix.Comms[id].Hop-1 {
+					wantPrev = ch.Hops[hi-1]
+				}
+				if ix.Prev[id] != wantPrev {
+					t.Fatalf("comm %d: previous hop %d, want %d", id, ix.Prev[id], wantPrev)
+				}
 				c := ix.Comms[id]
 				k := hopKey{task: s.tasks.Edge(c.Edge).Dst, edge: c.Edge, dst: c.DstIndex, src: c.SrcIndex, hop: c.Hop, id: id}
 				if k.task != d.Task || k.dst != d.Index || k.edge != d.Edge || k.src != ch.SrcIndex {
@@ -60,8 +69,89 @@ func checkIndex(t *testing.T, s *Schedule) {
 			t.Fatalf("comm %d in no chain", id)
 		}
 	}
-	if ix.Find(0, -7, 0) != -1 {
-		t.Fatal("Find located a delivery no comm serves")
+	checkWiring(t, s, ix)
+}
+
+// checkWiring asserts the replica, program, input and sender fields of ix
+// against the pointer view of s.
+func checkWiring(t *testing.T, s *Schedule, ix *DeliveryIndex) {
+	t.Helper()
+	nT := s.tasks.NumTasks()
+	if len(ix.RepStart) != nT+1 || int(ix.RepStart[nT]) != len(ix.Replicas) || len(ix.InputStart) != len(ix.Replicas)+1 {
+		t.Fatalf("%d task bounds, %d replicas, %d input bounds", len(ix.RepStart), len(ix.Replicas), len(ix.InputStart))
+	}
+	arrived := make([]bool, len(ix.Comms))
+	for task := model.TaskID(0); int(task) < nT; task++ {
+		reps := s.Replicas(task)
+		if int(ix.RepStart[task+1]-ix.RepStart[task]) != len(reps) {
+			t.Fatalf("task %d: %d replica ids, want %d", task, ix.RepStart[task+1]-ix.RepStart[task], len(reps))
+		}
+		for i, r := range reps {
+			id := ix.RepStart[task] + int32(i)
+			if ix.Replicas[id] != r {
+				t.Fatalf("replica id %d is not replica %d of task %d", id, i, task)
+			}
+			ins := ix.Inputs[ix.InputStart[id]:ix.InputStart[id+1]]
+			if len(ins) != s.tasks.NumIn(task) {
+				t.Fatalf("replica %d of task %d: %d inputs, want %d", i, task, len(ins), s.tasks.NumIn(task))
+			}
+			for k, e := range s.tasks.InView(task) {
+				in := ins[k]
+				var want []int32
+				for _, d := range ix.Deliveries {
+					if d.Task == task && d.Index == i && d.Edge == e {
+						for _, ch := range d.Chains {
+							for _, c := range ch.Hops {
+								if ix.Comms[c].LastHop {
+									want = append(want, c)
+								}
+							}
+						}
+					}
+				}
+				if in.Edge != e || !slices.Equal(in.Arrivals, want) {
+					t.Fatalf("replica %d of task %d, edge %d: input %+v, want edge %d arrivals %v", i, task, e, in, e, want)
+				}
+				for _, c := range want {
+					arrived[c] = true
+				}
+				wantLocal := int32(-1)
+				if local := s.ReplicaOn(s.tasks.Edge(e).Src, r.Proc); local != nil && len(want) == 0 {
+					wantLocal = ix.RepStart[local.Task] + int32(local.Index)
+				}
+				if in.Local != wantLocal {
+					t.Fatalf("replica %d of task %d, edge %d: local source %d, want %d", i, task, e, in.Local, wantLocal)
+				}
+			}
+		}
+	}
+	if len(ix.Sender) != len(ix.Comms) {
+		t.Fatalf("%d senders for %d comms", len(ix.Sender), len(ix.Comms))
+	}
+	for id, c := range ix.Comms {
+		edge := s.tasks.Edge(c.Edge)
+		names := c.DstIndex >= 0 && c.DstIndex < s.NumReplicas(edge.Dst)
+		if c.LastHop && names != arrived[id] {
+			t.Fatalf("last hop %d (%+v) arrives at an input: %v, names a replica: %v", id, *c, arrived[id], names)
+		}
+		var sender *Replica
+		if reps := s.Replicas(edge.Src); c.Hop == 0 && c.SrcIndex >= 0 && c.SrcIndex < len(reps) {
+			sender = reps[c.SrcIndex]
+		}
+		if got := ix.Sender[id]; (got < 0) != (sender == nil) || got >= 0 && ix.Replicas[got] != sender {
+			t.Fatalf("comm %d (%+v): sender replica id %d", id, *c, got)
+		}
+	}
+	for p := range ix.Programs {
+		seq := s.ProcSeq(arch.ProcID(p))
+		if len(ix.Programs[p]) != len(seq) {
+			t.Fatalf("processor %d: program of %d, want %d", p, len(ix.Programs[p]), len(seq))
+		}
+		for j, id := range ix.Programs[p] {
+			if ix.Replicas[id] != seq[j] {
+				t.Fatalf("processor %d position %d: replica id %d is another replica", p, j, id)
+			}
+		}
 	}
 }
 

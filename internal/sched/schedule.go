@@ -231,7 +231,11 @@ func (s *Schedule) Nmf() int { return s.faults.Nmf }
 // Replicas returns the replicas of a task in placement order. The returned
 // slice aliases the current materialised view; callers must not hold it
 // across commits.
-func (s *Schedule) Replicas(t model.TaskID) []*Replica { return s.viewRO().replicas[t] }
+func (s *Schedule) Replicas(t model.TaskID) []*Replica {
+	v := s.viewRO()
+	lo, hi := v.repStart[t], v.repStart[t+1]
+	return v.byTask[lo:hi:hi]
+}
 
 // ReplicaOn returns the replica of t on processor p, or nil.
 func (s *Schedule) ReplicaOn(t model.TaskID, p arch.ProcID) *Replica {

@@ -200,51 +200,40 @@ func (s *Schedule) validateHopChains(ix *DeliveryIndex) error {
 }
 
 // validateCoverage checks the Figure 3 rule and data availability for every
-// replica: an input's copies are its delivery's last-hop comms.
+// replica input of ix.
 func (s *Schedule) validateCoverage(ix *DeliveryIndex) error {
-	var arrivals []int32
-	for t := 0; t < s.tasks.NumTasks(); t++ {
-		tid := model.TaskID(t)
-		for _, r := range s.Replicas(tid) {
-			for _, eid := range s.tasks.InView(tid) {
-				edge := s.tasks.Edge(eid)
-				arrivals = arrivals[:0]
-				if d := ix.Find(tid, r.Index, eid); d >= 0 {
-					arrivals = ix.AppendArrivals(arrivals, ix.Deliveries[d])
+	for r, rep := range ix.Replicas {
+		name := s.tasks.Task(rep.Task).Name
+		for _, in := range ix.Inputs[ix.InputStart[r]:ix.InputStart[r+1]] {
+			edge := s.tasks.Edge(in.Edge)
+			if len(in.Arrivals) == 0 {
+				// The static executive reads this input locally; a
+				// co-located predecessor replica must exist and have
+				// finished first. (A predecessor duplicated onto the
+				// processor *after* this replica was placed does not
+				// count: the replica reads from its scheduled comms.)
+				if in.Local < 0 {
+					return fmt.Errorf("replica %q#%d: edge %s has no incoming comm and no local source",
+						name, rep.Index, s.problem.Alg.EdgeName(edge.Orig))
 				}
-				if len(arrivals) == 0 {
-					// The static executive reads this input locally; a
-					// co-located predecessor replica must exist and have
-					// finished first. (A predecessor duplicated onto the
-					// processor *after* this replica was placed does not
-					// count: the replica reads from its scheduled comms.)
-					local := s.ReplicaOn(edge.Src, r.Proc)
-					if local == nil {
-						return fmt.Errorf("replica %q#%d: edge %s has no incoming comm and no local source",
-							s.tasks.Task(tid).Name, r.Index, s.problem.Alg.EdgeName(edge.Orig))
-					}
-					if r.Start < local.End-timeEps {
-						return fmt.Errorf("replica %q#%d starts %g before local input %q ends %g",
-							s.tasks.Task(tid).Name, r.Index, r.Start, s.tasks.Task(edge.Src).Name, local.End)
-					}
-					continue
+				if local := ix.Replicas[in.Local]; rep.Start < local.End-timeEps {
+					return fmt.Errorf("replica %q#%d starts %g before local input %q ends %g",
+						name, rep.Index, rep.Start, s.tasks.Task(edge.Src).Name, local.End)
 				}
-				want := s.faults.Npf + 1
-				if have := len(s.Replicas(edge.Src)); have < want {
-					want = have
-				}
-				if len(arrivals) < want {
-					return fmt.Errorf("replica %q#%d: edge %s has %d incoming comms, want %d",
-						s.tasks.Task(tid).Name, r.Index, s.problem.Alg.EdgeName(edge.Orig), len(arrivals), want)
-				}
-				first := math.Inf(1)
-				for _, id := range arrivals {
-					first = math.Min(first, ix.Comms[id].End)
-				}
-				if r.Start < first-timeEps {
-					return fmt.Errorf("replica %q#%d starts %g before first input of %s at %g",
-						s.tasks.Task(tid).Name, r.Index, r.Start, s.problem.Alg.EdgeName(edge.Orig), first)
-				}
+				continue
+			}
+			want := min(s.faults.Npf+1, int(ix.RepStart[edge.Src+1]-ix.RepStart[edge.Src]))
+			if len(in.Arrivals) < want {
+				return fmt.Errorf("replica %q#%d: edge %s has %d incoming comms, want %d",
+					name, rep.Index, s.problem.Alg.EdgeName(edge.Orig), len(in.Arrivals), want)
+			}
+			first := math.Inf(1)
+			for _, id := range in.Arrivals {
+				first = math.Min(first, ix.Comms[id].End)
+			}
+			if rep.Start < first-timeEps {
+				return fmt.Errorf("replica %q#%d starts %g before first input of %s at %g",
+					name, rep.Index, rep.Start, s.problem.Alg.EdgeName(edge.Orig), first)
 			}
 		}
 	}

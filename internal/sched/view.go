@@ -10,14 +10,19 @@ import (
 // simulation, the executive, rendering, export). All pointers of one view
 // alias two backing arrays, so pointer identity is stable across accessor
 // calls on the same view: Replicas(t)[i] and ProcSeq(p)[j] hand out the
-// same *Replica for the same replica, which the simulator and executive
-// rely on (they key maps on *Replica/*Comm). Any commit or rollback
-// invalidates the view; the next accessor call rebuilds it from the
-// columns.
+// same *Replica for the same replica, which the map-keyed test oracles
+// rely on (they key maps on *Replica/*Comm); the validators, the simulator
+// and the executive address replicas and comms by the dense ids of the
+// delivery index instead. Any commit or rollback invalidates the view;
+// the next accessor call rebuilds it from the columns.
 type scheduleView struct {
-	reps      []Replica
-	comms     []Comm
-	replicas  [][]*Replica // per task, in placement (= index) order
+	reps  []Replica
+	comms []Comm
+	// byTask lists the replicas task by task in index order: task t's are
+	// byTask[repStart[t]:repStart[t+1]]. The delivery index numbers
+	// replicas by this order and shares both slices.
+	byTask    []*Replica
+	repStart  []int32
 	procSeq   [][]*Replica // per processor, in placement order
 	mediumSeq [][]*Comm    // per medium, in commit order
 }
@@ -49,7 +54,8 @@ func (s *Schedule) buildView() *scheduleView {
 	v := &scheduleView{
 		reps:      make([]Replica, nReps),
 		comms:     make([]Comm, nComms),
-		replicas:  make([][]*Replica, sl.nTasks),
+		byTask:    make([]*Replica, 0, nReps),
+		repStart:  make([]int32, sl.nTasks+1),
 		procSeq:   make([][]*Replica, sl.nProcs),
 		mediumSeq: make([][]*Comm, sl.nMedia),
 	}
@@ -77,16 +83,15 @@ func (s *Schedule) buildView() *scheduleView {
 			End:      sl.commEnd[id],
 		}
 	}
-	// The per-task and per-processor rows are carved out of two shared
+	// The per-task and per-processor rows are windows of two shared
 	// pointer arrays (capacity-limited so a caller's append cannot clobber
 	// a neighbouring row).
-	taskPtrs := make([]*Replica, 0, nReps)
 	for t := 0; t < sl.nTasks; t++ {
-		row, start := t*sl.nProcs, len(taskPtrs)
+		row := t * sl.nProcs
 		for i := 0; i < int(sl.taskRepN[t]); i++ {
-			taskPtrs = append(taskPtrs, &v.reps[sl.taskReps[row+i]])
+			v.byTask = append(v.byTask, &v.reps[sl.taskReps[row+i]])
 		}
-		v.replicas[t] = taskPtrs[start:len(taskPtrs):len(taskPtrs)]
+		v.repStart[t+1] = int32(len(v.byTask))
 	}
 	procPtrs := make([]*Replica, 0, nReps)
 	for p := 0; p < sl.nProcs; p++ {

@@ -13,48 +13,30 @@ import (
 )
 
 // This file is the executor behind Run and every sweep, in two halves.
-// A plan densifies one schedule's pointer view into ids once and is then
-// shared read-only. A state holds one scenario's progress in slices
-// indexed by those ids; it is cleared between scenarios, never
-// reallocated, and owned by one goroutine. oracle_test.go keeps a
-// map-keyed executor as the differential reference.
+// A plan reads one schedule's wiring off its delivery index once and is
+// then shared read-only. A state holds one scenario's progress in slices
+// indexed by the index's replica and comm ids; it is cleared between
+// scenarios, never reallocated, and owned by one goroutine.
+// oracle_test.go keeps a map-keyed executor as the differential
+// reference.
 
-// plan is the static half of the executor. Replicas are numbered task by
-// task in placement order, comms medium by medium in sequence order.
+// plan is the static half of the executor: the schedule's delivery index,
+// which numbers replicas task by task and comms medium by medium and
+// wires programs, inputs and hops, plus what only the simulator reads.
 type plan struct {
-	s      *sched.Schedule
-	nP, nM int
-	reps   []planReplica
-	comms  []planComm
-	// taskOff[t]..taskOff[t+1] are the replica ids of task t.
-	taskOff []int32
-	procSeq [][]int32 // replica ids per processor, in program order
-	// medStart[m]..medStart[m+1] are the comm ids of medium m, in the
-	// static total order.
-	medStart []int32
-	ins      []planInput
-	deliv    []int32        // last-hop comm ids, in ranges named by ins
-	outputs  []model.TaskID // the tasks whose production defines masking
-	total    int            // replicas plus comms: the items of an iteration
+	s       *sched.Schedule
+	ix      *sched.DeliveryIndex
+	nP, nM  int
+	reps    []planReplica
+	comms   []planComm
+	outputs []model.TaskID // the tasks whose production defines masking
+	total   int            // replicas plus comms: the items of an iteration
 }
 
 type planReplica struct {
-	task    model.TaskID
-	index   int
 	op      model.OpID
 	memRead bool // a mem read delivers old state: no op completion
 	dur     float64
-	in0     int32 // inputs are ins[in0:in1], one per input edge in order
-	in1     int32
-}
-
-// planInput is one input edge of a replica: the last-hop comms that
-// deliver it, deliv[lo:hi], or else the replica of the source task on
-// the same processor (local; -1 when there is none, a simulation error).
-type planInput struct {
-	lo, hi int32
-	local  int32
-	edge   model.TaskEdgeID
 }
 
 type planComm struct {
@@ -67,80 +49,24 @@ type planComm struct {
 	dur      float64
 }
 
-// newPlan densifies the schedule's delivery index: hop chains, the
-// deliveries of every (replica, input edge), and the per-unit sequences.
-// Comm ids are the index's.
+// newPlan indexes the schedule once and adds the durations and flags.
 func newPlan(s *sched.Schedule) *plan {
 	tg := s.Tasks()
 	a := s.Problem().Arc
 	ix := s.Deliveries()
-	pl := &plan{s: s, nP: a.NumProcs(), nM: a.NumMedia(), medStart: ix.MediumStart, outputs: tg.Outputs()}
-	nT := tg.NumTasks()
-	pl.taskOff = make([]int32, nT+1)
-	for t := 0; t < nT; t++ {
-		pl.taskOff[t+1] = pl.taskOff[t] + int32(len(s.Replicas(model.TaskID(t))))
+	pl := &plan{s: s, ix: ix, nP: a.NumProcs(), nM: a.NumMedia(), outputs: tg.Outputs(),
+		reps: make([]planReplica, len(ix.Replicas)), comms: make([]planComm, len(ix.Comms))}
+	for id, r := range ix.Replicas {
+		task := tg.Task(r.Task)
+		pl.reps[id] = planReplica{op: task.Op, memRead: task.Role == model.MemRead, dur: r.End - r.Start}
 	}
-	repID := func(r *sched.Replica) int32 {
-		for i, q := range s.Replicas(r.Task) {
-			if q == r {
-				return pl.taskOff[r.Task] + int32(i)
-			}
-		}
-		return -1
-	}
-
-	// Comms, and the previous hop of every later hop of a chain.
-	pl.comms = make([]planComm, len(ix.Comms))
 	for id, c := range ix.Comms {
-		pc := &pl.comms[id]
-		*pc = planComm{src: -1, hop0: c.Hop == 0, direct: c.Hop == 0 && c.LastHop,
-			from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
+		src := ix.Prev[id]
 		if c.Hop == 0 {
-			pc.src = pl.taskOff[tg.Edge(c.Edge).Src] + int32(c.SrcIndex)
+			src = ix.Sender[id]
 		}
-	}
-	for _, d := range ix.Deliveries {
-		for _, ch := range d.Chains {
-			for i := 1; i < len(ch.Hops); i++ {
-				prev, id := ch.Hops[i-1], ch.Hops[i]
-				if c := ix.Comms[id]; c.Hop > 0 && ix.Comms[prev].Hop == c.Hop-1 {
-					pl.comms[id].src = prev
-				}
-			}
-		}
-	}
-
-	// Replicas and their inputs.
-	pl.reps = make([]planReplica, pl.taskOff[nT])
-	for t := 0; t < nT; t++ {
-		task := tg.Task(model.TaskID(t))
-		for i, r := range s.Replicas(model.TaskID(t)) {
-			pr := &pl.reps[pl.taskOff[t]+int32(i)]
-			*pr = planReplica{task: r.Task, index: r.Index, op: task.Op, memRead: task.Role == model.MemRead,
-				dur: r.End - r.Start, in0: int32(len(pl.ins))}
-			for _, eid := range tg.InView(r.Task) {
-				in := planInput{lo: int32(len(pl.deliv)), local: -1, edge: eid}
-				if d := ix.Find(r.Task, r.Index, eid); d >= 0 {
-					pl.deliv = ix.AppendArrivals(pl.deliv, ix.Deliveries[d])
-				}
-				if int(in.lo) == len(pl.deliv) {
-					if local := s.ReplicaOn(tg.Edge(eid).Src, r.Proc); local != nil {
-						in.local = repID(local)
-					}
-				}
-				in.hi = int32(len(pl.deliv))
-				pl.ins = append(pl.ins, in)
-			}
-			pr.in1 = int32(len(pl.ins))
-		}
-	}
-	pl.procSeq = make([][]int32, pl.nP)
-	for p := range pl.procSeq {
-		seq := s.ProcSeq(arch.ProcID(p))
-		pl.procSeq[p] = make([]int32, len(seq))
-		for i, r := range seq {
-			pl.procSeq[p][i] = repID(r)
-		}
+		pl.comms[id] = planComm{src: src, hop0: c.Hop == 0, direct: c.Hop == 0 && c.LastHop,
+			from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
 	}
 	pl.total = len(pl.reps) + len(pl.comms)
 	return pl
@@ -166,9 +92,9 @@ func (pl *plan) unitsValid(procs []arch.ProcID, media []arch.MediumID) bool {
 // delivery nor a local source.
 func (pl *plan) noSource(r int32, edge model.TaskEdgeID) error {
 	tg := pl.s.Tasks()
-	pr := &pl.reps[r]
+	rep := pl.ix.Replicas[r]
 	return fmt.Errorf("sim: replica %q#%d has no source for edge %s",
-		tg.Task(pr.task).Name, pr.index, pl.s.Problem().Alg.EdgeName(tg.Edge(edge).Orig))
+		tg.Task(rep.Task).Name, rep.Index, pl.s.Problem().Alg.EdgeName(tg.Edge(edge).Orig))
 }
 
 // forEach runs fn(st, i) for every i in [0, n) on a bounded pool — 0
@@ -326,7 +252,7 @@ func (st *state) iterate(k int) error {
 // advanceProc resolves as many replicas as possible on processor p and
 // returns how many it resolved.
 func (st *state) advanceProc(p int) (int, error) {
-	seq := st.pl.procSeq[p]
+	seq := st.pl.ix.Programs[p]
 	resolved := 0
 	for st.procIdx[p] < len(seq) {
 		r := seq[st.procIdx[p]]
@@ -367,15 +293,17 @@ func (st *state) advanceProc(p int) (int, error) {
 // ready=false while some source is still pending; dead=true when an input
 // can never arrive.
 func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, err error) {
-	pl := st.pl
-	for _, in := range pl.ins[pl.reps[r].in0:pl.reps[r].in1] {
-		if in.lo < in.hi {
+	ix := st.pl.ix
+	ins := ix.Inputs[ix.InputStart[r]:ix.InputStart[r+1]]
+	for i := range ins {
+		in := &ins[i]
+		if len(in.Arrivals) > 0 {
 			// The static executive reads this input from its scheduled
 			// receives; the first delivery wins, later ones are ignored,
 			// but a pending comm could still arrive earlier than the best
 			// delivery seen so far.
 			first := math.Inf(1)
-			for _, c := range pl.deliv[in.lo:in.hi] {
+			for _, c := range in.Arrivals {
 				switch cs := st.comms[c]; cs.status {
 				case stPending:
 					return false, 0, false, nil
@@ -393,10 +321,10 @@ func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, er
 			}
 			continue
 		}
-		if in.local < 0 {
-			return false, 0, false, pl.noSource(r, in.edge)
+		if in.Local < 0 {
+			return false, 0, false, st.pl.noSource(r, in.Edge)
 		}
-		switch ls := st.reps[in.local]; ls.status {
+		switch ls := st.reps[in.Local]; ls.status {
 		case stPending:
 			return false, 0, false, nil
 		case stDead:
@@ -413,7 +341,7 @@ func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, er
 // advanceMedium resolves as many comms as possible on medium m and returns
 // how many it resolved.
 func (st *state) advanceMedium(k, m int) int {
-	lo, hi := st.pl.medStart[m], st.pl.medStart[m+1]
+	lo, hi := st.pl.ix.MediumStart[m], st.pl.ix.MediumStart[m+1]
 	resolved := 0
 	for ; lo+int32(st.medIdx[m]) < hi; st.medIdx[m]++ {
 		c := lo + int32(st.medIdx[m])
@@ -489,7 +417,7 @@ func (st *state) makespan() float64 {
 func (st *state) outputsOK() bool {
 	for _, t := range st.pl.outputs {
 		produced := false
-		for _, rs := range st.reps[st.pl.taskOff[t]:st.pl.taskOff[t+1]] {
+		for _, rs := range st.reps[st.pl.ix.RepStart[t]:st.pl.ix.RepStart[t+1]] {
 			if rs.status == stDone {
 				produced = true
 				break
@@ -512,14 +440,14 @@ func (st *state) result(k int) IterationResult {
 		repl:      make(map[replKey]replicaState, len(st.reps)),
 	}
 	for r, rs := range st.reps {
-		pr := &st.pl.reps[r]
+		pr, rep := &st.pl.reps[r], st.pl.ix.Replicas[r]
 		if rs.status != stDone {
 			ir.Dead++
-			ir.repl[replKey{pr.task, pr.index}] = replicaState{status: stDead}
+			ir.repl[replKey{rep.Task, rep.Index}] = replicaState{status: stDead}
 			continue
 		}
 		ir.Done++
-		ir.repl[replKey{pr.task, pr.index}] = rs
+		ir.repl[replKey{rep.Task, rep.Index}] = rs
 		if cur, ok := ir.opDone[pr.op]; !pr.memRead && (!ok || rs.end < cur) {
 			ir.opDone[pr.op] = rs.end
 		}
