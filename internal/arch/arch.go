@@ -71,14 +71,15 @@ type Architecture struct {
 	// derived routing data key on it: an unchanged revision guarantees an
 	// unchanged graph, so cached routes stay exact.
 	rev uint64
-	// fanNet and cuts memoise the disjoint-fan flow skeleton
-	// (disjoint.go) and the PairCutMatrix (jointcut.go) of the revision
-	// they carry. Each is built on first use after a mutation and never
-	// modified once stored; concurrent readers of an unchanging
-	// architecture may race to build one, and every racer builds the
-	// same value.
+	// fanNet, cuts and direct memoise the disjoint-fan flow skeleton
+	// (disjoint.go), the PairCutMatrix (jointcut.go) and the DirectMedia
+	// table of the revision they carry. Each is built on first use after
+	// a mutation and never modified once stored; concurrent readers of an
+	// unchanging architecture may race to build one, and every racer
+	// builds the same value.
 	fanNet atomic.Pointer[fanSkeleton]
 	cuts   atomic.Pointer[pairCuts]
+	direct atomic.Pointer[directMedia]
 }
 
 // Revision returns the topology revision: a counter bumped by every
@@ -246,17 +247,29 @@ func (a *Architecture) MediaBetween(p, q ProcID) []MediumID {
 	return out
 }
 
+// directMedia is the DirectMedia table of one architecture revision.
+type directMedia struct {
+	rev   uint64
+	table [][]MediumID
+}
+
 // DirectMedia returns MediaBetween(p, q) for every ordered processor pair,
-// at index p*NumProcs()+q.
+// at index p*NumProcs()+q. The table depends only on the topology, so it
+// is built once per Revision and every caller shares it: it is read-only.
+// A call after AddMedium or AddProcessor builds the new topology's table.
 func (a *Architecture) DirectMedia() [][]MediumID {
+	if d := a.direct.Load(); d != nil && d.rev == a.rev {
+		return d.table
+	}
 	n := len(a.procs)
-	direct := make([][]MediumID, n*n)
+	d := &directMedia{rev: a.rev, table: make([][]MediumID, n*n)}
 	for p := 0; p < n; p++ {
 		for q := 0; q < n; q++ {
-			direct[p*n+q] = a.MediaBetween(ProcID(p), ProcID(q))
+			d.table[p*n+q] = a.MediaBetween(ProcID(p), ProcID(q))
 		}
 	}
-	return direct
+	a.direct.Store(d)
+	return d.table
 }
 
 // Validate checks that the architecture has at least one processor and that

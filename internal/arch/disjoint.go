@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -157,6 +158,11 @@ func (sc *FanScratch) load(sk *fanSkeleton, n int) {
 		sc.dirty = make([]bool, nodes)
 	}
 	sc.dist, sc.prevArc, sc.dirty = sc.dist[:nodes], sc.prevArc[:nodes], sc.dirty[:nodes]
+	sc.resetRoutes(n)
+}
+
+// resetRoutes empties the route buffers for n sources.
+func (sc *FanScratch) resetRoutes(n int) {
 	if cap(sc.spans) < 2*n {
 		sc.spans = make([]int32, 2*n)
 	}
@@ -207,18 +213,22 @@ func (sc *FanScratch) routes() []Route {
 // processor and medium ids, and each source's route is independent of how
 // the caller ordered srcs.
 func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relay []float64) int {
+	return sc.flow(a.loadFan(sc, srcs, dst, weight, relay), srcs, dst, nil)
+}
+
+// loadFan starts a search on the architecture's skeleton: it writes the
+// usable media weights and the relay charges, closes the unusable media
+// and opens the source arcs of every source but dst.
+func (a *Architecture) loadFan(sc *FanScratch, srcs []ProcID, dst ProcID, weight func(MediumID) float64, relay []float64) *fanSkeleton {
 	sk := a.fanNetwork()
 	sc.load(sk, len(srcs))
-	if len(srcs) == 0 {
-		return 0
-	}
 	for m := range a.media {
 		w := 1.0
 		if weight != nil {
 			w = weight(MediumID(m))
 		}
 		ai, end := sk.mediumArc[m], sk.mediumArc[m+1]
-		if math.IsInf(w, 1) || math.IsNaN(w) || w < 0 {
+		if !usableWeight(w) {
 			for ; ai < end; ai += 2 {
 				sc.cap[ai] = 0
 			}
@@ -237,11 +247,29 @@ func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight fun
 			sc.cap[2*sp] = 1
 		}
 	}
-	// Successive shortest augmenting paths (Bellman-Ford handles the
-	// negative residual costs without potentials; the network is tiny).
+	return sk
+}
+
+// usableWeight reports whether a search may route over a medium of weight
+// w: +Inf, NaN and negative weights close the medium.
+func usableWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
+
+// flow finishes a loaded search: successive shortest augmenting paths
+// (Bellman-Ford handles the negative residual costs without potentials;
+// the network is tiny) until every source is served or dst is out of
+// reach, then the decomposition. The first augmentation follows first
+// when it is not nil: the predecessor tree of a first search run
+// earlier, which must be the one this network's first search would
+// build (FanCache.miss).
+func (sc *FanScratch) flow(sk *fanSkeleton, srcs []ProcID, dst ProcID, first []int32) int {
 	src := len(sk.start) - 2
 	for served := 0; served < len(srcs); served++ {
-		if !sc.shortestPath(sk, src, int(dst)) {
+		tree := first
+		if served > 0 || tree == nil {
+			sc.shortestPath(sk, src)
+			tree = sc.prevArc
+		}
+		if tree[dst] < 0 {
 			break
 		}
 		// The predecessor graph is a tree (relaxation improves only past
@@ -254,7 +282,7 @@ func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight fun
 				clear(sc.spans)
 				return 0
 			}
-			ai := sc.prevArc[v]
+			ai := tree[v]
 			sc.cap[ai]--
 			sc.cap[ai^1]++
 			v = int(sk.to[ai^1])
@@ -294,8 +322,8 @@ func (a *Architecture) fan(sc *FanScratch, srcs []ProcID, dst ProcID, weight fun
 // genuine improvements in real inputs are far larger.
 const fanCostEps = 1e-9
 
-// shortestPath runs Bellman-Ford over the residual network from s to t,
-// filling dist and prevArc; it reports whether t is reachable. Passes
+// shortestPath runs Bellman-Ford over the residual network from s,
+// filling dist and prevArc (-1 where a node is out of reach). Passes
 // visit the nodes in ascending order, each node's arcs in arc order, and
 // improve only on distances smaller beyond the float tolerance, so the
 // predecessor tree — and the augmenting path — is deterministic and
@@ -308,7 +336,7 @@ const fanCostEps = 1e-9
 // nd < dist − eps·(1+|nd|), and its head has only fallen since. Scanning
 // every node with a finite distance relaxes the same arcs in the same
 // order, to the same dist and prevArc (DESIGN.md Section 11).
-func (sc *FanScratch) shortestPath(sk *fanSkeleton, s, t int) bool {
+func (sc *FanScratch) shortestPath(sk *fanSkeleton, s int) {
 	dist, prevArc, dirty := sc.dist, sc.prevArc, sc.dirty
 	capacity, cost, to, adj, start := sc.cap, sc.cost, sk.to, sk.adj, sk.start
 	for i := range dist {
@@ -343,7 +371,6 @@ func (sc *FanScratch) shortestPath(sk *fanSkeleton, s, t int) bool {
 			break
 		}
 	}
-	return prevArc[t] >= 0
 }
 
 // walkRoute follows the flow from processor node u to dst, consuming the
@@ -415,17 +442,26 @@ func (a *Architecture) MaxDisjointRoutes(srcs []ProcID, dst ProcID, usable func(
 // scheduler holds one per data-dependency, shared by a clone family that
 // one goroutine plans. Source sets are encoded as processor bitmasks, so
 // caching engages only on architectures of at most 64 processors; larger
-// ones fall through to a direct computation.
+// ones search afresh on every call.
+//
+// A miss skips the flow search where its answer is forced (DESIGN.md
+// Section 11): a fan of direct hops is written out without a search, and
+// otherwise the first shortest-path search of a source set and an avoid
+// mask without the receiver is run once and shared by every receiver.
 type FanCache struct {
 	a      *Architecture
 	weight func(MediumID) float64
 	rev    uint64
 	fans   map[fanKey][]Route
+	// firsts holds the predecessor trees of shared first searches, keyed
+	// on the source set and the avoid mask without the receiver.
+	firsts map[firstKey][]int32
 	// penalty is the lazily-computed relay charge of FanAvoiding: one unit
 	// above the sum of every usable medium weight, so a single avoided
 	// relay outweighs any all-media detour while staying finite (an
-	// avoided relay is a preference, never a feasibility cut).
-	penalty float64
+	// avoided relay is a preference, never a feasibility cut). minWeight,
+	// measured with it, is the lightest usable medium weight.
+	penalty, minWeight float64
 	// scratch backs the searches, so a miss allocates only the routes it
 	// caches. The caches of one clone family share it (NewFanCache), which
 	// is what makes them single-writer.
@@ -438,6 +474,10 @@ type fanKey struct {
 	dst   ProcID
 }
 
+type firstKey struct {
+	srcs, avoid uint64
+}
+
 // NewFanCache returns an empty cache over a and weight whose searches run
 // on sc; caches that one goroutine uses may share a scratch. A nil sc
 // gives the cache its own.
@@ -445,32 +485,33 @@ func NewFanCache(a *Architecture, weight func(MediumID) float64, sc *FanScratch)
 	if sc == nil {
 		sc = new(FanScratch)
 	}
-	return &FanCache{a: a, weight: weight, rev: a.Revision(), fans: make(map[fanKey][]Route), scratch: sc}
+	if weight == nil {
+		weight = func(MediumID) float64 { return 1 }
+	}
+	return &FanCache{a: a, weight: weight, rev: a.Revision(), fans: make(map[fanKey][]Route),
+		firsts: make(map[firstKey][]int32), scratch: sc}
 }
 
-// relayPenalty returns (computing once) the relay charge for avoided
-// processors: strictly larger than the weight of any loop-free route.
-func (c *FanCache) relayPenalty() float64 {
-	if c.penalty == 0 {
-		c.penalty = 1
-		for m := 0; m < c.a.NumMedia(); m++ {
-			w := 1.0
-			if c.weight != nil {
-				w = c.weight(MediumID(m))
-			}
-			if !math.IsInf(w, 1) && !math.IsNaN(w) && w >= 0 {
-				c.penalty += w
-			}
+// measure computes, once per revision, the relay penalty and the lightest
+// usable weight.
+func (c *FanCache) measure() {
+	if c.penalty != 0 {
+		return
+	}
+	c.penalty, c.minWeight = 1, math.Inf(1)
+	for m := 0; m < c.a.NumMedia(); m++ {
+		if w := c.weight(MediumID(m)); usableWeight(w) {
+			c.penalty += w
+			c.minWeight = min(c.minWeight, w)
 		}
 	}
-	return c.penalty
 }
 
 // FanAvoiding returns the media-disjoint fan from srcs towards dst,
 // computing and caching it on first use. Bit p of avoid marks processor p
 // as a dispreferred relay (it hosts a replica whose crash already
 // endangers the delivery): each relay hop through it is charged
-// relayPenalty, so the fan threads clean processors whenever the topology
+// penalty, so the fan threads clean processors whenever the topology
 // offers any, falling back to avoided relays rather than dropping a
 // source. The served routes are returned in canonical (ascending source
 // id) order, not aligned with srcs — look a source's route up with
@@ -481,13 +522,14 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 	if rev := c.a.Revision(); rev != c.rev {
 		c.rev = rev
 		c.fans = make(map[fanKey][]Route)
+		c.firsts = make(map[firstKey][]int32)
 		// The penalty is a function of the media set; recompute it after
 		// AddMedium so a newly added heavy medium cannot make a clean
 		// detour cost more than an avoided relay.
 		c.penalty = 0
 	}
 	if c.a.NumProcs() > 64 {
-		c.a.fan(c.scratch, srcs, dst, c.weight, c.relayCosts(avoid))
+		c.a.fan(c.scratch, c.canonical(srcs), dst, c.weight, c.relayCosts(avoid))
 		return c.scratch.routes()
 	}
 	key := fanKey{avoid: avoid, dst: dst}
@@ -496,16 +538,96 @@ func (c *FanCache) FanAvoiding(srcs []ProcID, dst ProcID, avoid uint64) []Route 
 	}
 	routes, ok := c.fans[key]
 	if !ok {
-		// The result aligns with its input, and the cached slice must be
-		// in canonical order for every ordering of the same source set.
-		canon := append(c.scratch.canon[:0], srcs...)
-		slices.Sort(canon)
-		c.scratch.canon = canon
-		c.a.fan(c.scratch, canon, dst, c.weight, c.relayCosts(avoid))
-		routes = c.scratch.routes()
+		routes = c.miss(c.canonical(srcs), key)
 		c.fans[key] = routes
 	}
 	return routes
+}
+
+// canonical returns srcs in ascending order, in the scratch: a search's
+// routes align with its sources, and the cache returns them in canonical
+// order for every ordering of one source set.
+func (c *FanCache) canonical(srcs []ProcID) []ProcID {
+	canon := append(c.scratch.canon[:0], srcs...)
+	slices.Sort(canon)
+	c.scratch.canon = canon
+	return canon
+}
+
+// miss computes the fan of a key the cache lacks from its canonical
+// sources. Both shortcuts are exact only while the weights clear the
+// relaxation tolerance by the margins DESIGN.md Section 11 derives; zero
+// or tiny weights, and a receiver among the sources, take the full search.
+func (c *FanCache) miss(canon []ProcID, key fanKey) []Route {
+	sc, dst := c.scratch, key.dst
+	tol := c.tolerance(key.avoid, dst)
+	if c.directFan(canon, key, tol) {
+		return sc.routes()
+	}
+	sk := c.a.fanNetwork()
+	steps := float64(len(sk.start)-1) * float64(len(sk.to))
+	if key.srcs&(1<<uint(dst)) != 0 || !(c.minWeight > 4*steps*tol) {
+		c.a.fan(sc, canon, dst, c.weight, c.relayCosts(key.avoid))
+		return sc.routes()
+	}
+	fk := firstKey{srcs: key.srcs, avoid: key.avoid &^ (1 << uint(dst))}
+	first, ok := c.firsts[fk]
+	if !ok {
+		c.a.loadFan(sc, canon, dst, c.weight, c.relayCosts(fk.avoid))
+		sc.shortestPath(sk, len(sk.start)-2)
+		first = slices.Clone(sc.prevArc)
+		c.firsts[fk] = first
+	}
+	sc.flow(c.a.loadFan(sc, canon, dst, c.weight, c.relayCosts(key.avoid)), canon, dst, first)
+	return sc.routes()
+}
+
+// tolerance bounds the relaxation tolerance fanCostEps·(1+|nd|) of every
+// comparison the searches towards dst under avoid make, with or without
+// dst's own charge: |nd| is at most the cost of a simple path, every
+// usable weight plus one penalty per charged processor.
+func (c *FanCache) tolerance(avoid uint64, dst ProcID) float64 {
+	c.measure()
+	return fanCostEps * (1 + float64(bits.OnesCount64(avoid|1<<uint(dst))+1)*c.penalty)
+}
+
+// directFan writes the fan of direct hops into the scratch and reports
+// whether it is the search's answer: the sources carry one relay charge,
+// every source has exactly one usable medium straight to the receiver, no
+// two sources share one, and 2·minWeight minus the heaviest of those
+// media clears four tolerances. Any other route of a source crosses at
+// least two media, so it costs more than the source's direct hop, and
+// every augmentation takes the direct hop of a source not yet served.
+func (c *FanCache) directFan(canon []ProcID, key fanKey, tol float64) bool {
+	if charged := key.srcs & key.avoid; charged != 0 && charged != key.srcs {
+		return false
+	}
+	sc, dst := c.scratch, key.dst
+	sc.resetRoutes(len(canon))
+	direct, n := c.a.DirectMedia(), c.a.NumProcs()
+	heaviest := 0.0
+	for i, sp := range canon {
+		hop := Hop{Medium: -1, From: sp, To: dst}
+		for _, m := range direct[int(sp)*n+int(dst)] {
+			if w := c.weight(m); usableWeight(w) {
+				if hop.Medium >= 0 {
+					return false
+				}
+				hop.Medium, heaviest = m, max(heaviest, w)
+			}
+		}
+		if hop.Medium < 0 {
+			return false
+		}
+		for _, h := range sc.hops {
+			if h.Medium == hop.Medium {
+				return false
+			}
+		}
+		sc.hops = append(sc.hops, hop)
+		sc.spans[2*i], sc.spans[2*i+1] = int32(i), int32(i+1)
+	}
+	return 2*c.minWeight-heaviest > 4*tol
 }
 
 // relayCosts fills the scratch's relay charges for an avoid mask: the
@@ -515,12 +637,12 @@ func (c *FanCache) relayCosts(avoid uint64) []float64 {
 	if avoid == 0 {
 		return nil
 	}
-	penalty := c.relayPenalty()
+	c.measure()
 	relay := c.scratch.relayCosts(c.a.NumProcs())
 	for p := range relay {
 		relay[p] = 0
 		if p < 64 && avoid&(1<<uint(p)) != 0 {
-			relay[p] = penalty
+			relay[p] = c.penalty
 		}
 	}
 	return relay

@@ -423,14 +423,17 @@ func TestFanCacheWarmLookupAllocs(t *testing.T) {
 // family: once the skeleton is built and the shared scratch has grown, a
 // miss allocates the []Route it caches and the one hop array its routes
 // are windows of, and nothing else, on every layout up to the 64
-// processors a cache keys. Each measured call's entry is deleted again,
-// so every call misses and the map never grows. It counts allocations,
-// not time, so a loaded machine cannot trip it.
+// processors a cache keys. A miss that fills the shared first-search
+// memo also allocates the predecessor tree it keeps, one object more; a
+// miss that reads it stays at 2. Each measured call's entries are deleted
+// again, so every call misses and the maps never grow. It counts
+// allocations, not time, so a loaded machine cannot trip it.
 func TestFanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
 	sc := new(FanScratch)
+	filled := 0
 	for _, a := range []*Architecture{
 		Ring(8), FullyConnected(16), FullyConnected(64), Star(64), Bus(64), DualBus(12),
 		Mesh(64), Torus(36), Hypercube(64), Geometric(32, 0, 1),
@@ -451,19 +454,33 @@ func TestFanMissAllocs(t *testing.T) {
 			for _, sp := range c.srcs {
 				key.srcs |= 1 << uint(sp)
 			}
+			first := firstKey{srcs: key.srcs, avoid: c.avoid &^ (1 << uint(c.dst))}
 			served := len(serving(fc.FanAvoiding(c.srcs, c.dst, c.avoid)))
 			delete(fc.fans, key)
 			if served == 0 {
 				t.Fatalf("%d processors: %v -> %d served nothing", n, c.srcs, c.dst)
 			}
-			allocs := testing.AllocsPerRun(20, func() {
+			gate := 2.0
+			if _, ok := fc.firsts[first]; ok {
+				filled++
+				gate = 3
+			}
+			fill := testing.AllocsPerRun(20, func() {
+				fc.FanAvoiding(c.srcs, c.dst, c.avoid)
+				delete(fc.fans, key)
+				delete(fc.firsts, first)
+			})
+			read := testing.AllocsPerRun(20, func() {
 				fc.FanAvoiding(c.srcs, c.dst, c.avoid)
 				delete(fc.fans, key)
 			})
-			if allocs > 2 {
-				t.Errorf("%d processors, %d media: %v -> %d avoid %#x: a miss allocates %.1f objects, want at most 2",
-					n, a.NumMedia(), c.srcs, c.dst, c.avoid, allocs)
+			if fill > gate || read > 2 {
+				t.Errorf("%d processors, %d media: %v -> %d avoid %#x: a miss allocates %.1f objects filling the first-search memo (want at most %.0f) and %.1f otherwise (want at most 2)",
+					n, a.NumMedia(), c.srcs, c.dst, c.avoid, fill, gate, read)
 			}
 		}
+	}
+	if filled == 0 {
+		t.Fatal("no miss filled the first-search memo")
 	}
 }

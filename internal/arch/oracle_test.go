@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -679,6 +680,8 @@ func checkFanAgainstOracle(t testing.TB, a *Architecture, fc *FanCache, sc *FanS
 // draws: nil (every medium costs 1), all equal, small integers, all
 // zero, 1e308 and MaxFloat64 mixed with small integers (sums overflow
 // to +Inf), and unusable media (+Inf, NaN, negative) among small ones.
+// TestFanPlannerPattern adds "jitter", the generator's non-integer
+// comm times.
 var fanWeightPalettes = []string{"nil", "equal", "small", "zeros", "huge", "unusable"}
 
 func fanWeights(rng *rand.Rand, palette string, nMedia int) []float64 {
@@ -698,18 +701,16 @@ func fanWeights(rng *rand.Rand, palette string, nMedia int) []float64 {
 			w[m] = []float64{1e308, math.MaxFloat64, 1, 0}[rng.Intn(4)]
 		case "unusable":
 			w[m] = []float64{math.Inf(1), math.NaN(), -1, 1, 2, 1}[rng.Intn(6)]
+		case "jitter":
+			w[m] = 10 * (0.5 + rng.Float64())
 		}
 	}
 	return w
 }
 
-// TestFanMatchesOracle holds every disjoint-fan entry point to the
-// per-call oracle on every generated topology at 2–12 processors and on
-// random ones, under tie-heavy weights: 1–4 distinct sources in shuffled
-// order towards every receiver, sources included, with random avoid
-// masks. One search scratch serves every case, across architectures.
-func TestFanMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
+// fanTestArchs returns every generated topology in name order, then 40
+// random architectures drawn from rng.
+func fanTestArchs(rng *rand.Rand) []*Architecture {
 	topos := generatedTopologies()
 	names := make([]string, 0, len(topos))
 	for name := range topos {
@@ -723,8 +724,18 @@ func TestFanMatchesOracle(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		archs = append(archs, randomArch(rng))
 	}
+	return archs
+}
+
+// TestFanMatchesOracle holds every disjoint-fan entry point to the
+// per-call oracle on every generated topology at 2–12 processors and on
+// random ones, under tie-heavy weights: 1–4 distinct sources in shuffled
+// order towards every receiver, sources included, with random avoid
+// masks. One search scratch serves every case, across architectures.
+func TestFanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
 	sc := new(FanScratch)
-	for _, a := range archs {
+	for _, a := range fanTestArchs(rng) {
 		n := a.NumProcs()
 		if n < 2 {
 			continue
@@ -754,11 +765,92 @@ func TestFanMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestFanPlannerPattern holds FanCache.FanAvoiding to the oracle under
+// the planner's query pattern (sched's planEdge): one source set and one
+// base avoid mask — the processors hosting replicas of the edge's tasks,
+// the senders among them — with each receiver charged on top, every
+// receiver through one cache, so receivers share the set's first search.
+// Sharing must engage somewhere and stand down on the zeros palette, and
+// the direct fan must answer some misses.
+func TestFanPlannerPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sc := new(FanScratch)
+	shared, direct := 0, 0
+	for _, a := range fanTestArchs(rng) {
+		n := a.NumProcs()
+		if n < 3 {
+			continue
+		}
+		for _, palette := range append(fanWeightPalettes, "jitter") {
+			w := fanWeights(rng, palette, a.NumMedia())
+			var weight func(MediumID) float64
+			if w != nil {
+				weight = func(m MediumID) float64 { return w[m] }
+			}
+			fc := NewFanCache(a, weight, sc)
+			for trial := 0; trial < 3; trial++ {
+				perm := rng.Perm(n)
+				srcs := make([]ProcID, 1+rng.Intn(min(3, n-1)))
+				base := rng.Uint64() & (1<<uint(n) - 1) & rng.Uint64()
+				for i := range srcs {
+					srcs[i] = ProcID(perm[i])
+					base |= 1 << uint(perm[i])
+				}
+				canon := slices.Sorted(slices.Values(srcs))
+				for dst := ProcID(0); int(dst) < n; dst++ {
+					key := fanKey{avoid: base | 1<<uint(dst), dst: dst}
+					for _, sp := range srcs {
+						key.srcs |= 1 << uint(sp)
+					}
+					if fc.directFan(canon, key, fc.tolerance(key.avoid, dst)) {
+						direct++
+					}
+					want := a.oracleFanAvoiding(srcs, dst, weight, key.avoid)
+					if got := fc.FanAvoiding(srcs, dst, key.avoid); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d procs, %d media, weights %v, srcs %v -> %d, avoid %#x: FanAvoiding = %v, oracle %v",
+							n, a.NumMedia(), w, srcs, dst, key.avoid, got, want)
+					}
+				}
+			}
+			if palette == "zeros" && len(fc.firsts) > 0 {
+				t.Fatalf("%d procs, %d media: zero weights shared %d first searches", n, a.NumMedia(), len(fc.firsts))
+			}
+			shared += len(fc.firsts)
+		}
+	}
+	t.Logf("%d shared first searches, %d direct fans", shared, direct)
+	if shared == 0 || direct == 0 {
+		t.Fatalf("%d shared first searches and %d direct fans: a shortcut never engaged", shared, direct)
+	}
+}
+
+// TestFanAvoidingCanonicalBeyond64 pins FanAvoiding's canonical order
+// where the cache cannot key a source set: on a 65-processor ring every
+// call searches afresh, and the routes must still come back in ascending
+// source order, as the oracle returns them, whatever the caller's order.
+func TestFanAvoidingCanonicalBeyond64(t *testing.T) {
+	a := Ring(65)
+	fc := NewFanCache(a, nil, nil)
+	rng := rand.New(rand.NewSource(65))
+	for trial := 0; trial < 20; trial++ {
+		perm := rng.Perm(a.NumProcs())
+		srcs := []ProcID{ProcID(perm[0]), ProcID(perm[1]), ProcID(perm[2])}
+		dst, avoid := ProcID(perm[3]), rng.Uint64()
+		want := a.oracleFanAvoiding(srcs, dst, nil, avoid)
+		if got := fc.FanAvoiding(srcs, dst, avoid); !reflect.DeepEqual(got, want) {
+			t.Fatalf("srcs %v -> %d, avoid %#x: FanAvoiding = %v, oracle %v", srcs, dst, avoid, got, want)
+		}
+	}
+}
+
 // FuzzFanAgainstOracle drives checkFanAgainstOracle with arbitrary
 // topologies (a generated layout at 2–12 processors, or a random one),
 // weights from a palette of ties, zeros, overflowing and unusable values,
 // distinct sources and avoid masks. One cache and one scratch persist
 // across the inputs, so warm and cross-architecture reuse is fuzzed too.
+// A second receiver then queries the same cache with the first one's
+// charge moved onto it, as the planner queries receivers, so it may read
+// the first search the first receiver shared.
 func FuzzFanAgainstOracle(f *testing.F) {
 	f.Add(uint8(3), uint8(2), int64(1), []byte{1, 2}, uint8(0), []byte{1, 1, 1, 1}, uint64(0))
 	f.Add(uint8(8), uint8(6), int64(7), []byte{0, 3, 5}, uint8(4), []byte{0, 6, 2, 7, 1, 8}, uint64(0x15))
@@ -803,7 +895,14 @@ func FuzzFanAgainstOracle(f *testing.F) {
 			weight = func(m MediumID) float64 { return w[m] }
 		}
 		fc := NewFanCache(a, weight, sc)
-		checkFanAgainstOracle(t, a, fc, sc, w, srcs, ProcID(int(dstByte)%n), avoid&(1<<uint(n)-1))
+		dst, avoid := ProcID(int(dstByte)%n), avoid&(1<<uint(n)-1)
+		checkFanAgainstOracle(t, a, fc, sc, w, srcs, dst, avoid)
+		next := (dst + 1) % ProcID(n)
+		moved := avoid&^(1<<uint(dst)) | 1<<uint(next)
+		if got, want := fc.FanAvoiding(srcs, next, moved), a.oracleFanAvoiding(srcs, next, weight, moved); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d procs, %d media, weights %v, srcs %v -> %d, avoid %#x: FanAvoiding = %v, oracle %v",
+				a.NumProcs(), a.NumMedia(), w, srcs, next, moved, got, want)
+		}
 	})
 }
 
@@ -843,11 +942,62 @@ func TestPairCutMatrixMemo(t *testing.T) {
 	}
 }
 
+// oracleDirectMedia is DirectMedia before its memo: MediaBetween for
+// every ordered pair.
+func (a *Architecture) oracleDirectMedia() [][]MediumID {
+	n := a.NumProcs()
+	direct := make([][]MediumID, n*n)
+	for p := 0; p < n; p++ {
+		for q := 0; q < n; q++ {
+			direct[p*n+q] = a.MediaBetween(ProcID(p), ProcID(q))
+		}
+	}
+	return direct
+}
+
+// TestDirectMediaMemo pins DirectMedia's per-Revision memo as
+// TestPairCutMatrixMemo pins the matrix's, against MediaBetween on every
+// generated topology and across mutations.
+func TestDirectMediaMemo(t *testing.T) {
+	for name, a := range generatedTopologies() {
+		if got, want := a.DirectMedia(), a.oracleDirectMedia(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: DirectMedia = %v, MediaBetween %v", name, got, want)
+		}
+	}
+	a := Ring(6)
+	first := a.DirectMedia()
+	if again := a.DirectMedia(); &again[1] != &first[1] {
+		t.Fatal("an unchanged architecture rebuilt its table")
+	}
+	for step, mutate := range []func(){
+		func() { a.MustAddMedium("X1.4", 0, 3) },
+		func() { a.MustAddProcessor("P7") },
+		func() { a.MustAddMedium("BUS", 1, 4, 6) },
+	} {
+		before := a.DirectMedia()
+		mutate()
+		after := a.DirectMedia()
+		if &after[1] == &before[1] {
+			t.Fatalf("step %d: the table survived a revision change", step)
+		}
+		if again := a.DirectMedia(); &again[1] != &after[1] {
+			t.Fatalf("step %d: the new revision's table is not memoised", step)
+		}
+		if want := a.oracleDirectMedia(); !reflect.DeepEqual(after, want) {
+			t.Fatalf("step %d: DirectMedia = %v, MediaBetween %v", step, after, want)
+		}
+	}
+	if !reflect.DeepEqual(first, Ring(6).DirectMedia()) {
+		t.Error("a superseded table changed after the architecture moved on")
+	}
+}
+
 // TestArchMemosConcurrent has several goroutines fill and read the
-// architecture's memos at once — the pair-cut matrix, and the flow
-// skeleton under per-goroutine fan scratches — as concurrent planners of
-// problems sharing one architecture do. Under -race it checks that the
-// memos publish safely; every goroutine must see the oracle's answers.
+// architecture's memos at once — the pair-cut matrix, the direct-media
+// table, and the flow skeleton under per-goroutine fan scratches — as
+// concurrent planners of problems sharing one architecture do. Under
+// -race it checks that the memos publish safely; every goroutine must see
+// the oracle's answers.
 func TestArchMemosConcurrent(t *testing.T) {
 	for _, build := range []func() *Architecture{
 		func() *Architecture { return Torus(9) },
@@ -857,6 +1007,7 @@ func TestArchMemosConcurrent(t *testing.T) {
 		a := build()
 		ref := build()
 		wantCuts := ref.pairCutMatrix()
+		wantDirect := ref.oracleDirectMedia()
 		srcs, dst := []ProcID{1, 4, 2}, ProcID(0)
 		wantFan := ref.oracleDisjointFanRelay(new(oracleFanScratch), srcs, dst, nil, nil)
 		wantMax := ref.oracleMaxDisjointRoutes(srcs, dst, nil)
@@ -870,6 +1021,10 @@ func TestArchMemosConcurrent(t *testing.T) {
 				for i := 0; i < 5; i++ {
 					if !reflect.DeepEqual(a.PairCutMatrix(), wantCuts) {
 						errs <- "pair-cut matrix differs from a fresh build"
+						return
+					}
+					if !reflect.DeepEqual(a.DirectMedia(), wantDirect) {
+						errs <- "direct-media table differs from MediaBetween"
 						return
 					}
 					if got := a.MaxDisjointRoutes(srcs, dst, nil, sc); got != wantMax {

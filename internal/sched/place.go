@@ -350,7 +350,7 @@ func (s *Schedule) planDelivery(edge model.TaskEdge, sender repID, dst arch.Proc
 		return followRoute(route)
 	}
 
-	if direct := s.directMedia[int(senderProc)*len(s.procEnd)+int(dst)]; len(direct) > 0 {
+	if direct := s.problem.Arc.DirectMedia()[int(senderProc)*len(s.procEnd)+int(dst)]; len(direct) > 0 {
 		bestM := arch.MediumID(-1)
 		bestArrive := math.Inf(1)
 		bestStart := 0.0

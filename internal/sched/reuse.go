@@ -59,15 +59,12 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 		stampCounter: donor.stampCounter, // monotone: stamps are never reused
 	}
 	if donor.problem.Arc == p.Arc {
-		// Derive shares the architecture by pointer, so the direct-media
-		// index and the scratch list (whose plan buffers are sized by
-		// nMedia, and whose fan search scratch serves every FanCache in
-		// the carried fan memo; none carries schedule state) transfer
-		// as-is.
-		s.directMedia = donor.directMedia
+		// Derive shares the architecture by pointer, so the scratch list
+		// (whose plan buffers are sized by nMedia, and whose fan search
+		// scratch serves every FanCache in the carried fan memo; none
+		// carries schedule state) transfers as-is.
 		s.scratch = donor.scratch
 	} else {
-		s.directMedia = p.Arc.DirectMedia()
 		s.scratch = &scratchList{nMedia: nMedia}
 	}
 	if donor.problem.Arc == p.Arc && donor.problem.Comm == p.Comm {

@@ -92,11 +92,6 @@ type Schedule struct {
 	routes map[model.EdgeID]*arch.RouteTable
 	fans   map[model.EdgeID]*arch.FanCache
 
-	// directMedia[p*nProcs+q] lists the media directly connecting p and q,
-	// precomputed so the planning hot path never allocates. Immutable and
-	// shared across clones.
-	directMedia [][]arch.MediumID
-
 	// scratch recycles planScratch buffers across Preview/PlaceReplica
 	// calls and holds the disjoint-fan search scratch of every FanCache
 	// in fans (shared across clones: buffers carry no schedule state).
@@ -140,7 +135,6 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 		faults:       p.FaultModel(),
 		routes:       make(map[model.EdgeID]*arch.RouteTable),
 		fans:         make(map[model.EdgeID]*arch.FanCache),
-		directMedia:  p.Arc.DirectMedia(),
 		scratch:      &scratchList{nMedia: nMedia},
 		procEnd:      make([]float64, nProcs),
 		mediumEnd:    make([]float64, nMedia),
@@ -375,7 +369,6 @@ func (s *Schedule) Clone() *Schedule {
 		faults:       s.faults,
 		routes:       s.routes,
 		fans:         s.fans,
-		directMedia:  s.directMedia,
 		scratch:      s.scratch,
 		procEnd:      append([]float64(nil), s.procEnd...),
 		mediumEnd:    append([]float64(nil), s.mediumEnd...),

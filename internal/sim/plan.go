@@ -30,12 +30,15 @@ type plan struct {
 	reps    []planReplica
 	comms   []planComm
 	outputs []model.TaskID // the tasks whose production defines masking
-	total   int            // replicas plus comms: the items of an iteration
+	// order lists every replica (as its id r) and comm (as ^c) after the
+	// items it reads (dependencyOrder), nil when the wiring has no order.
+	order []int32
 }
 
 type planReplica struct {
 	op      model.OpID
 	memRead bool // a mem read delivers old state: no op completion
+	proc    int32
 	dur     float64
 }
 
@@ -45,11 +48,13 @@ type planComm struct {
 	src      int32
 	hop0     bool
 	direct   bool // hop 0 and last hop: only a direct comm detects
+	medium   int32
 	from, to int32
 	dur      float64
 }
 
-// newPlan indexes the schedule once and adds the durations and flags.
+// newPlan indexes the schedule once, adds the durations and flags and
+// orders the items.
 func newPlan(s *sched.Schedule) *plan {
 	tg := s.Tasks()
 	a := s.Problem().Arc
@@ -58,7 +63,8 @@ func newPlan(s *sched.Schedule) *plan {
 		reps: make([]planReplica, len(ix.Replicas)), comms: make([]planComm, len(ix.Comms))}
 	for id, r := range ix.Replicas {
 		task := tg.Task(r.Task)
-		pl.reps[id] = planReplica{op: task.Op, memRead: task.Role == model.MemRead, dur: r.End - r.Start}
+		pl.reps[id] = planReplica{op: task.Op, memRead: task.Role == model.MemRead,
+			proc: int32(r.Proc), dur: r.End - r.Start}
 	}
 	for id, c := range ix.Comms {
 		src := ix.Prev[id]
@@ -66,10 +72,90 @@ func newPlan(s *sched.Schedule) *plan {
 			src = ix.Sender[id]
 		}
 		pl.comms[id] = planComm{src: src, hop0: c.Hop == 0, direct: c.Hop == 0 && c.LastHop,
-			from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
+			medium: int32(c.Medium), from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
 	}
-	pl.total = len(pl.reps) + len(pl.comms)
+	pl.order = pl.dependencyOrder()
 	return pl
+}
+
+// dependencyOrder lists every replica (as its id r) and comm (as ^c) after
+// every item it reads: a replica after the replica before it in its
+// processor's program, its inputs' arrivals and its local sources; a comm
+// after the comm before it on its medium and its source. It returns nil
+// when no such order exists: the wiring has a cycle, or a comm lacks its
+// source. A schedule built append-only has an order, since every item
+// reads only items committed before it.
+func (pl *plan) dependencyOrder() []int32 {
+	ix := pl.ix
+	nR := int32(len(pl.reps))
+	before := make([]int32, nR) // the replica before r in its program, -1 first
+	for r := range before {
+		before[r] = -1
+	}
+	for _, prog := range ix.Programs {
+		for i := 1; i < len(prog); i++ {
+			before[prog[i]] = prog[i-1]
+		}
+	}
+	// mark is 1 while an item's predecessors are being placed (meeting it
+	// again closes a cycle) and 2 once it is placed.
+	mark := make([]uint8, int(nR)+len(pl.comms))
+	order := make([]int32, 0, len(mark))
+	var place func(item int32) bool
+	place = func(item int32) bool {
+		slot := item
+		if item < 0 {
+			slot = nR + ^item
+		}
+		switch mark[slot] {
+		case 1:
+			return false
+		case 2:
+			return true
+		}
+		mark[slot] = 1
+		if item >= 0 {
+			if before[item] >= 0 && !place(before[item]) {
+				return false
+			}
+			for _, in := range ix.Inputs[ix.InputStart[item]:ix.InputStart[item+1]] {
+				for _, c := range in.Arrivals {
+					if !place(^c) {
+						return false
+					}
+				}
+				if in.Local >= 0 && !place(in.Local) {
+					return false
+				}
+			}
+		} else {
+			c, pc := ^item, &pl.comms[^item]
+			if pc.src < 0 {
+				return false
+			}
+			src := pc.src // the sender replica at hop 0, the previous hop after
+			if !pc.hop0 {
+				src = ^src
+			}
+			if c > ix.MediumStart[pc.medium] && !place(^(c-1)) || !place(src) {
+				return false
+			}
+		}
+		mark[slot] = 2
+		order = append(order, item)
+		return true
+	}
+	for r := int32(0); r < nR; r++ {
+		if !place(r) {
+			return nil
+		}
+	}
+	for c := range pl.comms {
+		if !place(^int32(c)) {
+			return nil
+		}
+	}
+	return order
 }
 
 // unitsValid reports whether every processor and medium id names a unit
@@ -137,8 +223,6 @@ type state struct {
 	pl          *plan
 	reps        []replicaState // by replica id
 	comms       []replicaState // by comm id
-	procIdx     []int
-	medIdx      []int
 	procAvail   []float64
 	mediumAvail []float64
 	procDead    []bool
@@ -156,8 +240,6 @@ func (pl *plan) newState() *state {
 		pl:          pl,
 		reps:        make([]replicaState, len(pl.reps)),
 		comms:       make([]replicaState, len(pl.comms)),
-		procIdx:     make([]int, pl.nP),
-		medIdx:      make([]int, pl.nM),
 		procAvail:   make([]float64, pl.nP),
 		mediumAvail: make([]float64, pl.nM),
 		procDead:    make([]bool, pl.nP),
@@ -216,105 +298,68 @@ func (st *state) crash(procs []arch.ProcID, media []arch.MediumID, at float64, u
 	return st.makespan(), st.outputsOK(), nil
 }
 
-// iterate executes iteration k of the static schedule as a fixpoint sweep
-// over processors and media.
+// iterate executes iteration k of the static schedule: one pass over the
+// plan's dependency order, which resolves every item once, from the items
+// it reads (DESIGN.md Section 5). A processor stuck in an earlier
+// iteration stays stuck (procDead).
 func (st *state) iterate(k int) error {
-	clear(st.reps)
-	clear(st.comms)
-	clear(st.procIdx)
-	clear(st.medIdx)
-	resolved := 0
-	for {
-		progress := false
-		for p := range st.procIdx {
-			n, err := st.advanceProc(p)
-			if err != nil {
-				return err
-			}
-			resolved += n
-			progress = progress || n > 0
-		}
-		for m := range st.medIdx {
-			n := st.advanceMedium(k, m)
-			resolved += n
-			progress = progress || n > 0
-		}
-		if resolved == st.pl.total {
-			return nil
-		}
-		if !progress {
-			return fmt.Errorf("%w: iteration %d, %d of %d items resolved",
-				ErrStalled, k, resolved, st.pl.total)
+	if st.pl.order == nil {
+		return fmt.Errorf("%w: iteration %d, the wiring of its %d items has no dependency order",
+			ErrStalled, k, len(st.pl.reps)+len(st.pl.comms))
+	}
+	for _, item := range st.pl.order {
+		if item < 0 {
+			st.sendComm(k, ^item)
+		} else if err := st.runReplica(item); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// advanceProc resolves as many replicas as possible on processor p and
-// returns how many it resolved.
-func (st *state) advanceProc(p int) (int, error) {
-	seq := st.pl.ix.Programs[p]
-	resolved := 0
-	for st.procIdx[p] < len(seq) {
-		r := seq[st.procIdx[p]]
-		if st.procDead[p] {
-			st.reps[r] = replicaState{status: stDead}
-			st.procIdx[p]++
-			resolved++
-			continue
-		}
-		ready, dataAt, dead, err := st.replicaData(r)
+// runReplica resolves replica r.
+func (st *state) runReplica(r int32) error {
+	pr := &st.pl.reps[r]
+	p := pr.proc
+	if !st.procDead[p] {
+		dataAt, dead, err := st.replicaData(r)
 		if err != nil {
-			return resolved, err
+			return err
 		}
-		if !ready {
-			break
+		if !dead {
+			if start, ok := st.down[p].window(max(st.procAvail[p], dataAt), pr.dur); ok {
+				st.reps[r] = replicaState{status: stDone, start: start, end: start + pr.dur}
+				st.procAvail[p] = start + pr.dur
+				return nil
+			}
 		}
-		if dead {
-			// The executive blocks forever on a receive that will never
-			// complete; the rest of this processor's program is stuck.
-			st.procDead[p] = true
-			continue
-		}
-		exec := st.pl.reps[r].dur
-		start, ok := st.down[p].window(max(st.procAvail[p], dataAt), exec)
-		if !ok {
-			st.procDead[p] = true // permanent failure: nothing more runs
-			continue
-		}
-		st.reps[r] = replicaState{status: stDone, start: start, end: start + exec}
-		st.procAvail[p] = start + exec
-		st.procIdx[p]++
-		resolved++
+		// The executive blocks forever on a receive that will never
+		// complete, and a permanent failure runs nothing more: either way
+		// the rest of this processor's program is stuck.
+		st.procDead[p] = true
 	}
-	return resolved, nil
+	st.reps[r] = replicaState{status: stDead}
+	return nil
 }
 
-// replicaData resolves the availability of replica r's inputs:
-// ready=false while some source is still pending; dead=true when an input
-// can never arrive.
-func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, err error) {
+// replicaData resolves the availability of replica r's inputs: dead=true
+// when an input can never arrive.
+func (st *state) replicaData(r int32) (dataAt float64, dead bool, err error) {
 	ix := st.pl.ix
 	ins := ix.Inputs[ix.InputStart[r]:ix.InputStart[r+1]]
 	for i := range ins {
 		in := &ins[i]
 		if len(in.Arrivals) > 0 {
 			// The static executive reads this input from its scheduled
-			// receives; the first delivery wins, later ones are ignored,
-			// but a pending comm could still arrive earlier than the best
-			// delivery seen so far.
+			// receives; the first delivery wins, later ones are ignored.
 			first := math.Inf(1)
 			for _, c := range in.Arrivals {
-				switch cs := st.comms[c]; cs.status {
-				case stPending:
-					return false, 0, false, nil
-				case stDone:
-					if cs.end < first {
-						first = cs.end
-					}
+				if cs := st.comms[c]; cs.status == stDone && cs.end < first {
+					first = cs.end
 				}
 			}
 			if math.IsInf(first, 1) {
-				return true, 0, true, nil // every replicated comm vanished
+				return 0, true, nil // every replicated comm vanished
 			}
 			if first > dataAt {
 				dataAt = first
@@ -322,69 +367,55 @@ func (st *state) replicaData(r int32) (ready bool, dataAt float64, dead bool, er
 			continue
 		}
 		if in.Local < 0 {
-			return false, 0, false, st.pl.noSource(r, in.Edge)
+			return 0, false, st.pl.noSource(r, in.Edge)
 		}
-		switch ls := st.reps[in.Local]; ls.status {
-		case stPending:
-			return false, 0, false, nil
-		case stDead:
-			return true, 0, true, nil
-		default:
-			if ls.end > dataAt {
-				dataAt = ls.end
-			}
+		ls := st.reps[in.Local]
+		if ls.status == stDead {
+			return 0, true, nil
+		}
+		if ls.end > dataAt {
+			dataAt = ls.end
 		}
 	}
-	return true, dataAt, false, nil
+	return dataAt, false, nil
 }
 
-// advanceMedium resolves as many comms as possible on medium m and returns
-// how many it resolved.
-func (st *state) advanceMedium(k, m int) int {
-	lo, hi := st.pl.ix.MediumStart[m], st.pl.ix.MediumStart[m+1]
-	resolved := 0
-	for ; lo+int32(st.medIdx[m]) < hi; st.medIdx[m]++ {
-		c := lo + int32(st.medIdx[m])
-		pc := &st.pl.comms[c]
-		var src replicaState
-		switch {
-		case pc.hop0:
-			src = st.reps[pc.src]
-		case pc.src >= 0:
-			src = st.comms[pc.src]
-		}
-		if src.status == stPending {
-			break
-		}
-		resolved++
-		if src.status == stDead {
-			st.skipComm(k, c)
-			continue
-		}
-		// Option 2: a sender that has detected its target as faulty in an
-		// earlier iteration drops the comm, freeing the medium.
-		if st.mode == DetectionExpected {
-			if d := st.detectedAt[int(pc.from)*st.pl.nP+int(pc.to)]; d >= 0 && d < k {
-				st.comms[c] = replicaState{status: stDead}
-				continue
-			}
-		}
-		start0 := max(src.end, st.mediumAvail[m])
-		// Fail-silent sending: the comm happens only if its sender AND the
-		// medium are up for the whole transmission window at the scheduled
-		// moment; otherwise the slot passes empty (a lost frame).
-		if start, ok := st.down[pc.from].window(start0, pc.dur); !ok || start > start0 {
-			st.skipComm(k, c)
-			continue
-		}
-		if start, ok := st.mediumDown[m].window(start0, pc.dur); !ok || start > start0 {
-			st.skipComm(k, c)
-			continue
-		}
-		st.comms[c] = replicaState{status: stDone, start: start0, end: start0 + pc.dur}
-		st.mediumAvail[m] = start0 + pc.dur
+// sendComm resolves comm c in iteration k.
+func (st *state) sendComm(k int, c int32) {
+	pc := &st.pl.comms[c]
+	var src replicaState
+	if pc.hop0 {
+		src = st.reps[pc.src]
+	} else {
+		src = st.comms[pc.src]
 	}
-	return resolved
+	if src.status == stDead {
+		st.skipComm(k, c)
+		return
+	}
+	// Option 2: a sender that has detected its target as faulty in an
+	// earlier iteration drops the comm, freeing the medium.
+	if st.mode == DetectionExpected {
+		if d := st.detectedAt[int(pc.from)*st.pl.nP+int(pc.to)]; d >= 0 && d < k {
+			st.comms[c] = replicaState{status: stDead}
+			return
+		}
+	}
+	m := pc.medium
+	start0 := max(src.end, st.mediumAvail[m])
+	// Fail-silent sending: the comm happens only if its sender AND the
+	// medium are up for the whole transmission window at the scheduled
+	// moment; otherwise the slot passes empty (a lost frame).
+	if start, ok := st.down[pc.from].window(start0, pc.dur); !ok || start > start0 {
+		st.skipComm(k, c)
+		return
+	}
+	if start, ok := st.mediumDown[m].window(start0, pc.dur); !ok || start > start0 {
+		st.skipComm(k, c)
+		return
+	}
+	st.comms[c] = replicaState{status: stDone, start: start0, end: start0 + pc.dur}
+	st.mediumAvail[m] = start0 + pc.dur
 }
 
 // skipComm marks a comm as never transmitted and records the detection

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -157,8 +158,29 @@ func checkRunMatchesOracle(t *testing.T, s *sched.Schedule, sc Scenario) {
 // TestExecutorMatchesOracle pins the flat executor to the map-keyed one
 // it replaced: random scenarios through Run, the three sweeps' cells
 // through the sweep engine, every crash set at time 0 through
-// CrashSetsMasked, and the error values of invalid scenarios and cells.
+// CrashSetsMasked, the error values of invalid scenarios and cells, and
+// one processor stuck across iterations.
 func TestExecutorMatchesOracle(t *testing.T) {
+	// The 16-task layered ring8 {1,0} seed-2 schedule with P4 dead from
+	// the start, over two iterations: both copies of op009→op012 into
+	// op012#0 on P3 relay through P4, so iteration 0 masks the crash and
+	// P3, stuck on that receive, runs nothing in iteration 1. A stuck
+	// processor carries across items and iterations.
+	p, err := gen.Generate(gen.Params{N: 16, CCR: 1, Procs: 8, Topology: gen.TopoRing, Npf: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p4, _ := p.Arc.ProcByName("P4")
+	stuck := Scenario{Iterations: 2, Failures: []Failure{Permanent(p4.ID, 0)}}
+	checkRunMatchesOracle(t, res.Schedule, stuck)
+	if got, err := Run(res.Schedule, stuck); err != nil || !got.Iterations[0].OutputsOK || got.Iterations[1].OutputsOK {
+		t.Fatalf("ring8 {1,0} seed 2, P4 dead: %+v, %v; want outputs in iteration 0 only", got, err)
+	}
+
 	names, schedules := oracleSchedules(t, 10)
 	for si, s := range schedules {
 		a := s.Problem().Arc
@@ -235,6 +257,33 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				t.Fatalf("%s: crash set %v %v masked %v, oracle %v",
 					names[si], procs, media, masked[mask], res.Iterations[0].OutputsOK)
 			}
+		}
+	}
+}
+
+// TestUnorderedWiringStalls pins the deadlock guard: a wiring with no
+// dependency order — a hop whose source is missing, or a delivery whose
+// comm reads the replica it feeds — stalls every iteration with
+// ErrStalled instead of indexing past the plan.
+func TestUnorderedWiringStalls(t *testing.T) {
+	s := paperSchedule(t)
+	for _, corrupt := range []func(pl *plan, c int){
+		func(pl *plan, c int) { pl.comms[c].src = -1 },
+		func(pl *plan, c int) {
+			comm := pl.ix.Comms[c]
+			pl.comms[c].src = pl.ix.RepStart[s.Tasks().Edge(comm.Edge).Dst] + int32(comm.DstIndex)
+		},
+	} {
+		pl := newPlan(s)
+		c := slices.IndexFunc(pl.comms, func(pc planComm) bool { return pc.direct })
+		corrupt(pl, c)
+		if pl.order = pl.dependencyOrder(); pl.order != nil {
+			t.Fatalf("corrupted comm %d: the wiring still has an order", c)
+		}
+		st := pl.newState()
+		st.reset(DetectionNone)
+		if err := st.iterate(0); !errors.Is(err, ErrStalled) {
+			t.Fatalf("corrupted comm %d: iterate = %v, want ErrStalled", c, err)
 		}
 	}
 }

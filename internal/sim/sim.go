@@ -8,10 +8,11 @@ import (
 	"ftbar/internal/sched"
 )
 
-// ErrStalled is returned when the executor cannot make progress although
-// items remain: a scheduling deadlock. The paper proves the static total
-// order per medium makes this impossible, so hitting it indicates a broken
-// schedule; the property tests lean on this guard.
+// ErrStalled is returned when the schedule's wiring orders no pass over
+// its items — a cycle, or a hop whose source is missing — so some item
+// could never run: a scheduling deadlock. The paper proves the static
+// total order per medium makes this impossible, so hitting it indicates a
+// broken schedule; the property tests lean on this guard.
 var ErrStalled = fmt.Errorf("sim: execution stalled (deadlock)")
 
 type itemStatus int

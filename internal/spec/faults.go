@@ -106,6 +106,7 @@ func (p *Problem) validateMediaDiversity(fm FaultModel) error {
 		return allowed[op]
 	}
 	seen := make([]bool, p.Arc.NumMedia())
+	direct, nProcs := p.Arc.DirectMedia(), p.Arc.NumProcs()
 	var fans arch.FanScratch // one search scratch for every flow count below
 	for _, e := range p.Alg.Edges() {
 		srcs := procsOf(e.Src)
@@ -123,7 +124,7 @@ func (p *Problem) validateMediaDiversity(fm FaultModel) error {
 				if sp == dp {
 					continue receivers // co-location: immune to media
 				}
-				for _, m := range p.Arc.MediaBetween(sp, dp) {
+				for _, m := range direct[int(sp)*nProcs+int(dp)] {
 					if !seen[m] && usable(m) {
 						seen[m] = true
 						routes++
