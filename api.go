@@ -369,6 +369,8 @@ func CombinedFailureSweep(s *Schedule) ([]CombinedReport, error) {
 
 // Execute runs the schedule's distributed programs on goroutine processors
 // over channel media and checks the outputs against a sequential oracle.
+// It returns once every processor has run its program or stopped, with no
+// timeout, and refuses a schedule whose wiring has no dependency order.
 func Execute(s *Schedule, cfg RunConfig) (*ExecResult, error) { return exec.Run(s, cfg) }
 
 // Generate builds a random problem with the paper's Section 6.1 recipe.

@@ -41,8 +41,9 @@
 // # Scheduling engine
 //
 // Run schedules with the incremental engine: it maintains an indegree
-// ready queue, caches schedule pressures per (task, processor) under
-// revision-stamp invalidation, previews only the cold pairs of the
+// ready queue, caches schedule pressures per (task, processor) until a
+// predecessor gains a replica or a busy-end the preview read grows past
+// its threshold, previews only the cold pairs of the
 // candidates its screen cannot rule out, and undoes speculative
 // duplications with in-place checkpoints. One run plans on one
 // goroutine; independent runs may proceed in parallel.
@@ -60,7 +61,10 @@
 // dependency over media not already carrying one, and Schedule.Validate
 // rejects any schedule whose deliveries share a single point of failure
 // (DESIGN.md Section 10). SingleLinkFailureSweep and
-// CombinedFailureSweep verify the masking empirically; the scenario
+// CombinedFailureSweep verify the masking empirically, one iteration per
+// crash scenario: a crash masked there can still lose outputs in a later
+// iteration, because a processor stuck on a branch that feeds no output
+// runs nothing more (Simulate over several iterations shows it); the scenario
 // corpus (testdata/scenarios, `ftbench -experiment corpus`) measures
 // the masked fractions per topology:
 //

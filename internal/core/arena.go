@@ -67,9 +67,7 @@ func (a *RunArena) Len() int {
 
 // Recycle returns a retired schedule's storage to the donor pool. The
 // caller must own the schedule exclusively and never touch it again:
-// the next warm run steals its slab. Only recycle schedules produced by
-// this arena's runs (their construction guarantees an unshared stamp
-// counter).
+// the next warm run steals its slab.
 func (a *RunArena) Recycle(s *sched.Schedule) {
 	if a == nil || s == nil {
 		return

@@ -130,12 +130,13 @@ func TestCacheAwareSelectionSkips(t *testing.T) {
 	}
 }
 
-// TestSigmaCacheMediumRevInvalidation pins the medium-revision
-// invalidation path: a cached pressure whose preview consulted a medium
-// goes stale the moment a comm commits on that medium, while entries
-// that never touched it survive. A shared bus makes the dependency set
-// obvious: every remote preview touches BUS, local ones touch nothing.
-func TestSigmaCacheMediumRevInvalidation(t *testing.T) {
+// TestSigmaCacheMediumBoundInvalidation pins the medium-bound
+// invalidation path: a cached pressure whose preview planned a comm on a
+// medium goes stale the moment a commit grows that medium's busy-end past
+// the comm's recorded start (sched.MediumBound), while entries that never
+// touched it survive. A shared bus makes the dependency set obvious:
+// every remote preview plans a comm on BUS, local ones touch nothing.
+func TestSigmaCacheMediumBoundInvalidation(t *testing.T) {
 	g := model.NewGraph()
 	src := g.MustAddOp("src", model.Comp)
 	a := g.MustAddOp("a", model.Comp)
@@ -175,23 +176,23 @@ func TestSigmaCacheMediumRevInvalidation(t *testing.T) {
 	c.ensure(bT)
 	for _, tid := range cands {
 		for proc := 0; proc < 3; proc++ {
-			if !c.valid(tid, arch.ProcID(proc)) {
+			if !c.revalidate(tid, arch.ProcID(proc)) {
 				t.Fatalf("entry (%d, %d) not valid after ensure", tid, proc)
 			}
 		}
 	}
-	// Committing a on P2 sends src->a over the bus: MediumRev(BUS) bumps
-	// and every cached entry whose preview consulted the bus — b's remote
-	// placements — must invalidate. b's local placement on P1 (next to
-	// src, no media touched) must survive, as the invalidation is keyed
-	// on exactly the consulted media, not on any commit.
+	// Committing a on P2 sends src->a over the bus, past the start of
+	// every comm b's remote previews planned there: those entries must
+	// invalidate. b's local placement on P1 (next to src, no media
+	// touched) must survive, as the invalidation is keyed on exactly the
+	// planned media, not on any commit.
 	if _, err := s.PlaceReplica(aT, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.valid(bT, 1) || c.valid(bT, 2) {
+	if c.revalidate(bT, 1) || c.revalidate(bT, 2) {
 		t.Errorf("remote entries of b survived a bus commit")
 	}
-	if !c.valid(bT, 0) {
+	if !c.revalidate(bT, 0) {
 		t.Errorf("local entry of b invalidated without cause")
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // This file implements the incremental scheduling engine (DESIGN.md
 // Section 8): the ready queue that replaces the per-step candidate rescan,
-// and the revision-epoch pressure cache that replaces the per-step
-// recomputation of every candidate × processor preview. Both are exact:
+// and the pressure cache that replaces the per-step recomputation of every
+// candidate × processor preview. Both are exact:
 // the engine's decision log is bit-identical to the seed's rescan engine,
 // which the differential tests keep as their oracle (oracle_test.go).
 
@@ -132,8 +132,8 @@ func (rq *readyQueue) release(t model.TaskID) {
 // thresholds just let entries survive commits that touch their media or
 // processor without actually perturbing them. Validity is only ever
 // judged against states the committed trajectory reached (speculative
-// duplications roll back — restoring the revision counters bit-exact —
-// before the cache looks again), on which busy-ends grow monotonically.
+// duplications roll back bit-exact before the cache looks again), on
+// which replica sets only grow and busy-ends grow monotonically.
 type sigmaEntry struct {
 	used bool
 	// checked marks the prepare() step that last validated or computed
@@ -144,7 +144,7 @@ type sigmaEntry struct {
 	// sworst is the placement's S_worst — the processor busy-end
 	// threshold. +Inf for error entries: preview errors are structural
 	// (duplicate replica, unscheduled predecessor, no route), decided by
-	// the replica-set stamps alone, never by a busy-end.
+	// the replica sets alone, never by a busy-end.
 	sworst float64
 	// rowStamp is the cache's row stamp of t at computation time; a
 	// mismatch means a replica appeared in t's input neighbourhood.
@@ -162,11 +162,11 @@ type sigmaCache struct {
 	// rowStamp[t] advances whenever the replica set of t or of one of its
 	// predecessors changed — the structural part of entry validity. It is
 	// maintained by syncStamps, which diffs the schedule's per-task
-	// revision counters (lastRev) at every scan boundary and pushes the
+	// replica counts (lastReps) at every scan boundary and pushes the
 	// change along the successor lists, so scans compare one stamp per
 	// entry instead of walking the predecessor list every time.
 	rowStamp []uint64
-	lastRev  []uint64
+	lastReps []int
 	succs    [][]model.TaskID // distinct successors, static
 	// cold lists the entry indices needing recomputation this step,
 	// task-major (candidates ascending, processors ascending); coldRanges
@@ -199,27 +199,29 @@ func newSigmaCache(sch *scheduler) *sigmaCache {
 		nProcs:   nProcs,
 		entries:  make([]sigmaEntry, n*nProcs),
 		rowStamp: make([]uint64, n),
-		lastRev:  make([]uint64, n),
+		lastReps: make([]int, n),
 		succs:    make([][]model.TaskID, n),
 	}
 	for t := 0; t < n; t++ {
-		c.lastRev[t] = sch.s.TaskRev(model.TaskID(t))
+		c.lastReps[t] = sch.s.NumReplicas(model.TaskID(t))
 		c.succs[t] = sch.tg.Succs(model.TaskID(t))
 	}
 	return c
 }
 
 // syncStamps folds the schedule's replica-set changes since the last scan
-// into the row stamps: a task whose revision counter moved dirties its own
-// row and every successor's row. Speculative duplications that rolled back
-// restore the counters bit-exact, so only net changes dirty anything.
+// into the row stamps: a task whose replica count moved dirties its own
+// row and every successor's row. Between two scans the committed
+// trajectory only appends — Minimize rolls back only to checkpoints taken
+// after the last scan — so a replica set changed exactly when its count
+// did, and speculative duplications that rolled back dirty nothing.
 // Called by prepare, after which no commit happens until the round's
 // selection is made.
 func (c *sigmaCache) syncStamps() {
 	s := c.sch.s
-	for t := range c.lastRev {
-		if r := s.TaskRev(model.TaskID(t)); r != c.lastRev[t] {
-			c.lastRev[t] = r
+	for t := range c.lastReps {
+		if n := s.NumReplicas(model.TaskID(t)); n != c.lastReps[t] {
+			c.lastReps[t] = n
 			c.rowStamp[t]++
 			for _, succ := range c.succs[t] {
 				c.rowStamp[succ]++
@@ -306,28 +308,9 @@ func (c *sigmaCache) ensure(t model.TaskID) {
 	}
 }
 
-// valid reports whether the cached entry for (t, p) still reflects the
-// current schedule state.
-func (c *sigmaCache) valid(t model.TaskID, p arch.ProcID) bool {
-	e := &c.entries[int(t)*c.nProcs+int(p)]
-	if !e.used || e.rowStamp != c.rowStamp[t] {
-		return false
-	}
-	s := c.sch.s
-	if s.ProcEnd(p) > e.sworst {
-		return false
-	}
-	for _, b := range e.bounds {
-		if s.MediumEnd(b.Medium) > b.Bound {
-			return false
-		}
-	}
-	return true
-}
-
 // revalidate reports whether (t, p)'s entry reflects the current
-// schedule, repairing it first when it can. An entry whose replica-set
-// stamps and media bounds all hold but whose processor outgrew S_worst
+// schedule, repairing it first when it can. An entry whose row stamp and
+// media bounds all hold but whose processor outgrew S_worst
 // needs no preview: every arrival is unchanged (same senders, same
 // comms, same busy-end slack), only the processor floor moved, and it
 // moved past the old maximum — so the new S_worst is exactly procEnd(p)

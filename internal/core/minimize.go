@@ -17,7 +17,7 @@ import (
 //
 // The undo is an in-place checkpoint and rollback, which copies no
 // replicas or comms and leaves the schedule object — and therefore the
-// stamp-keyed pressure cache — intact. The final commit reuses the newest
+// pressure cache — intact. The final commit reuses the newest
 // plan instead of replanning: the schedule state at the commit is exactly
 // the state that plan ran against, because the loop either breaks right
 // after planning or a failed speculation rolls the state back to it

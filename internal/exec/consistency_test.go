@@ -3,13 +3,12 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/core"
 	"ftbar/internal/gen"
+	"ftbar/internal/model"
 	"ftbar/internal/sched"
 	"ftbar/internal/sim"
 	"ftbar/internal/spec"
@@ -65,76 +64,198 @@ func relays(s *sched.Schedule) bool {
 	return false
 }
 
+// disagreements runs the executive and the simulator over iters
+// iterations with the dead processors failed from the start, and lists
+// every way they differ: an iteration's set of produced output tasks
+// (equal sets give equal Complete and OutputsOK), Stalled against "a
+// replica on a live processor never ran", and any output value that
+// differs from the sequential reference.
+func disagreements(s *sched.Schedule, dead []arch.ProcID, iters int) ([]string, error) {
+	failures := make([]sim.Failure, len(dead))
+	isDead := make([]bool, s.Problem().Arc.NumProcs())
+	for i, p := range dead {
+		failures[i], isDead[p] = sim.Permanent(p, 0), true
+	}
+	simRes, err := sim.Run(s, sim.Scenario{Failures: failures, Iterations: iters})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	res, err := Run(s, RunConfig{Iterations: iters, KillAtStart: dead})
+	if err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
+	var out []string
+	tg := s.Tasks()
+	stuck := false
+	for k := range simRes.Iterations {
+		ir := &simRes.Iterations[k]
+		produced := make(map[model.TaskID]bool)
+		for t := 0; t < tg.NumTasks(); t++ {
+			for _, r := range s.Replicas(model.TaskID(t)) {
+				if _, _, ok := ir.ReplicaWindow(r.Task, r.Index); ok {
+					produced[r.Task] = true
+				} else if !isDead[r.Proc] {
+					stuck = true
+				}
+			}
+		}
+		for _, t := range tg.Outputs() {
+			if _, got := res.Outputs[k][t]; got != produced[t] {
+				out = append(out, fmt.Sprintf("iteration %d: output %s produced by sim %v, by exec %v",
+					k, tg.Task(t).Name, produced[t], got))
+			}
+		}
+		for t, got := range res.Outputs[k] {
+			if want := res.Reference[k][t]; got != want {
+				out = append(out, fmt.Sprintf("iteration %d: output %s is %q, reference %q", k, tg.Task(t).Name, got, want))
+			}
+		}
+	}
+	if res.Stalled != stuck {
+		out = append(out, fmt.Sprintf("exec stalled %v, sim left a replica of a live processor unrun %v", res.Stalled, stuck))
+	}
+	return out, nil
+}
+
 // TestExecAgreesWithSimOnMasking cross-checks the two execution engines:
 // for every schedule of agreementSchedules and every dead-from-start
-// processor, the goroutine executive produces every output exactly when
-// the simulator reports the crash masked, and every value it produces
-// equals the sequential reference. A hop whose sender is dead passes
-// nothing on in both, at a relay as at the producer. A run that masks the
-// crash may still stall, because a replica on a branch that feeds no
-// output can block forever, so Stalled and Match are not compared. A
-// finished run takes a few milliseconds even under the race detector; the
-// short timeout bounds the stalled ones, which wait sixteen at a time, and
-// a disagreement is confirmed with the default timeout, so a run cut short
-// on a loaded machine cannot fail the test.
+// processor, over one and over two iterations, the goroutine executive
+// produces the same output tasks as the simulator in every iteration,
+// stalls exactly when the simulator leaves a replica of a live processor
+// unrun, and every value it produces equals the sequential reference. A
+// hop whose sender is dead passes nothing on in both, at a relay as at
+// the producer, and a processor whose input lost every copy runs nothing
+// more, in that iteration or any later one.
 func TestExecAgreesWithSimOnMasking(t *testing.T) {
 	names, schedules := agreementSchedules(t)
-	type run struct {
-		name string
-		s    *sched.Schedule
-		proc arch.ProcID
-	}
-	var runs []run
-	relayed := 0
+	relayed, runs := 0, 0
 	for i, s := range schedules {
-		for p := 0; p < s.Problem().Arc.NumProcs(); p++ {
-			runs = append(runs, run{names[i], s, arch.ProcID(p)})
-		}
 		if relays(s) {
 			relayed++
 		}
-	}
-	if len(schedules) != 94 || relayed != 78 {
-		t.Fatalf("%d schedules, %d of them relay a delivery; want 94 and 78", len(schedules), relayed)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 16)
-	for _, r := range runs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			simRes, err := sim.CrashAtZero(r.s, r.proc)
-			if err != nil {
-				t.Errorf("%s: sim: %v", r.name, err)
-				return
-			}
-			simOK := simRes.Iterations[0].OutputsOK
-			execRes, err := Run(r.s, RunConfig{KillAtStart: []arch.ProcID{r.proc}, Timeout: 250 * time.Millisecond})
-			if err == nil && execRes.Complete(r.s.Tasks().Outputs()) != simOK {
-				execRes, err = Run(r.s, RunConfig{KillAtStart: []arch.ProcID{r.proc}})
-			}
-			if err != nil {
-				t.Errorf("%s: exec: %v", r.name, err)
-				return
-			}
-			execOK := execRes.Complete(r.s.Tasks().Outputs())
-			if simOK != execOK {
-				t.Errorf("%s, crash P%d: sim masked=%v, exec masked=%v (stalled=%v)",
-					r.name, r.proc+1, simOK, execOK, execRes.Stalled)
-			}
-			if !execOK {
-				return
-			}
-			for task, got := range execRes.Outputs[0] {
-				if want := execRes.Reference[0][task]; got != want {
-					t.Errorf("%s, crash P%d: output %d is %q, reference %q", r.name, r.proc+1, task, got, want)
+		for p := 0; p < s.Problem().Arc.NumProcs(); p++ {
+			runs++
+			for iters := 1; iters <= 2; iters++ {
+				diffs, err := disagreements(s, []arch.ProcID{arch.ProcID(p)}, iters)
+				if err != nil {
+					t.Fatalf("%s, P%d dead: %v", names[i], p+1, err)
+				}
+				for _, d := range diffs {
+					t.Errorf("%s, P%d dead, %d iterations: %s", names[i], p+1, iters, d)
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	t.Logf("%d schedules (%d relay a delivery), %d runs", len(schedules), relayed, len(runs))
+	if len(schedules) != 94 || relayed != 78 || runs != 612 {
+		t.Fatalf("%d schedules, %d of them relay a delivery, %d runs; want 94, 78 and 612",
+			len(schedules), relayed, runs)
+	}
+	t.Logf("%d schedules (%d relay a delivery), %d runs", len(schedules), relayed, runs)
+}
+
+// TestExecAgreesWithSimOnLargerLayouts makes the comparison of
+// TestExecAgreesWithSimOnMasking over two iterations on larger relayed
+// layouts, 228 dead-from-start runs: 60-, 100- and 200-task problems on
+// mesh9 and 70-task ones on ring8 at {1,0}; 100-task problems on mesh16
+// and hypercube16 and 60-task ones on torus9 at {1,1}; layered, CCR 1,
+// seeds 1 to 3. Here a crash leaves processors stuck ahead of many later
+// comms, so a medium that waited on a stuck producer's hop-0 comm would
+// lose every later comm of its sequence.
+func TestExecAgreesWithSimOnLargerLayouts(t *testing.T) {
+	shapes := []gen.Params{
+		{Topology: gen.TopoMesh, Procs: 9, N: 60}, {Topology: gen.TopoMesh, Procs: 9, N: 100},
+		{Topology: gen.TopoMesh, Procs: 9, N: 200}, {Topology: gen.TopoRing, Procs: 8, N: 70},
+		{Topology: gen.TopoMesh, Procs: 16, N: 100, Nmf: 1}, {Topology: gen.TopoHypercube, Procs: 16, N: 100, Nmf: 1},
+		{Topology: gen.TopoTorus, Procs: 9, N: 60, Nmf: 1},
+	}
+	runs := 0
+	for _, p := range shapes {
+		for seed := int64(1); seed <= 3; seed++ {
+			p.CCR, p.Npf, p.Seed = 1, 1, seed
+			name := fmt.Sprintf("%s%d %d tasks {1,%d} seed %d", p.Topology, p.Procs, p.N, p.Nmf, seed)
+			prob, err := gen.Generate(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := core.Run(prob, core.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for proc := 0; proc < p.Procs; proc++ {
+				runs++
+				diffs, err := disagreements(res.Schedule, []arch.ProcID{arch.ProcID(proc)}, 2)
+				if err != nil {
+					t.Fatalf("%s, P%d dead: %v", name, proc+1, err)
+				}
+				for _, d := range diffs {
+					t.Errorf("%s, P%d dead: %s", name, proc+1, d)
+				}
+			}
+		}
+	}
+	if runs != 228 {
+		t.Fatalf("%d runs, want 228", runs)
+	}
+}
+
+// FuzzExecAgainstSim makes the comparison of TestExecAgreesWithSimOnMasking
+// on a generated layered problem of 8 to 16 tasks (CCR 1) on any
+// topology with 3 to 9 processors at {1,0} or {1,1}, with any set of
+// processors dead from the start (bit i of dead kills processor i), over
+// one or two iterations. Problems the generator or the planner refuses
+// are skipped.
+func FuzzExecAgainstSim(f *testing.F) {
+	f.Add(uint8(gen.TopoRing), uint8(8), uint8(5), false, int64(2), uint16(1<<3), uint8(1))
+	f.Add(uint8(gen.TopoMesh), uint8(16), uint8(6), true, int64(1), uint16(1), uint8(1))
+	f.Add(uint8(gen.TopoTorus), uint8(4), uint8(6), true, int64(3), uint16(0b110), uint8(0))
+	f.Add(uint8(gen.TopoFull), uint8(0), uint8(0), false, int64(5), uint16(0), uint8(1))
+	f.Fuzz(func(t *testing.T, topo, n, procs uint8, nmf bool, seed int64, dead uint16, iters uint8) {
+		p := gen.Params{N: 8 + int(n%9), CCR: 1, Procs: 3 + int(procs%7), Npf: 1, Seed: seed,
+			Topology: gen.Topologies()[int(topo)%len(gen.Topologies())]}
+		if nmf {
+			p.Nmf = 1
+		}
+		prob, err := gen.Generate(p)
+		if err != nil {
+			t.Skip(err)
+		}
+		res, err := core.Run(prob, core.Options{})
+		if err != nil {
+			t.Skip(err)
+		}
+		var killed []arch.ProcID
+		for proc := 0; proc < p.Procs; proc++ {
+			if dead&(1<<proc) != 0 {
+				killed = append(killed, arch.ProcID(proc))
+			}
+		}
+		diffs, err := disagreements(res.Schedule, killed, 1+int(iters%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diffs {
+			t.Errorf("%+v, dead %v: %s", p, killed, d)
+		}
+	})
+}
+
+// TestRunRefusesUnorderedWiring corrupts a hop-0 comm through the
+// schedule's view so that its SrcIndex names no replica: the wiring then
+// has no dependency order, and Run refuses it before starting any unit.
+func TestRunRefusesUnorderedWiring(t *testing.T) {
+	s := paperSchedule(t)
+	for m := 0; m < s.Problem().Arc.NumMedia(); m++ {
+		for _, c := range s.MediumSeq(arch.MediumID(m)) {
+			if c.Hop == 0 {
+				c.SrcIndex = 9
+				if _, err := Run(s, RunConfig{Iterations: 2}); !errors.Is(err, ErrNoOrder) {
+					t.Fatalf("Run = %v, want ErrNoOrder", err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no hop-0 comm to corrupt")
 }
 
 // TestRelayKilledMidRunIsMasked kills relays mid-run on the schedules of
@@ -180,38 +301,24 @@ func TestRelayKilledMidRunIsMasked(t *testing.T) {
 	if len(runs) != 247 {
 		t.Fatalf("%d relay kills, want 247", len(runs))
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 16)
 	for _, r := range runs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			outputs := r.s.Tasks().Outputs()
-			cfg := RunConfig{Iterations: 2, Kills: []Kill{r.kill}, Timeout: 250 * time.Millisecond}
-			res, err := Run(r.s, cfg)
-			if err == nil && !res.Complete(outputs) {
-				cfg.Timeout = 0
-				res, err = Run(r.s, cfg)
-			}
-			if err != nil {
-				t.Errorf("%s: exec: %v", r.name, err)
-				return
-			}
-			if !res.Complete(outputs) {
-				t.Errorf("%s, P%d killed in iteration 1: outputs missing (stalled=%v)", r.name, r.kill.Proc+1, res.Stalled)
-			}
-			for iter := range res.Outputs {
-				for task, got := range res.Outputs[iter] {
-					if want := res.Reference[iter][task]; got != want {
-						t.Errorf("%s, P%d killed in iteration 1: iteration %d output %d is %q, reference %q",
-							r.name, r.kill.Proc+1, iter, task, got, want)
-					}
+		outputs := r.s.Tasks().Outputs()
+		res, err := Run(r.s, RunConfig{Iterations: 2, Kills: []Kill{r.kill}})
+		if err != nil {
+			t.Fatalf("%s: exec: %v", r.name, err)
+		}
+		if !res.Complete(outputs) {
+			t.Errorf("%s, P%d killed in iteration 1: outputs missing (stalled=%v)", r.name, r.kill.Proc+1, res.Stalled)
+		}
+		for iter := range res.Outputs {
+			for task, got := range res.Outputs[iter] {
+				if want := res.Reference[iter][task]; got != want {
+					t.Errorf("%s, P%d killed in iteration 1: iteration %d output %d is %q, reference %q",
+						r.name, r.kill.Proc+1, iter, task, got, want)
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
 	t.Logf("%d relay kills", len(runs))
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"testing"
-	"time"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/core"
@@ -86,15 +85,15 @@ func TestTwoKillsExceedNpfAndFail(t *testing.T) {
 	res, err := Run(s, RunConfig{
 		Iterations:  1,
 		KillAtStart: []arch.ProcID{0, 1},
-		Timeout:     500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// I cannot run on P3, so killing P1 and P2 must lose outputs: either
-	// the run stalls on blocked receives or outputs are missing.
-	if res.Complete(s.Tasks().Outputs()) {
-		t.Error("two failures produced all outputs with Npf=1")
+	// I cannot run on P3, so killing P1 and P2 must lose outputs, and P3
+	// stops on a receive whose every copy died.
+	if res.Complete(s.Tasks().Outputs()) || !res.Stalled {
+		t.Errorf("two failures with Npf=1: complete=%v, stalled=%v; want outputs lost and a stall",
+			res.Complete(s.Tasks().Outputs()), res.Stalled)
 	}
 }
 

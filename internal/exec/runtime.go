@@ -1,11 +1,10 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"ftbar/internal/arch"
 	"ftbar/internal/model"
@@ -15,6 +14,10 @@ import (
 // Errors reported by the runtime.
 var (
 	ErrBadRunConfig = errors.New("exec: invalid run configuration")
+	// ErrNoOrder refuses a schedule whose wiring has no dependency order
+	// (sched.DeliveryIndex.Order): a cycle, or a hop without a source.
+	// Some unit of such a run could wait forever, so none is started.
+	ErrNoOrder = errors.New("exec: the schedule's wiring has no dependency order")
 )
 
 // Kill is a fault-injection directive: processor Proc dies right before
@@ -41,10 +44,6 @@ type RunConfig struct {
 	Kills []Kill
 	// KillAtStart lists processors dead from the beginning.
 	KillAtStart []arch.ProcID
-	// Timeout bounds the whole run; 0 means 10 seconds. A run that cannot
-	// finish (more failures than Npf block a receiver forever) is
-	// cancelled and reported as stalled instead of hanging the test.
-	Timeout time.Duration
 }
 
 // Result is the outcome of a distributed execution.
@@ -54,12 +53,11 @@ type Result struct {
 	Outputs []map[model.TaskID]Value
 	// Reference is the sequential oracle for the same iterations.
 	Reference []map[model.TaskID]Value
-	// Stalled reports that the run timed out with processors blocked —
-	// expected when more than Npf processors were killed. A run that masks
-	// its crashes can stall too: a replica whose every input copy died
-	// blocks the rest of its processor's program, in this iteration and
-	// every later one, also on a branch that feeds no output; the
-	// simulator does the same.
+	// Stalled reports that a processor that was not killed stopped on an
+	// input whose every copy died: it runs nothing more, in that iteration
+	// or any later one, which is the simulator's stuck rule. Expected when
+	// more than Npf processors were killed; a run that masks its crashes
+	// can stall too, on a branch that feeds no output.
 	Stalled bool
 }
 
@@ -96,7 +94,7 @@ func (r *Result) Complete(outputs []model.TaskID) bool {
 }
 
 // message travels through communication units; skip marks a transmission
-// that never happened because its producer died.
+// that never happened because its source or its sending processor died.
 type message struct {
 	value Value
 	skip  bool
@@ -104,7 +102,9 @@ type message struct {
 
 // runtime holds the channel fabric of one execution, addressed by the
 // schedule's delivery index: one handoff channel per comm id and one
-// mailbox per comm-served replica input.
+// mailbox per comm-served replica input. Every handoff and every mailbox
+// slot receives exactly one message per iteration, so no send blocks and
+// every wait ends (DESIGN.md Section 5).
 type runtime struct {
 	s     *sched.Schedule
 	tg    *model.TaskGraph
@@ -114,9 +114,9 @@ type runtime struct {
 	// handoff[iter][comm] carries the value from the producing replica
 	// (hop 0) or the previous hop into the comm's sending unit.
 	handoff [][]chan message
-	// mailbox[iter][input] collects the copies of one comm-served input;
-	// capacity equals its arrival count, so senders never block.
-	mailbox [][]chan Value
+	// mailbox[iter][input] collects the copies of one comm-served input,
+	// values and skips; capacity equals its arrival count.
+	mailbox [][]chan message
 	// outgoing[replica] lists the hop-0 comms the replica feeds.
 	outgoing [][]int32
 	// next[comm] is the following hop of a chain, -1 at the last hop;
@@ -124,9 +124,13 @@ type runtime struct {
 	next  []int32
 	feeds []int32
 
-	dead    []chan struct{} // closed when processor dies
-	outputs []model.TaskID
-	results chan outputEvent
+	// dead[p] is closed when processor p is killed; silent[p] when it
+	// stops running its program, killed or stuck. stuck[p] is written by
+	// p's goroutine alone and read after every goroutine ended.
+	dead, silent []chan struct{}
+	stuck        []bool
+	outputs      []model.TaskID
+	results      chan outputEvent
 }
 
 type outputEvent struct {
@@ -136,7 +140,9 @@ type outputEvent struct {
 }
 
 // Run executes the schedule's distributed programs and compares the outputs
-// against the sequential reference.
+// against the sequential reference. It refuses a wiring with no dependency
+// order (ErrNoOrder) before starting a goroutine; on any other, every unit
+// ends by construction (DESIGN.md Section 5), so Run always returns.
 func Run(s *sched.Schedule, cfg RunConfig) (*Result, error) {
 	iters := cfg.Iterations
 	if iters == 0 {
@@ -156,13 +162,11 @@ func Run(s *sched.Schedule, cfg RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("%w: kill at start of proc %d", ErrBadRunConfig, p)
 		}
 	}
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
+	ix := s.Deliveries()
+	if ix.Order() == nil {
+		return nil, fmt.Errorf("%w: %d replicas, %d comms", ErrNoOrder, len(ix.Replicas), len(ix.Comms))
 	}
-	rt := newRuntime(s, iters)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+	rt := newRuntime(s, ix, iters)
 
 	var wg sync.WaitGroup
 	killAt := make(map[arch.ProcID]map[replicaIter]bool)
@@ -179,13 +183,13 @@ func Run(s *sched.Schedule, cfg RunConfig) (*Result, error) {
 	for p := 0; p < nP; p++ {
 		proc := arch.ProcID(p)
 		if deadAtStart[proc] {
-			close(rt.dead[p])
+			rt.kill(proc)
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt.runNode(ctx, proc, killAt[proc])
+			rt.runNode(proc, killAt[proc])
 		}()
 	}
 	for m := 0; m < s.Problem().Arc.NumMedia(); m++ {
@@ -193,26 +197,15 @@ func Run(s *sched.Schedule, cfg RunConfig) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt.runMedium(ctx, medium)
+			rt.runMedium(medium)
 		}()
 	}
-	doneCh := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(doneCh)
-	}()
-	stalled := false
-	select {
-	case <-doneCh:
-	case <-ctx.Done():
-		stalled = true
-		<-doneCh // goroutines exit via ctx in every blocking select
-	}
+	wg.Wait()
 	close(rt.results)
 	res := &Result{
 		Outputs:   make([]map[model.TaskID]Value, iters),
 		Reference: Reference(s, iters),
-		Stalled:   stalled,
+		Stalled:   slices.Contains(rt.stuck, true),
 	}
 	for i := range res.Outputs {
 		res.Outputs[i] = make(map[model.TaskID]Value)
@@ -231,10 +224,10 @@ type replicaIter struct {
 	iter  int
 }
 
-func newRuntime(s *sched.Schedule, iters int) *runtime {
+func newRuntime(s *sched.Schedule, ix *sched.DeliveryIndex, iters int) *runtime {
 	tg := s.Tasks()
-	ix := s.Deliveries()
 	n := len(ix.Comms)
+	nP := s.Problem().Arc.NumProcs()
 	rt := &runtime{
 		s:        s,
 		tg:       tg,
@@ -243,11 +236,13 @@ func newRuntime(s *sched.Schedule, iters int) *runtime {
 		outgoing: make([][]int32, len(ix.Replicas)),
 		next:     make([]int32, n),
 		feeds:    make([]int32, n),
-		dead:     make([]chan struct{}, s.Problem().Arc.NumProcs()),
+		dead:     make([]chan struct{}, nP),
+		silent:   make([]chan struct{}, nP),
+		stuck:    make([]bool, nP),
 		outputs:  tg.Outputs(),
 	}
 	for p := range rt.dead {
-		rt.dead[p] = make(chan struct{})
+		rt.dead[p], rt.silent[p] = make(chan struct{}), make(chan struct{})
 	}
 	for id := range ix.Comms {
 		rt.next[id], rt.feeds[id] = -1, -1
@@ -268,16 +263,16 @@ func newRuntime(s *sched.Schedule, iters int) *runtime {
 		}
 	}
 	rt.handoff = make([][]chan message, iters)
-	rt.mailbox = make([][]chan Value, iters)
+	rt.mailbox = make([][]chan message, iters)
 	for i := 0; i < iters; i++ {
 		rt.handoff[i] = make([]chan message, n)
 		for id := range rt.handoff[i] {
 			rt.handoff[i][id] = make(chan message, 1)
 		}
-		rt.mailbox[i] = make([]chan Value, len(ix.Inputs))
+		rt.mailbox[i] = make([]chan message, len(ix.Inputs))
 		for j, in := range ix.Inputs {
 			if len(in.Arrivals) > 0 {
-				rt.mailbox[i][j] = make(chan Value, len(in.Arrivals))
+				rt.mailbox[i][j] = make(chan message, len(in.Arrivals))
 			}
 		}
 	}
@@ -289,10 +284,19 @@ func newRuntime(s *sched.Schedule, iters int) *runtime {
 	return rt
 }
 
+// kill stops processor p for good: it computes, sends and relays nothing
+// more.
+func (rt *runtime) kill(p arch.ProcID) {
+	close(rt.dead[p])
+	close(rt.silent[p])
+}
+
 // runNode is one processor's static program: execute the replica sequence
 // in order for every iteration, reading inputs from mailboxes (first value
 // wins) or local memory, and handing results to the communication units.
-func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replicaIter]bool) {
+// A replica whose input lost every copy can never run, so the processor
+// stops there, stuck, as the simulator's does.
+func (rt *runtime) runNode(p arch.ProcID, kills map[replicaIter]bool) {
 	memState := make(map[model.OpID]Value)
 	for _, mp := range rt.tg.MemPairs() {
 		memState[mp.Op] = initValue(rt.s.Problem().Alg.Op(mp.Op).Name)
@@ -303,7 +307,7 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 		for _, id := range ix.Programs[p] {
 			r := ix.Replicas[id]
 			if kills[replicaIter{r.Task, r.Index, iter}] {
-				close(rt.dead[p])
+				rt.kill(p)
 				return
 			}
 			task := rt.tg.Task(r.Task)
@@ -314,13 +318,13 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 					inputs = append(inputs, edgeValue{in.Edge, local[in.Local]})
 					continue
 				}
-				select {
-				case v := <-rt.mailbox[iter][j]:
-					inputs = append(inputs, edgeValue{in.Edge, v})
-				case <-ctx.Done():
-					close(rt.dead[p])
+				v, ok := rt.receive(iter, j)
+				if !ok {
+					rt.stuck[p] = true
+					close(rt.silent[p])
 					return
 				}
+				inputs = append(inputs, edgeValue{in.Edge, v})
 			}
 			v, newState := evalTask(rt.tg, r.Task, iter, inputs, memState[task.Op])
 			if task.Role == model.MemWrite {
@@ -337,6 +341,17 @@ func (rt *runtime) runNode(ctx context.Context, p arch.ProcID, kills map[replica
 	}
 }
 
+// receive reads input j's copies of iteration iter up to the first value;
+// ok is false when every copy was a skip.
+func (rt *runtime) receive(iter int, j int32) (v Value, ok bool) {
+	for range rt.ix.Inputs[j].Arrivals {
+		if msg := <-rt.mailbox[iter][j]; !msg.skip {
+			return msg.value, true
+		}
+	}
+	return v, false
+}
+
 func (rt *runtime) isOutput(t model.TaskID) bool {
 	for _, o := range rt.outputs {
 		if o == t {
@@ -347,67 +362,58 @@ func (rt *runtime) isOutput(t model.TaskID) bool {
 }
 
 // runMedium is one communication medium: it processes its static comm
-// sequence in order, for every iteration. A value is taken from the hop's
-// handoff; a dead sender resolves the handoff as a skip so the medium
-// never waits on a silent processor (the paper's "no timeout" property
-// holds because the data is replicated, not because senders are awaited).
-func (rt *runtime) runMedium(ctx context.Context, m arch.MediumID) {
+// sequence in order, for every iteration. It takes each hop's message,
+// value or skip, from the hop's handoff, passes it to the next hop and
+// hands every last hop's to its input's mailbox, so a receiver learns
+// that a copy died instead of waiting for it (the paper's "no timeout"
+// property holds because the data is replicated, not because senders
+// are awaited).
+func (rt *runtime) runMedium(m arch.MediumID) {
 	lo, hi := rt.ix.MediumStart[m], rt.ix.MediumStart[m+1]
 	for iter := 0; iter < rt.iters; iter++ {
 		for c := lo; c < hi; c++ {
-			msg, ok := rt.takeHandoff(ctx, iter, c)
-			if !ok {
-				return // cancelled
-			}
+			msg := rt.takeHandoff(iter, c)
 			if next := rt.next[c]; next >= 0 {
 				rt.handoff[iter][next] <- msg
-				continue
 			}
-			if in := rt.feeds[c]; in >= 0 && !msg.skip {
-				rt.mailbox[iter][in] <- msg.value
+			if in := rt.feeds[c]; in >= 0 {
+				rt.mailbox[iter][in] <- msg
 			}
 		}
 	}
 }
 
-// takeHandoff waits for the hop's input value and applies the one failure
-// rule of the simulator to every hop: a hop whose sending processor is dead
-// passes a skip on. At hop 0 that processor is the producer, and a value it
-// handed off before dying is still preferred over the death signal. At a
-// later hop it is the relay, which forwards the previous medium's message,
-// value or skip, only if it is alive when that message arrives; death is
-// per processor, not per iteration, so a relay killed mid-run (Kill) may
-// also drop copies of iterations before its death.
-func (rt *runtime) takeHandoff(ctx context.Context, iter int, c int32) (message, bool) {
+// takeHandoff waits for the hop's input message and applies the one
+// failure rule of the simulator to every hop: a hop whose sending
+// processor is dead passes a skip on. At hop 0 the sender replica's
+// processor either runs the replica and hands its value off, or stops
+// before it (killed or stuck) and closes its silent channel, after which
+// the hop passes a skip; a value handed off before stopping is still
+// preferred. At a later hop the previous hop's message always comes, and
+// the relay forwards it only if the relay is alive when it arrives: a
+// stuck processor keeps relaying, as in the simulator. Death is per
+// processor, not per iteration, so a relay killed mid-run (Kill) may also
+// drop copies of iterations before its death.
+func (rt *runtime) takeHandoff(iter int, c int32) message {
 	ch := rt.handoff[iter][c]
-	comm := rt.ix.Comms[c]
-	deadCh := rt.dead[comm.From]
-	if comm.Hop > 0 {
+	if comm := rt.ix.Comms[c]; comm.Hop > 0 {
+		msg := <-ch
 		select {
-		case msg := <-ch:
-			select {
-			case <-deadCh:
-				return message{skip: true}, true
-			default:
-				return msg, true
-			}
-		case <-ctx.Done():
-			return message{}, false
+		case <-rt.dead[comm.From]:
+			return message{skip: true}
+		default:
+			return msg
 		}
 	}
 	select {
 	case msg := <-ch:
-		return msg, true
-	case <-deadCh:
-		// The producer died; it may still have handed the value off
-		// just before dying.
+		return msg
+	case <-rt.silent[rt.ix.Replicas[rt.ix.Sender[c]].Proc]:
 		select {
 		case msg := <-ch:
-			return msg, true
+			return msg
 		default:
-			return message{skip: true}, true
+			return message{skip: true}
 		}
-	case <-ctx.Done():
-		return message{}, false
 	}
 }

@@ -9,11 +9,6 @@ package sched
 // of magnitude cheaper than the Clone-and-swap undo and allocation-free
 // once the buffers exist.
 //
-// The revision stamp counter is deliberately NOT part of the checkpoint:
-// stamps keep increasing across a rollback, so schedule state committed
-// and then undone can never be mistaken for live state by a stamp-keyed
-// cache (DESIGN.md Section 8).
-//
 // Checkpoints nest like a stack: taking a checkpoint, mutating, and
 // rolling back restores exactly the state at the take, including across
 // nested take/rollback cycles in between. The zero value is ready to use
@@ -27,9 +22,6 @@ type Checkpoint struct {
 	medTail       []commID
 	procEnd       []float64
 	mediumEnd     []float64
-	procRev       []uint64
-	mediumRev     []uint64
-	taskRev       []uint64
 }
 
 // Checkpoint records the current commit state into cp, reusing its
@@ -44,14 +36,11 @@ func (s *Schedule) Checkpoint(cp *Checkpoint) {
 	cp.medTail = append(cp.medTail[:0], sl.medTail...)
 	cp.procEnd = append(cp.procEnd[:0], s.procEnd...)
 	cp.mediumEnd = append(cp.mediumEnd[:0], s.mediumEnd...)
-	cp.procRev = append(cp.procRev[:0], s.procRev...)
-	cp.mediumRev = append(cp.mediumRev[:0], s.mediumRev...)
-	cp.taskRev = append(cp.taskRev[:0], s.taskRev...)
 }
 
 // Rollback restores the schedule to the state cp recorded. cp must have
 // been taken from this schedule, and everything committed since is
-// discarded. The stamp counter is not rewound. Truncation leaves stale
+// discarded. Truncation leaves stale
 // entries in the index rows past the restored fills and possibly a stale
 // commNext on a surviving medium tail; both are unreachable because every
 // reader is bounded by the restored counts (see slab.go).
@@ -65,8 +54,5 @@ func (s *Schedule) Rollback(cp *Checkpoint) {
 	copy(sl.medTail, cp.medTail)
 	copy(s.procEnd, cp.procEnd)
 	copy(s.mediumEnd, cp.mediumEnd)
-	copy(s.procRev, cp.procRev)
-	copy(s.mediumRev, cp.mediumRev)
-	copy(s.taskRev, cp.taskRev)
 	s.invalidateView()
 }

@@ -15,9 +15,6 @@ type snapshotState struct {
 	medSeqs   []int
 	procEnds  []float64
 	medEnds   []float64
-	procRevs  []uint64
-	medRevs   []uint64
-	taskRevs  []uint64
 	numComms  int
 	schLength float64
 }
@@ -26,17 +23,14 @@ func captureState(s *Schedule) snapshotState {
 	st := snapshotState{numComms: s.NumComms(), schLength: s.Length()}
 	for t := 0; t < s.Tasks().NumTasks(); t++ {
 		st.lengths = append(st.lengths, len(s.Replicas(model.TaskID(t))))
-		st.taskRevs = append(st.taskRevs, s.TaskRev(model.TaskID(t)))
 	}
 	for p := 0; p < s.Problem().Arc.NumProcs(); p++ {
 		st.procSeqs = append(st.procSeqs, len(s.ProcSeq(arch.ProcID(p))))
 		st.procEnds = append(st.procEnds, s.ProcEnd(arch.ProcID(p)))
-		st.procRevs = append(st.procRevs, s.ProcRev(arch.ProcID(p)))
 	}
 	for m := 0; m < s.Problem().Arc.NumMedia(); m++ {
 		st.medSeqs = append(st.medSeqs, len(s.MediumSeq(arch.MediumID(m))))
 		st.medEnds = append(st.medEnds, s.MediumEnd(arch.MediumID(m)))
-		st.medRevs = append(st.medRevs, s.MediumRev(arch.MediumID(m)))
 	}
 	return st
 }
@@ -61,17 +55,8 @@ func statesEqual(a, b snapshotState) bool {
 		}
 		return true
 	}
-	eqU := func(x, y []uint64) bool {
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
 	return eqI(a.lengths, b.lengths) && eqI(a.procSeqs, b.procSeqs) && eqI(a.medSeqs, b.medSeqs) &&
-		eqF(a.procEnds, b.procEnds) && eqF(a.medEnds, b.medEnds) &&
-		eqU(a.procRevs, b.procRevs) && eqU(a.medRevs, b.medRevs) && eqU(a.taskRevs, b.taskRevs)
+		eqF(a.procEnds, b.procEnds) && eqF(a.medEnds, b.medEnds)
 }
 
 func TestCheckpointRollbackRestoresState(t *testing.T) {
@@ -152,35 +137,5 @@ func TestCheckpointNests(t *testing.T) {
 	s.Rollback(&outer)
 	if !statesEqual(outerState, captureState(s)) {
 		t.Error("outer rollback did not restore")
-	}
-}
-
-func TestStampsNeverRewind(t *testing.T) {
-	p, err := gen.Generate(gen.Params{N: 8, CCR: 1, Procs: 3, Npf: 0, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSchedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := s.Tasks().Topo()
-	if _, err := s.PlaceReplica(topo[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	var cp Checkpoint
-	s.Checkpoint(&cp)
-	if _, err := s.PlaceReplica(topo[1], 0); err != nil {
-		t.Fatal(err)
-	}
-	specStamp := s.ProcRev(0)
-	s.Rollback(&cp)
-	if _, err := s.PlaceReplica(topo[1], 1); err != nil {
-		t.Fatal(err)
-	}
-	// The stamp taken on the discarded branch must never reappear: any
-	// commit after the rollback draws a strictly larger stamp.
-	if got := s.ProcRev(1); got <= specStamp {
-		t.Errorf("post-rollback stamp %d not above discarded stamp %d", got, specStamp)
 	}
 }

@@ -202,6 +202,90 @@ func (s *Schedule) Deliveries() *DeliveryIndex {
 	return ix
 }
 
+// Order lists every replica (as its id r) and comm (as ^c) after every
+// item it reads: a replica after the replica before it in its processor's
+// program, its inputs' arrivals and its local sources; a comm after the
+// comm before it in its medium's sequence and its source, Sender[c] at
+// hop 0 and Prev[c] after. It returns nil when no such order exists: the
+// wiring has a cycle, or a comm lacks its source. A schedule built
+// append-only has an order, since every item reads only items committed
+// before it. The order is computed on every call and not kept in the
+// index.
+func (ix *DeliveryIndex) Order() []int32 {
+	nR := int32(len(ix.Replicas))
+	before := make([]int32, nR) // the replica before r in its program, -1 first
+	for r := range before {
+		before[r] = -1
+	}
+	for _, prog := range ix.Programs {
+		for i := 1; i < len(prog); i++ {
+			before[prog[i]] = prog[i-1]
+		}
+	}
+	// mark is 1 while an item's predecessors are being placed (meeting it
+	// again closes a cycle) and 2 once it is placed.
+	mark := make([]uint8, int(nR)+len(ix.Comms))
+	order := make([]int32, 0, len(mark))
+	var place func(item int32) bool
+	place = func(item int32) bool {
+		slot := item
+		if item < 0 {
+			slot = nR + ^item
+		}
+		switch mark[slot] {
+		case 1:
+			return false
+		case 2:
+			return true
+		}
+		mark[slot] = 1
+		if item >= 0 {
+			if before[item] >= 0 && !place(before[item]) {
+				return false
+			}
+			for _, in := range ix.Inputs[ix.InputStart[item]:ix.InputStart[item+1]] {
+				for _, c := range in.Arrivals {
+					if !place(^c) {
+						return false
+					}
+				}
+				if in.Local >= 0 && !place(in.Local) {
+					return false
+				}
+			}
+		} else {
+			c, hop0 := ^item, ix.Comms[^item].Hop == 0
+			src := ix.Prev[c]
+			if hop0 {
+				src = ix.Sender[c]
+			}
+			if src < 0 {
+				return false
+			}
+			if !hop0 {
+				src = ^src
+			}
+			if _, first := slices.BinarySearch(ix.MediumStart, c); !first && !place(^(c-1)) || !place(src) {
+				return false
+			}
+		}
+		mark[slot] = 2
+		order = append(order, item)
+		return true
+	}
+	for r := int32(0); r < nR; r++ {
+		if !place(r) {
+			return nil
+		}
+	}
+	for c := range ix.Comms {
+		if !place(^int32(c)) {
+			return nil
+		}
+	}
+	return order
+}
+
 // compareInput orders delivery d against replica r's input over edge e in
 // the canonical order.
 func compareInput(d Delivery, r *Replica, e model.TaskEdgeID) int {

@@ -70,6 +70,108 @@ func checkIndex(t *testing.T, s *Schedule) {
 		}
 	}
 	checkWiring(t, s, ix)
+	checkOrder(t, ix)
+}
+
+// checkOrder holds ix.Order to Kahn's algorithm on the same dependency
+// graph: an order exists exactly when every comm has a source and the
+// graph has no cycle, and a returned order lists every replica (as r) and
+// comm (as ^c) once, each after every item it reads.
+func checkOrder(t *testing.T, ix *DeliveryIndex) {
+	t.Helper()
+	nR := len(ix.Replicas)
+	slot := func(item int32) int {
+		if item < 0 {
+			return nR + int(^item)
+		}
+		return int(item)
+	}
+	n := nR + len(ix.Comms)
+	reads := make([][]int32, n)
+	for _, prog := range ix.Programs {
+		for i := 1; i < len(prog); i++ {
+			reads[prog[i]] = append(reads[prog[i]], prog[i-1])
+		}
+	}
+	for r := 0; r < nR; r++ {
+		for _, in := range ix.Inputs[ix.InputStart[r]:ix.InputStart[r+1]] {
+			for _, c := range in.Arrivals {
+				reads[r] = append(reads[r], ^c)
+			}
+			if in.Local >= 0 {
+				reads[r] = append(reads[r], in.Local)
+			}
+		}
+	}
+	sourced := true
+	for m := range ix.MediumStart[:len(ix.MediumStart)-1] {
+		for c := ix.MediumStart[m]; c < ix.MediumStart[m+1]; c++ {
+			k := slot(^c)
+			if c > ix.MediumStart[m] {
+				reads[k] = append(reads[k], ^(c - 1))
+			}
+			switch {
+			case ix.Comms[c].Hop == 0 && ix.Sender[c] >= 0:
+				reads[k] = append(reads[k], ix.Sender[c])
+			case ix.Comms[c].Hop != 0 && ix.Prev[c] >= 0:
+				reads[k] = append(reads[k], ^ix.Prev[c])
+			default:
+				sourced = false
+			}
+		}
+	}
+	waiting := make([]int, n)
+	readers := make([][]int, n)
+	for k, rs := range reads {
+		waiting[k] = len(rs)
+		for _, item := range rs {
+			readers[slot(item)] = append(readers[slot(item)], k)
+		}
+	}
+	var ready []int
+	for k := range waiting {
+		if waiting[k] == 0 {
+			ready = append(ready, k)
+		}
+	}
+	placed := 0
+	for ; len(ready) > 0; placed++ {
+		k := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		for _, u := range readers[k] {
+			if waiting[u]--; waiting[u] == 0 {
+				ready = append(ready, u)
+			}
+		}
+	}
+	order := ix.Order()
+	if want := sourced && placed == n; (order != nil) != want {
+		t.Fatalf("Order returned %d items; every comm sourced %v, %d of %d items sort", len(order), sourced, placed, n)
+	}
+	if order == nil {
+		return
+	}
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, item := range order {
+		if k := slot(item); pos[k] < 0 {
+			pos[k] = i
+		} else {
+			t.Fatalf("item %d listed twice", item)
+		}
+	}
+	for k, rs := range reads {
+		if pos[k] < 0 {
+			t.Fatalf("slot %d missing from the order", k)
+		}
+		for _, item := range rs {
+			if pos[slot(item)] > pos[k] {
+				t.Fatalf("slot %d ordered before item %d it reads", k, item)
+			}
+		}
+	}
 }
 
 // checkWiring asserts the replica, program, input and sender fields of ix
@@ -155,23 +257,34 @@ func checkWiring(t *testing.T, s *Schedule, ix *DeliveryIndex) {
 	}
 }
 
-// TestDeliveryIndex checks the index on greedy schedules of every oracle
-// topology and budget, as planned and after view corruptions that
-// duplicate hops, renumber them or move comms between media.
+// TestDeliveryIndex checks the index and its order on greedy schedules of
+// every oracle topology and budget, as planned (which must have an order)
+// and after view corruptions that duplicate hops, renumber them or move
+// comms between media.
 func TestDeliveryIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	unordered := 0
 	for topo := range oracleTopologies {
 		for budget := range oracleBudgets {
 			s := oracleSchedule(t, topo, rng.Intn(4), budget, 12, int64(1+rng.Intn(9)))
 			checkIndex(t, s)
+			if s.Deliveries().Order() == nil {
+				t.Fatalf("topology %d, budget %d: a planned schedule has no order", topo, budget)
+			}
 			for trial := 0; trial < 6; trial++ {
 				c := s.Clone()
 				for k := 0; k < 3; k++ {
 					corruptView(c, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 				}
 				checkIndex(t, c)
+				if c.Deliveries().Order() == nil {
+					unordered++
+				}
 			}
 		}
+	}
+	if unordered == 0 {
+		t.Error("no corruption left the wiring without an order")
 	}
 }
 

@@ -429,14 +429,14 @@ func (s *Schedule) Preview(t model.TaskID, p arch.ProcID) (Placement, error) {
 // PreviewTouched is Preview plus the preview's medium dependency set: one
 // MediumBound per medium the plan put a comm on, appended to bounds (which
 // may be nil) and returned. A cached preview of (t, p) stays valid while
-// the replica-set stamps of t and its predecessors are unchanged,
+// the replica sets of t and its predecessors are unchanged,
 // ProcEnd(p) <= the returned SWorst, and MediumEnd(m) <= Bound for every
 // returned bound: replicas are append-only, busy-ends only grow, and
 // growth below those thresholds is never binding (DESIGN.md Sections 8 and
 // 13). Media the plan considered but rejected carry no bound — rejection
 // is monotone under busy-end growth. On error the appended set covers the
 // comms planned before the failure; the error itself is structural and
-// recurs under the stamp conditions alone.
+// recurs while those replica sets are unchanged.
 func (s *Schedule) PreviewTouched(t model.TaskID, p arch.ProcID, bounds []MediumBound) (Placement, []MediumBound, error) {
 	sc := s.getScratch()
 	pl, err := s.plan(t, p, sc, false)
@@ -479,9 +479,14 @@ func (pp *PlannedPlacement) Placement() Placement { return pp.pl }
 // aliases the token's scratch and is valid until Commit or Discard.
 func (pp *PlannedPlacement) Details() []EdgeArrival { return pp.sc.details }
 
-// Commit commits the planned comms and replica, exactly as PlaceReplica
-// would have — the schedule state still matches the plan's, so replanning
-// would reproduce the held plan bit for bit — and releases the token.
+// Commit commits the planned comms and replica — the schedule state still
+// matches the plan's, so replanning would reproduce the held plan bit for
+// bit — and releases the token. The comms are serialised on their media
+// and the replica is appended to the processor at its S_best start (paper
+// micro-step "Schedule o to p at S_best(o,p)"), and the pointer view is
+// invalidated. The committed replica is returned by value: handing out a
+// pointer into the (just invalidated) view would either allocate or force
+// a rebuild.
 func (pp *PlannedPlacement) Commit() Replica {
 	s, sc, pl := pp.s, pp.sc, pp.pl
 	for i := range sc.plans {
@@ -491,8 +496,6 @@ func (pp *PlannedPlacement) Commit() Replica {
 	r := Replica{Task: t, Index: int(s.slab.taskRepN[t]), Proc: p, Start: pl.SBest, End: pl.End}
 	s.slab.appendReplica(int(t), int(p), pl.SBest, pl.End)
 	s.procEnd[p] = r.End
-	s.procRev[p] = s.nextStamp()
-	s.taskRev[t] = s.nextStamp()
 	s.invalidateView()
 	s.scratch.put(sc)
 	pp.sc = nil
@@ -508,31 +511,13 @@ func (pp *PlannedPlacement) Discard() {
 	}
 }
 
-// PlaceReplica commits one replica of t on p: the implied comms are
-// serialised on their media and the replica is appended to the processor at
-// its S_best start (paper micro-step "Schedule o to p at S_best(o,p)").
-// Committing bumps the processor's revision and the revision of every
-// medium that received a comm, and invalidates the pointer view. The
-// committed replica is returned by value: handing out a pointer into the
-// (just invalidated) view would either allocate or force a rebuild.
+// PlaceReplica plans one replica of t on p and commits it (Commit).
 func (s *Schedule) PlaceReplica(t model.TaskID, p arch.ProcID) (Replica, error) {
-	sc := s.getScratch()
-	pl, err := s.plan(t, p, sc, false)
+	pp, err := s.PlanPlacement(t, p)
 	if err != nil {
-		s.scratch.put(sc)
 		return Replica{}, err
 	}
-	for i := range sc.plans {
-		s.commitComm(&sc.plans[i])
-	}
-	s.scratch.put(sc)
-	r := Replica{Task: t, Index: int(s.slab.taskRepN[t]), Proc: p, Start: pl.SBest, End: pl.End}
-	s.slab.appendReplica(int(t), int(p), pl.SBest, pl.End)
-	s.procEnd[p] = r.End
-	s.procRev[p] = s.nextStamp()
-	s.taskRev[t] = s.nextStamp()
-	s.invalidateView()
-	return r, nil
+	return pp.Commit(), nil
 }
 
 func (s *Schedule) commitComm(c *Comm) {
@@ -540,5 +525,4 @@ func (s *Schedule) commitComm(c *Comm) {
 	if c.End > s.mediumEnd[c.Medium] {
 		s.mediumEnd[c.Medium] = c.End
 	}
-	s.mediumRev[c.Medium] = s.nextStamp()
 }

@@ -48,15 +48,11 @@ func NewScheduleReusing(p *spec.Problem, donor *Schedule) (*Schedule, error) {
 		return NewSchedule(p)
 	}
 	s := &Schedule{
-		problem:      p,
-		tasks:        tasks,
-		faults:       p.FaultModel(),
-		procEnd:      zeroFloats(donor.procEnd),
-		mediumEnd:    zeroFloats(donor.mediumEnd),
-		procRev:      zeroUints(donor.procRev),
-		mediumRev:    zeroUints(donor.mediumRev),
-		taskRev:      zeroUints(donor.taskRev),
-		stampCounter: donor.stampCounter, // monotone: stamps are never reused
+		problem:   p,
+		tasks:     tasks,
+		faults:    p.FaultModel(),
+		procEnd:   zeroFloats(donor.procEnd),
+		mediumEnd: zeroFloats(donor.mediumEnd),
 	}
 	if donor.problem.Arc == p.Arc {
 		// Derive shares the architecture by pointer, so the scratch list
@@ -100,13 +96,6 @@ func (sl *slab) reset() {
 }
 
 func zeroFloats(b []float64) []float64 {
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-func zeroUints(b []uint64) []uint64 {
 	for i := range b {
 		b[i] = 0
 	}

@@ -10,8 +10,9 @@
 // allocation-free in steady state), and roll back speculative work either
 // by Clone-and-swap or by the cheaper in-place Checkpoint/Rollback, which
 // is how FTBAR's Minimize-start-time undo (paper micro-step ⑦) is
-// realised. Revision stamps (ProcRev, MediumRev, TaskRev) let incremental
-// heuristics reuse previews across steps (DESIGN.md Section 8).
+// realised. PreviewTouched reports what a preview depends on, so
+// incremental heuristics can reuse previews across steps (DESIGN.md
+// Section 8).
 //
 // Building is single-goroutine: a schedule and its clones share route
 // tables, fan caches and scratch buffers without locks, so one clone
@@ -103,17 +104,6 @@ type Schedule struct {
 	procEnd   []float64
 	mediumEnd []float64
 
-	// procRev[p], mediumRev[m] and taskRev[t] are revision stamps, set on
-	// every commit from stampCounter, which is shared across a clone
-	// family and strictly increases. A stamp value is therefore never
-	// reused — not even by a clone swapped in to undo speculative work —
-	// so caches keyed on stamps are immune to clone-and-swap ABA
-	// (DESIGN.md Section 8).
-	procRev      []uint64
-	mediumRev    []uint64
-	taskRev      []uint64
-	stampCounter *uint64
-
 	// view is the pointer-shaped materialisation of the slab (view.go),
 	// dropped on every mutation. Concurrent readers of a finished
 	// schedule may build it, hence the lock.
@@ -130,28 +120,17 @@ func NewSchedule(p *spec.Problem) (*Schedule, error) {
 	}
 	nProcs, nMedia := p.Arc.NumProcs(), p.Arc.NumMedia()
 	s := &Schedule{
-		problem:      p,
-		tasks:        tasks,
-		faults:       p.FaultModel(),
-		routes:       make(map[model.EdgeID]*arch.RouteTable),
-		fans:         make(map[model.EdgeID]*arch.FanCache),
-		scratch:      &scratchList{nMedia: nMedia},
-		procEnd:      make([]float64, nProcs),
-		mediumEnd:    make([]float64, nMedia),
-		procRev:      make([]uint64, nProcs),
-		mediumRev:    make([]uint64, nMedia),
-		taskRev:      make([]uint64, tasks.NumTasks()),
-		stampCounter: new(uint64),
+		problem:   p,
+		tasks:     tasks,
+		faults:    p.FaultModel(),
+		routes:    make(map[model.EdgeID]*arch.RouteTable),
+		fans:      make(map[model.EdgeID]*arch.FanCache),
+		scratch:   &scratchList{nMedia: nMedia},
+		procEnd:   make([]float64, nProcs),
+		mediumEnd: make([]float64, nMedia),
 	}
 	s.slab.init(tasks.NumTasks(), nProcs, nMedia)
 	return s, nil
-}
-
-// nextStamp returns a fresh revision stamp, unique across the clone
-// family. Stamps are only taken while committing, never while previewing.
-func (s *Schedule) nextStamp() uint64 {
-	*s.stampCounter++
-	return *s.stampCounter
 }
 
 // routeFor returns the weighted route of edge from processor p to q,
@@ -277,24 +256,6 @@ func (s *Schedule) ProcEnd(p arch.ProcID) float64 { return s.procEnd[p] }
 // MediumEnd returns the end of the last comm placed on m (0 when idle).
 func (s *Schedule) MediumEnd(m arch.MediumID) float64 { return s.mediumEnd[m] }
 
-// ProcRev returns the revision stamp of processor p's timeline, updated
-// whenever a replica is committed on p. A preview of a placement on p
-// stays valid while ProcRev(p) is unchanged (and its other dependencies
-// hold, see DESIGN.md Section 8). Stamps are unique across a clone
-// family: an equal stamp guarantees an identical timeline even after
-// clone-and-swap undo.
-func (s *Schedule) ProcRev(p arch.ProcID) uint64 { return s.procRev[p] }
-
-// MediumRev returns the revision stamp of medium m's timeline, updated
-// whenever a comm is committed on m.
-func (s *Schedule) MediumRev(m arch.MediumID) uint64 { return s.mediumRev[m] }
-
-// TaskRev returns the revision stamp of task t's replica set, updated
-// whenever t gains a replica. Replicas never re-time or disappear (short
-// of swapping the whole schedule, which the stamps also cover), so an
-// equal stamp guarantees an identical replica set.
-func (s *Schedule) TaskRev(t model.TaskID) uint64 { return s.taskRev[t] }
-
 // NumComms returns the total number of scheduled comms (hops count
 // individually).
 func (s *Schedule) NumComms() int { return s.slab.numComms() }
@@ -364,18 +325,14 @@ func (s *Schedule) MeetsRtc() (bool, error) {
 // and fan memos and the scratch list are shared with the family.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{
-		problem:      s.problem,
-		tasks:        s.tasks,
-		faults:       s.faults,
-		routes:       s.routes,
-		fans:         s.fans,
-		scratch:      s.scratch,
-		procEnd:      append([]float64(nil), s.procEnd...),
-		mediumEnd:    append([]float64(nil), s.mediumEnd...),
-		procRev:      append([]uint64(nil), s.procRev...),
-		mediumRev:    append([]uint64(nil), s.mediumRev...),
-		taskRev:      append([]uint64(nil), s.taskRev...),
-		stampCounter: s.stampCounter,
+		problem:   s.problem,
+		tasks:     s.tasks,
+		faults:    s.faults,
+		routes:    s.routes,
+		fans:      s.fans,
+		scratch:   s.scratch,
+		procEnd:   append([]float64(nil), s.procEnd...),
+		mediumEnd: append([]float64(nil), s.mediumEnd...),
 	}
 	c.slab.copyFrom(&s.slab)
 	return c

@@ -178,23 +178,3 @@ func (iv downIntervals) window(t0, d float64) (float64, bool) {
 	}
 	return t, true
 }
-
-// upAt reports whether the processor is up at time t.
-func (iv downIntervals) upAt(t float64) bool {
-	for _, w := range iv {
-		if t >= w[0] && t < w[1] {
-			return false
-		}
-	}
-	return true
-}
-
-// permanentlyDownAt reports whether the processor never recovers after t.
-func (iv downIntervals) permanentlyDownAt(t float64) bool {
-	for _, w := range iv {
-		if t >= w[0] && math.IsInf(w[1], 1) {
-			return true
-		}
-	}
-	return false
-}

@@ -34,9 +34,10 @@ type LinkReport struct {
 // that can change the outcome: time zero and just before/after each comm
 // completion on the medium in the fault-free timing. It returns one
 // report per medium. The schedule must have been built for Nmf >= 1 (and
-// pass sched.Validate) for Masked to be guaranteed. Scenarios run
-// concurrently on a worker pool sized to GOMAXPROCS; the reports do not
-// depend on the worker count.
+// pass sched.Validate) for Masked to be guaranteed. Masked judges one
+// iteration, as in SingleFailureSweep. Scenarios run concurrently on a
+// worker pool sized to GOMAXPROCS; the reports do not depend on the
+// worker count.
 func SingleLinkFailureSweep(s *sched.Schedule) ([]LinkReport, error) {
 	outcomes, err := sweep(s, linkCells(s), 0)
 	if err != nil {
@@ -105,7 +106,8 @@ type CombinedReport struct {
 // pass it lose some (processor, medium) crash set (DESIGN.md Section 12)
 // — so the sweep reports how far a schedule's masking actually extends. Scenarios run concurrently on a
 // GOMAXPROCS pool; reports are ordered (subset size, then ids, then
-// medium) and do not depend on the worker count.
+// medium) and do not depend on the worker count. Masked judges one
+// iteration, as in SingleFailureSweep.
 func CombinedFailureSweep(s *sched.Schedule) ([]CombinedReport, error) {
 	cells := combinedCells(s)
 	outcomes, err := sweep(s, cells, 0)

@@ -31,7 +31,7 @@ type plan struct {
 	comms   []planComm
 	outputs []model.TaskID // the tasks whose production defines masking
 	// order lists every replica (as its id r) and comm (as ^c) after the
-	// items it reads (dependencyOrder), nil when the wiring has no order.
+	// items it reads (DeliveryIndex.Order), nil when the wiring has none.
 	order []int32
 }
 
@@ -54,7 +54,7 @@ type planComm struct {
 }
 
 // newPlan indexes the schedule once, adds the durations and flags and
-// orders the items.
+// reads the index's order.
 func newPlan(s *sched.Schedule) *plan {
 	tg := s.Tasks()
 	a := s.Problem().Arc
@@ -74,88 +74,8 @@ func newPlan(s *sched.Schedule) *plan {
 		pl.comms[id] = planComm{src: src, hop0: c.Hop == 0, direct: c.Hop == 0 && c.LastHop,
 			medium: int32(c.Medium), from: int32(c.From), to: int32(c.To), dur: c.End - c.Start}
 	}
-	pl.order = pl.dependencyOrder()
+	pl.order = ix.Order()
 	return pl
-}
-
-// dependencyOrder lists every replica (as its id r) and comm (as ^c) after
-// every item it reads: a replica after the replica before it in its
-// processor's program, its inputs' arrivals and its local sources; a comm
-// after the comm before it on its medium and its source. It returns nil
-// when no such order exists: the wiring has a cycle, or a comm lacks its
-// source. A schedule built append-only has an order, since every item
-// reads only items committed before it.
-func (pl *plan) dependencyOrder() []int32 {
-	ix := pl.ix
-	nR := int32(len(pl.reps))
-	before := make([]int32, nR) // the replica before r in its program, -1 first
-	for r := range before {
-		before[r] = -1
-	}
-	for _, prog := range ix.Programs {
-		for i := 1; i < len(prog); i++ {
-			before[prog[i]] = prog[i-1]
-		}
-	}
-	// mark is 1 while an item's predecessors are being placed (meeting it
-	// again closes a cycle) and 2 once it is placed.
-	mark := make([]uint8, int(nR)+len(pl.comms))
-	order := make([]int32, 0, len(mark))
-	var place func(item int32) bool
-	place = func(item int32) bool {
-		slot := item
-		if item < 0 {
-			slot = nR + ^item
-		}
-		switch mark[slot] {
-		case 1:
-			return false
-		case 2:
-			return true
-		}
-		mark[slot] = 1
-		if item >= 0 {
-			if before[item] >= 0 && !place(before[item]) {
-				return false
-			}
-			for _, in := range ix.Inputs[ix.InputStart[item]:ix.InputStart[item+1]] {
-				for _, c := range in.Arrivals {
-					if !place(^c) {
-						return false
-					}
-				}
-				if in.Local >= 0 && !place(in.Local) {
-					return false
-				}
-			}
-		} else {
-			c, pc := ^item, &pl.comms[^item]
-			if pc.src < 0 {
-				return false
-			}
-			src := pc.src // the sender replica at hop 0, the previous hop after
-			if !pc.hop0 {
-				src = ^src
-			}
-			if c > ix.MediumStart[pc.medium] && !place(^(c-1)) || !place(src) {
-				return false
-			}
-		}
-		mark[slot] = 2
-		order = append(order, item)
-		return true
-	}
-	for r := int32(0); r < nR; r++ {
-		if !place(r) {
-			return nil
-		}
-	}
-	for c := range pl.comms {
-		if !place(^int32(c)) {
-			return nil
-		}
-	}
-	return order
 }
 
 // unitsValid reports whether every processor and medium id names a unit

@@ -262,22 +262,22 @@ func TestExecutorMatchesOracle(t *testing.T) {
 }
 
 // TestUnorderedWiringStalls pins the deadlock guard: a wiring with no
-// dependency order — a hop whose source is missing, or a delivery whose
-// comm reads the replica it feeds — stalls every iteration with
+// dependency order — a hop-0 comm whose sender is missing, or a delivery
+// whose comm reads the replica it feeds — stalls every iteration with
 // ErrStalled instead of indexing past the plan.
 func TestUnorderedWiringStalls(t *testing.T) {
 	s := paperSchedule(t)
-	for _, corrupt := range []func(pl *plan, c int){
-		func(pl *plan, c int) { pl.comms[c].src = -1 },
-		func(pl *plan, c int) {
-			comm := pl.ix.Comms[c]
-			pl.comms[c].src = pl.ix.RepStart[s.Tasks().Edge(comm.Edge).Dst] + int32(comm.DstIndex)
+	for _, corrupt := range []func(ix *sched.DeliveryIndex, c int){
+		func(ix *sched.DeliveryIndex, c int) { ix.Sender[c] = -1 },
+		func(ix *sched.DeliveryIndex, c int) {
+			comm := ix.Comms[c]
+			ix.Sender[c] = ix.RepStart[s.Tasks().Edge(comm.Edge).Dst] + int32(comm.DstIndex)
 		},
 	} {
 		pl := newPlan(s)
 		c := slices.IndexFunc(pl.comms, func(pc planComm) bool { return pc.direct })
-		corrupt(pl, c)
-		if pl.order = pl.dependencyOrder(); pl.order != nil {
+		corrupt(pl.ix, c)
+		if pl.order = pl.ix.Order(); pl.order != nil {
 			t.Fatalf("corrupted comm %d: the wiring still has an order", c)
 		}
 		st := pl.newState()

@@ -312,16 +312,6 @@ func TestDownIntervalsMerge(t *testing.T) {
 	}
 }
 
-func TestUpAtAndPermanentlyDown(t *testing.T) {
-	iv := buildDownIntervals(1, []Failure{Intermittent(0, 1, 2), Permanent(0, 5)})[0]
-	if !iv.upAt(0.5) || iv.upAt(1.5) || !iv.upAt(3) || iv.upAt(6) {
-		t.Error("upAt misjudged")
-	}
-	if iv.permanentlyDownAt(3) || !iv.permanentlyDownAt(6) {
-		t.Error("permanentlyDownAt misjudged")
-	}
-}
-
 func TestOpCompletionUnderCrash(t *testing.T) {
 	s := paperSchedule(t)
 	res, err := CrashAtZero(s, 2) // P3 dies; O still produced on P1

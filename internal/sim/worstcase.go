@@ -36,9 +36,12 @@ const crashEps = 1e-6
 // can change the outcome: time zero and just before/after each completion
 // of the processor's replicas and outgoing comms in the fault-free timing.
 // It returns one report per processor. The schedule must tolerate one
-// failure (Npf >= 1) for Masked to hold. Scenarios run concurrently on a
-// worker pool sized to GOMAXPROCS; the reports do not depend on the worker
-// count.
+// failure (Npf >= 1) for Masked to hold. Masked judges one iteration: a
+// crash that leaves a processor stuck on a branch feeding no output is
+// masked there, yet the stuck processor runs nothing in later iterations,
+// so Run over two iterations can lose outputs the sweep reports masked.
+// Scenarios run concurrently on a worker pool sized to GOMAXPROCS; the
+// reports do not depend on the worker count.
 func SingleFailureSweep(s *sched.Schedule) ([]CrashReport, error) {
 	outcomes, err := sweep(s, procCells(s), 0)
 	if err != nil {
